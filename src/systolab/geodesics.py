@@ -43,6 +43,9 @@ from .harmonics import FOUR_PI, normalize_points, sh_sum, sh_sum_grad
 from .metric import (
     DiscreteClosedCurve,
     _arc_lengths,
+    _dots,
+    _norms,
+    _sin_cos,
     curve_energy,
     curve_length,
     min_curvature,
@@ -341,27 +344,23 @@ def _batch_metric_lengths(g, X):
     B, n, _ = X.shape
     nxt = np.roll(X, -1, axis=1)
     mids = X + nxt
-    mids /= np.maximum(np.linalg.norm(mids, axis=-1, keepdims=True), 1e-30)
-    arcs = _arc_lengths(X.reshape(-1, 3), nxt.reshape(-1, 3)).reshape(B, n)
+    mids /= np.maximum(_norms(mids), 1e-30)[..., None]
+    arcs = _arc_lengths(X, nxt)
     w = _w_values(g, mids.reshape(-1, 3)).reshape(B, n)
     return np.sum(w * arcs, axis=1)
 
 
 def _batch_round_lengths(X):
     """Round lengths of a batch of closed polygons, for collapse detection."""
-    B, n, _ = X.shape
-    nxt = np.roll(X, -1, axis=1)
-    return _arc_lengths(X.reshape(-1, 3), nxt.reshape(-1, 3)).reshape(B, n).sum(axis=1)
+    return _arc_lengths(X, np.roll(X, -1, axis=1)).sum(axis=1)
 
 
 def _local_lengths(g, a, x, b):
     """Metric length of the two-segment path a--x--b for flat point arrays."""
     K = x.shape[0]
-    m1 = a + x
-    m2 = x + b
-    m1 = m1 / np.maximum(np.linalg.norm(m1, axis=-1, keepdims=True), 1e-30)
-    m2 = m2 / np.maximum(np.linalg.norm(m2, axis=-1, keepdims=True), 1e-30)
-    w = _w_values(g, np.concatenate([m1, m2], axis=0))
+    mids = np.concatenate([a + x, x + b])
+    mids /= np.maximum(_norms(mids), 1e-30)[:, None]
+    w = _w_values(g, mids)
     return w[:K] * _arc_lengths(a, x) + w[K:] * _arc_lengths(x, b)
 
 
@@ -371,38 +370,33 @@ def _vertex_newton_step(g, a, x, b):
     Minimizes the local energy phi(x) = (w1 d1)^2 + (w2 d2)^2 whose minimizer
     is the metric midpoint; the Hessian is approximated by its dominant term
     2 (w1^2 + w2^2) Id, and the step is trust-region capped so the vertex
-    never jumps past its neighbors.
+    never jumps past its neighbors.  Returns (new vertices, metric length of
+    a--x--b at the old vertices), the latter equal to _local_lengths(g, a, x, b).
     """
     K = x.shape[0]
-    sum1 = a + x
-    sum2 = x + b
-    r1 = np.maximum(np.linalg.norm(sum1, axis=-1, keepdims=True), 1e-30)
-    r2 = np.maximum(np.linalg.norm(sum2, axis=-1, keepdims=True), 1e-30)
-    w, gw = _w_and_gradw(g, np.concatenate([sum1 / r1, sum2 / r2], axis=0))
+    sums = np.concatenate([a + x, x + b])
+    r = np.maximum(_norms(sums), 1e-30)[:, None]
+    w, gw = _w_and_gradw(g, sums / r)
+    # pull the tangential gradient of w at each midpoint back through the
+    # normalized-midpoint map (its transpose Jacobian is projection / norm)
+    grad_w = gw / r
     w1, w2 = w[:K], w[K:]
-    gw1, gw2 = gw[:K], gw[K:]
-    dot1 = np.sum(a * x, axis=-1)
-    dot2 = np.sum(x * b, axis=-1)
-    sin1 = np.linalg.norm(np.cross(a, x), axis=-1)
-    sin2 = np.linalg.norm(np.cross(x, b), axis=-1)
+    sin1, dot1 = _sin_cos(a, x)
+    sin2, dot2 = _sin_cos(x, b)
     d1 = np.arctan2(sin1, dot1)
     d2 = np.arctan2(sin2, dot2)
     grad_d1 = -(a - dot1[:, None] * x) / np.maximum(sin1, 1e-30)[:, None]
     grad_d2 = -(b - dot2[:, None] * x) / np.maximum(sin2, 1e-30)[:, None]
-    # pull the tangential gradient of w at each midpoint back through the
-    # normalized-midpoint map (its transpose Jacobian is projection / norm)
-    grad_w1 = gw1 / r1
-    grad_w2 = gw2 / r2
-    gphi = 2.0 * (w1 * d1)[:, None] * (d1[:, None] * grad_w1 + w1[:, None] * grad_d1)
-    gphi += 2.0 * (w2 * d2)[:, None] * (d2[:, None] * grad_w2 + w2[:, None] * grad_d2)
-    gphi -= np.sum(gphi * x, axis=-1, keepdims=True) * x
+    gphi = 2.0 * (w1 * d1)[:, None] * (d1[:, None] * grad_w[:K] + w1[:, None] * grad_d1)
+    gphi += 2.0 * (w2 * d2)[:, None] * (d2[:, None] * grad_w[K:] + w2[:, None] * grad_d2)
+    gphi -= _dots(gphi, x)[:, None] * x
     hess = 2.0 * (w1 * w1 + w2 * w2)
     step = -gphi / hess[:, None]
     cap = 0.45 * np.maximum(d1, d2)
-    norm = np.linalg.norm(step, axis=-1)
+    norm = _norms(step)
     scale = np.where(norm > cap, cap / np.maximum(norm, 1e-30), 1.0)
     x_new = x + scale[:, None] * step
-    return x_new / np.linalg.norm(x_new, axis=-1, keepdims=True)
+    return x_new / _norms(x_new)[:, None], w1 * d1 + w2 * d2
 
 
 def _half_pass(g, X, parity, active, newton_iters=3):
@@ -425,10 +419,9 @@ def _half_pass(g, X, parity, active, newton_iters=3):
     a = sub[:, (idx - 1) % n].reshape(-1, 3)
     b = sub[:, (idx + 1) % n].reshape(-1, 3)
     x0 = sub[:, idx].reshape(-1, 3)
-    l0 = _local_lengths(g, a, x0, b)
-    x = x0
-    for _ in range(newton_iters):
-        x = _vertex_newton_step(g, a, x, b)
+    x, l0 = _vertex_newton_step(g, a, x0, b)
+    for _ in range(newton_iters - 1):
+        x, _ = _vertex_newton_step(g, a, x, b)
     chosen = x0.copy()
     accepted = np.zeros(x0.shape[0], dtype=bool)
     for fraction in (1.0, 0.5, 0.25):
@@ -436,11 +429,11 @@ def _half_pass(g, X, parity, active, newton_iters=3):
         if rem.size == 0:
             break
         y = x0[rem] + fraction * (x[rem] - x0[rem])
-        y /= np.maximum(np.linalg.norm(y, axis=-1, keepdims=True), 1e-30)
+        y /= np.maximum(_norms(y), 1e-30)[:, None]
         ok = _local_lengths(g, a[rem], y, b[rem]) <= l0[rem]
         chosen[rem[ok]] = y[ok]
         accepted[rem[ok]] = True
-    moved = np.linalg.norm(chosen - x0, axis=-1).reshape(rows.size, idx.size)
+    moved = _norms(chosen - x0).reshape(rows.size, idx.size)
     disp[rows] = moved.max(axis=1)
     X[np.ix_(rows, idx)] = chosen.reshape(rows.size, idx.size, 3)
     return disp
@@ -509,10 +502,9 @@ def _energy_gradient(g, V):
     n = V.shape[0]
     nxt = np.roll(V, -1, axis=0)
     sums = V + nxt
-    r = np.maximum(np.linalg.norm(sums, axis=-1, keepdims=True), 1e-30)
+    r = np.maximum(_norms(sums), 1e-30)[:, None]
     w, gw = _w_and_gradw(g, sums / r)
-    dots = np.sum(V * nxt, axis=-1)
-    sins = np.linalg.norm(np.cross(V, nxt), axis=-1)
+    sins, dots = _sin_cos(V, nxt)
     d = np.arctan2(sins, dots)
     safe = np.maximum(sins, 1e-30)[:, None]
     grad_d_tail = -(nxt - dots[:, None] * V) / safe
@@ -522,12 +514,12 @@ def _energy_gradient(g, V):
     g_tail = coeff * (d[:, None] * pull + w[:, None] * grad_d_tail)
     g_head = coeff * (d[:, None] * pull + w[:, None] * grad_d_head)
     grad = g_tail + np.roll(g_head, 1, axis=0)
-    grad -= np.sum(grad * V, axis=-1, keepdims=True) * V
+    grad -= _dots(grad, V)[:, None] * V
     return grad / (TWO_PI / n)
 
 
 def _grad_norm(g, V):
-    return float(np.max(np.linalg.norm(_energy_gradient(g, V), axis=-1)))
+    return float(np.max(_norms(_energy_gradient(g, V))))
 
 
 def _polygon_energy(g, V):
@@ -535,7 +527,7 @@ def _polygon_energy(g, V):
     n = V.shape[0]
     nxt = np.roll(V, -1, axis=0)
     mids = V + nxt
-    mids /= np.maximum(np.linalg.norm(mids, axis=-1, keepdims=True), 1e-30)
+    mids /= np.maximum(_norms(mids), 1e-30)[:, None]
     seg = _w_values(g, mids) * _arc_lengths(V, nxt)
     return float(np.sum(seg * seg) / (2.0 * TWO_PI / n))
 
@@ -565,31 +557,34 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     V = V0.copy()
     delta = 1e-7
     classes = [np.flatnonzero(np.arange(n) % c == cls) for cls in range(c)]
+    # rows of F that a shift of each class member moves: the x/y coordinates
+    # of the member and of its two neighbors, one column per member
+    touched = []
+    for members in classes:
+        near = np.stack([(members - 1) % n, members, (members + 1) % n])
+        touched.append(np.concatenate([2 * near, 2 * near + 1]))
     for _ in range(max_newton):
         e1, e2 = _tangent_frames(V)
         grad = _energy_gradient(g, V)
-        fnorm = float(np.max(np.linalg.norm(grad, axis=-1)))
+        fnorm = float(np.max(_norms(grad)))
         if fnorm < grad_tol:
             break
         F = np.empty(2 * n)
-        F[0::2] = np.sum(grad * e1, axis=-1)
-        F[1::2] = np.sum(grad * e2, axis=-1)
+        F[0::2] = _dots(grad, e1)
+        F[1::2] = _dots(grad, e2)
         J = np.zeros((2 * n, 2 * n))
         for j, basis in enumerate((e1, e2)):
-            for members in classes:
+            for members, rr in zip(classes, touched):
                 shift = np.zeros((n, 1))
                 shift[members] = delta
                 Vp = V + shift * basis
-                Vp /= np.linalg.norm(Vp, axis=-1, keepdims=True)
+                Vp /= _norms(Vp)[:, None]
                 gp = _energy_gradient(g, Vp)
                 Fp = np.empty(2 * n)
-                Fp[0::2] = np.sum(gp * e1, axis=-1)
-                Fp[1::2] = np.sum(gp * e2, axis=-1)
+                Fp[0::2] = _dots(gp, e1)
+                Fp[1::2] = _dots(gp, e2)
                 col = (Fp - F) / delta
-                for i in members:
-                    rows = np.array([(i - 1) % n, i, (i + 1) % n])
-                    rr = np.concatenate([2 * rows, 2 * rows + 1])
-                    J[rr, 2 * i + j] = col[rr]
+                J[rr, 2 * members + j] = col[rr]
         try:
             step = np.linalg.lstsq(J, -F, rcond=1e-10)[0]
         except np.linalg.LinAlgError:
@@ -601,7 +596,7 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
         moved = False
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
             Vt = V + scale * (step[0::2, None] * e1 + step[1::2, None] * e2)
-            Vt /= np.linalg.norm(Vt, axis=-1, keepdims=True)
+            Vt /= _norms(Vt)[:, None]
             ft = _grad_norm(g, Vt)
             if ft < fnorm * (1.0 - 1e-3) or ft < grad_tol:
                 V = Vt
@@ -634,11 +629,9 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
         if trial.size == 0:
             break
         Y = X[trial] + factor * drift[trial]
-        Y /= np.maximum(np.linalg.norm(Y, axis=-1, keepdims=True), 1e-30)
+        Y /= np.maximum(_norms(Y), 1e-30)[..., None]
         new_lengths = _batch_metric_lengths(g, Y)
-        edges = _arc_lengths(
-            Y.reshape(-1, 3), np.roll(Y, -1, axis=1).reshape(-1, 3)
-        ).reshape(Y.shape[0], -1)
+        edges = _arc_lengths(Y, np.roll(Y, -1, axis=1))
         ok = (new_lengths <= lengths[trial]) & (edges.max(axis=1) < 1.4)
         good = trial[ok]
         X[good] = Y[ok]

@@ -189,7 +189,10 @@ _RECURRENCE_CACHE = {}
 
 
 def _recurrence_tables(degree_max):
-    """Cached scalar tables (qmm, edge, a, b) for the Legendre recurrences."""
+    """Cached tables (qmm, edge, a, b, degrees, orders) for the Legendre recurrences.
+
+    degrees[k] and orders[k] are the l and |m| of flat index k, as lists.
+    """
     L = degree_max
     if L not in _RECURRENCE_CACHE:
         qmm = np.empty(L + 1)
@@ -207,33 +210,55 @@ def _recurrence_tables(degree_max):
                     * ((l - 1.0) ** 2 - m * m)
                     / ((2.0 * l - 3.0) * (l * l - m * m))
                 )
-        _RECURRENCE_CACHE[L] = (qmm, edge, a, b)
+        degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
+        orders = [abs(m) for l in range(L + 1) for m in range(-l, l + 1)]
+        _RECURRENCE_CACHE[L] = (qmm, edge, a, b, degrees, orders)
     return _RECURRENCE_CACHE[L]
+
+
+def _order_tops(c, degrees, orders):
+    """Highest degree with a non-zero (l, +-m) coefficient for each order m.
+
+    -1 marks an order whose coefficients all vanish; the list ends at the
+    highest order in use.  The recurrence of order m never needs to run past
+    its top degree.
+    """
+    tops = []
+    for k in np.flatnonzero(c).tolist():  # ascending k, so ascending degree
+        m = orders[k]
+        tops.extend([-1] * (m + 1 - len(tops)))
+        tops[m] = degrees[k]
+    return tops
 
 
 def sh_sum(coeffs, points):
     """Sum of coeffs[k] * Y_k at unit points, without the basis matrix.
 
-    Column-by-column accumulation in O(n) memory; harmonics whose
-    coefficients vanish are skipped, so sparse directions evaluate in a
-    handful of vector operations.
+    Column-by-column accumulation in O(n) memory.  Harmonics whose
+    coefficients vanish are skipped, and the Legendre recurrence of each
+    order stops at its highest non-zero degree, so sparse directions
+    evaluate in a handful of vector operations.
     """
     c = np.asarray(coeffs, dtype=float)
     L = math.isqrt(c.size) - 1
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     n = p.shape[0]
-    qmm, edge, ta, tb = _recurrence_tables(L)
+    qmm, edge, ta, tb, degrees, orders = _recurrence_tables(L)
+    tops = _order_tops(c, degrees, orders)
+    cl = c.tolist()
     sqrt2 = math.sqrt(2.0)
     val = np.zeros(n)
     cm = np.ones(n)
     sm = np.zeros(n)
-    for m in range(L + 1):
+    for m, top in enumerate(tops):
         if m > 0:
             cm, sm = x * cm - y * sm, x * sm + y * cm
+        if top < 0:
+            continue
         q_prev2 = None
         q_prev1 = np.full(n, qmm[m])
-        for l in range(m, L + 1):
+        for l in range(m, top + 1):
             if l == m:
                 q = q_prev1
             elif l == m + 1:
@@ -243,12 +268,12 @@ def sh_sum(coeffs, points):
             if l > m:
                 q_prev2, q_prev1 = q_prev1, q
             if m == 0:
-                cc = c[sh_index(l, 0)]
+                cc = cl[l * l + l]
                 if cc != 0.0:
                     val += cc * q
             else:
-                cp = c[sh_index(l, m)]
-                cn = c[sh_index(l, -m)]
+                cp = cl[l * l + l + m]
+                cn = cl[l * l + l - m]
                 if cp != 0.0 or cn != 0.0:
                     val += (sqrt2 * (cp * cm + cn * sm)) * q
     return val
@@ -266,7 +291,9 @@ def sh_sum_grad(coeffs, points):
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     n = p.shape[0]
-    qmm, edge, ta, tb = _recurrence_tables(L)
+    qmm, edge, ta, tb, degrees, orders = _recurrence_tables(L)
+    tops = _order_tops(c, degrees, orders)
+    cl = c.tolist()
     sqrt2 = math.sqrt(2.0)
     val = np.zeros(n)
     gx = np.zeros(n)
@@ -276,14 +303,16 @@ def sh_sum_grad(coeffs, points):
     sm = np.zeros(n)
     cm_prev = None
     sm_prev = None
-    for m in range(L + 1):
+    for m, top in enumerate(tops):
         if m > 0:
             cm_prev, sm_prev = cm, sm
             cm, sm = x * cm - y * sm, x * sm + y * cm
+        if top < 0:
+            continue
         q_prev2 = dq_prev2 = None
         q_prev1 = np.full(n, qmm[m])
         dq_prev1 = np.zeros(n)
-        for l in range(m, L + 1):
+        for l in range(m, top + 1):
             if l == m:
                 q, dq = q_prev1, dq_prev1
             elif l == m + 1:
@@ -296,13 +325,13 @@ def sh_sum_grad(coeffs, points):
                 q_prev2, q_prev1 = q_prev1, q
                 dq_prev2, dq_prev1 = dq_prev1, dq
             if m == 0:
-                cc = c[sh_index(l, 0)]
+                cc = cl[l * l + l]
                 if cc != 0.0:
                     val += cc * q
                     gz += cc * dq
             else:
-                cp = c[sh_index(l, m)]
-                cn = c[sh_index(l, -m)]
+                cp = cl[l * l + l + m]
+                cn = cl[l * l + l - m]
                 if cp != 0.0 or cn != 0.0:
                     azim = cp * cm + cn * sm
                     val += sqrt2 * azim * q

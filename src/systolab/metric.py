@@ -301,8 +301,7 @@ class DiscreteClosedCurve:
             v = self.vertices
             nxt = np.roll(v, -1, axis=0)
             mids = v + nxt
-            norms = np.linalg.norm(mids, axis=1, keepdims=True)
-            mids = mids / norms
+            mids = mids / _norms(mids)[:, None]
             self._edges = (mids, _arc_lengths(v, nxt))
         return self._edges
 
@@ -314,11 +313,37 @@ class DiscreteClosedCurve:
         return f"DiscreteClosedCurve(n={self.n}, {kind})"
 
 
+# Row-wise vector kernels on (..., 3) arrays.  They spell out the x/y/z
+# arithmetic in numpy's own order (cross components a1*b2 - a2*b1, sums
+# (x^2 + y^2) + z^2), so they return exactly what np.cross, np.linalg.norm and
+# np.sum(p*q, axis=-1) return, without those functions' per-call overhead on
+# the small batches of the shortening loop.
+
+
+def _norms(v):
+    """Euclidean norms along the last axis."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _dots(p, q):
+    """Dot products of paired vectors along the last axis."""
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+
+
+def _sin_cos(p, q):
+    """(|p x q|, p . q) for paired vectors: the two legs of their angle."""
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
+    cx = py * qz - pz * qy
+    cy = pz * qx - px * qz
+    cz = px * qy - py * qx
+    return np.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz
+
+
 def _arc_lengths(p, q):
     """Round distances between paired unit points (robust at small angles)."""
-    cross = np.linalg.norm(np.cross(p, q), axis=-1)
-    dot = np.sum(p * q, axis=-1)
-    return np.arctan2(cross, dot)
+    return np.arctan2(*_sin_cos(p, q))
 
 
 def curve_length(g, c):
