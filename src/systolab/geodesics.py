@@ -31,6 +31,8 @@ import math
 import warnings
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .errors import (
     CurvatureNotPositive,
@@ -536,12 +538,16 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     """Jump a near-geodesic to stationarity with Newton's method.
 
     Solves grad E = 0 in the 2n tangent coordinates of the current vertices.
-    The Jacobian is tridiagonal-cyclic in vertex blocks, so it is finite
-    differenced with a cyclic coloring (vertices >= 3 apart are independent)
-    in 2c gradient evaluations, c the smallest divisor of n that is >= 3.
-    The linear solve uses lstsq because closed geodesics come in families
-    (rotation along the curve, ambient isometries), which makes the Jacobian
-    structurally rank-deficient; the step is trust-region capped per vertex
+    The Jacobian is block-tridiagonal with cyclic corners (2x2 vertex
+    blocks), so it is finite differenced with a cyclic coloring (vertices
+    >= 3 apart are independent) in 2c gradient evaluations, c the smallest
+    divisor of n that is >= 3, and its three block bands go straight into a
+    sparse matrix.  Closed geodesics come in families (rotation along the
+    curve, ambient isometries), which makes the Jacobian rank-deficient, so
+    the step solves the Levenberg-Marquardt system (J + mu I) s = -F with
+    mu = 1e-10 max|J|: mu keeps the sparse LU nonsingular along those null
+    modes while moving the step elsewhere only at the 1e-10 relative level.
+    A non-finite step gives up.  The step is trust-region capped per vertex
     so inflection zones of the energy landscape are crossed in bounded
     downhill slides.  The result is accepted only when the discrete energy
     did not increase — the energy is the Lyapunov function here, because
@@ -563,6 +569,12 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     for members in classes:
         near = np.stack([(members - 1) % n, members, (members + 1) % n])
         touched.append(np.concatenate([2 * near, 2 * near + 1]))
+    diagonal = np.arange(2 * n)
+    band_rows = np.concatenate([rr.ravel() for rr in touched] * 2 + [diagonal])
+    band_cols = np.concatenate(
+        [np.broadcast_to(2 * members + j, rr.shape).ravel()
+         for j in (0, 1) for members, rr in zip(classes, touched)] + [diagonal]
+    )
     for _ in range(max_newton):
         e1, e2 = _tangent_frames(V)
         grad = _energy_gradient(g, V)
@@ -572,8 +584,8 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
         F = np.empty(2 * n)
         F[0::2] = _dots(grad, e1)
         F[1::2] = _dots(grad, e2)
-        J = np.zeros((2 * n, 2 * n))
-        for j, basis in enumerate((e1, e2)):
+        bands = []
+        for basis in (e1, e2):
             for members, rr in zip(classes, touched):
                 shift = np.zeros((n, 1))
                 shift[members] = delta
@@ -583,11 +595,14 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
                 Fp = np.empty(2 * n)
                 Fp[0::2] = _dots(gp, e1)
                 Fp[1::2] = _dots(gp, e2)
-                col = (Fp - F) / delta
-                J[rr, 2 * members + j] = col[rr]
-        try:
-            step = np.linalg.lstsq(J, -F, rcond=1e-10)[0]
-        except np.linalg.LinAlgError:
+                bands.append(((Fp - F) / delta)[rr].ravel())
+        values = np.concatenate(bands)
+        mu = 1e-10 * float(np.max(np.abs(values)))
+        # the coordinate format sums the repeated diagonal entries into J + mu I
+        values = np.concatenate([values, np.full(2 * n, mu)])
+        damped = sparse.csc_matrix((values, (band_rows, band_cols)), shape=(2 * n, 2 * n))
+        step = spsolve(damped, -F)
+        if not np.all(np.isfinite(step)):
             return None
         per_vertex = np.hypot(step[0::2], step[1::2])
         worst = float(per_vertex.max())

@@ -39,6 +39,9 @@ from .harmonics import (
 #: Relative L^2 residual allowed when projecting log w onto degree <= 2L.
 CURVATURE_RESIDUAL_TOL = 1e-6
 
+#: Highest degree the projection of log w is raised to before giving up.
+CURVATURE_MAX_DEGREE = 32
+
 #: Slack on the pi/2 consecutive-vertex separation bound (allows exact pi/2).
 _EDGE_SEP_TOL = 1e-9
 
@@ -161,23 +164,37 @@ class ConformalMetric:
         vals = self.quadrature.basis(self.f.degree) @ self.f.coeffs
         return self._sqrt_scale * (1.0 + self.t * vals)
 
-    @cached_property
-    def _curvature_data(self):
-        """Projected log-factor and its Laplacian, with residual guard."""
-        L2 = max(16, 2 * self.f.degree)
-        q_proj = build_quadrature(2 * L2 + 8)
+    def _log_factor_projection(self, degree):
+        """(rho, check quadrature, relative L^2 residual) at one degree."""
+        q_proj = build_quadrature(2 * degree + 8)
         rho_nodes = np.log(self.w(q_proj.nodes))
-        rho = q_proj.project(rho_nodes, L2)
-        q_check = build_quadrature(3 * L2 + 8)
+        rho = q_proj.project(rho_nodes, degree)
+        q_check = build_quadrature(3 * degree + 8)
         rho_exact = np.log(self.w(q_check.nodes))
-        diff = rho_exact - q_check.basis(L2) @ rho.coeffs
+        diff = rho_exact - q_check.basis(degree) @ rho.coeffs
         norm = math.sqrt(q_check.integrate_values(rho_exact**2))
         residual = math.sqrt(q_check.integrate_values(diff**2))
-        rel = residual / max(norm, 1e-300)
-        if norm > 1e-14 and rel > CURVATURE_RESIDUAL_TOL:
+        rel = 0.0 if norm <= 1e-14 else residual / norm
+        return rho, q_check, rel
+
+    @cached_property
+    def _curvature_data(self):
+        """Projected log-factor and its Laplacian, with residual guard.
+
+        log w is not band-limited.  The projection starts at degree
+        max(16, 2 deg f); while its residual exceeds CURVATURE_RESIDUAL_TOL
+        the degree is raised by 8, up to CURVATURE_MAX_DEGREE, and only a
+        failure there raises.
+        """
+        degree = max(16, 2 * self.f.degree)
+        rho, q_check, rel = self._log_factor_projection(degree)
+        while rel > CURVATURE_RESIDUAL_TOL and degree < CURVATURE_MAX_DEGREE:
+            degree = min(degree + 8, CURVATURE_MAX_DEGREE)
+            rho, q_check, rel = self._log_factor_projection(degree)
+        if rel > CURVATURE_RESIDUAL_TOL:
             raise ProjectionResidualTooLarge(
-                f"log-factor projection residual {rel:.3e} exceeds "
-                f"{CURVATURE_RESIDUAL_TOL:.0e}; t is too close to the "
+                f"log-factor projection residual {rel:.3e} at degree {degree} "
+                f"exceeds {CURVATURE_RESIDUAL_TOL:.0e}; t is too close to the "
                 "admissible boundary for spectral curvature"
             )
         return rho, laplacian(rho), q_check

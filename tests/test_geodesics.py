@@ -14,7 +14,12 @@ from systolab.metric import (
     curve_length,
     make_variation,
 )
-from systolab.circles import CircleSpec, funk_transform, great_circle_points
+from systolab.circles import (
+    CircleSpec,
+    find_signed_funk_axes,
+    funk_transform,
+    great_circle_points,
+)
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     GeodesicResult,
@@ -32,8 +37,14 @@ from systolab.geodesics import (
     write_trace,
     write_witness_curve,
     _batch_metric_lengths,
+    _grad_norm,
     _initial_width,
+    _local_lengths,
+    _newton_polish,
+    _polygon_energy,
+    _vertex_newton_step,
 )
+from systolab.metric import _arc_lengths
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,6 +254,55 @@ class TestBirkhoffShorten:
 
     def test_no_length_increase_violations(self):
         assert length_increase_violations() == 0
+
+
+class TestArcLengths:
+    def test_identical_antipodal_and_tiny_angles(self):
+        p, v = random_tangent_starts(16, seed=31)
+        np.testing.assert_array_equal(_arc_lengths(p, p), 0.0)
+        np.testing.assert_array_equal(_arc_lengths(p, -p), math.pi)
+        for angle in (1e-8, 3e-9, 2.5e-8):
+            q = math.cos(angle) * p + math.sin(angle) * v
+            np.testing.assert_allclose(_arc_lengths(p, q), angle, rtol=1e-7)
+
+    def test_matches_numpy_cross_and_dot(self):
+        p, v = random_tangent_starts(50, seed=32)
+        q = np.cos(0.7) * p + np.sin(0.7) * v
+        expected = np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
+        np.testing.assert_array_equal(_arc_lengths(p, q), expected)
+
+
+class TestVertexNewtonStep:
+    def test_reports_the_local_length_it_started_from(self):
+        p, v = random_tangent_starts(40, seed=33)
+        a = np.cos(0.05) * p - np.sin(0.05) * v
+        b = np.cos(0.06) * p + np.sin(0.06) * v
+        x = np.cos(0.01) * p + np.sin(0.01) * np.cross(p, v)
+        for g in (ROUND, MIXED):
+            moved, before = _vertex_newton_step(g, a, x, b)
+            np.testing.assert_array_equal(before, _local_lengths(g, a, x, b))
+            assert np.all(_local_lengths(g, a, moved, b) <= before)
+
+
+class TestNewtonPolish:
+    def test_perturbed_equator_under_zonal_metric(self):
+        # the zonal metric turns the equator into a rotation family of geodesics
+        rng = np.random.default_rng(34)
+        start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
+        start /= np.linalg.norm(start, axis=-1, keepdims=True)
+        out = _newton_polish(ZONAL, start)
+        assert out is not None
+        assert np.all(np.isfinite(out))
+        assert _grad_norm(ZONAL, out) < 1e-11
+        assert _polygon_energy(ZONAL, out) <= _polygon_energy(ZONAL, start)
+        np.testing.assert_allclose(out[:, 2], 0.0, atol=1e-9)
+
+    def test_non_symmetric_direction(self):
+        start = great_circle_points(find_signed_funk_axes(MIXED.f)[0], 128)
+        out = _newton_polish(MIXED, start)
+        assert out is not None
+        assert _grad_norm(MIXED, out) < 1e-11
+        assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
 
 
 class TestSweepoutConstruction:

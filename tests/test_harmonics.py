@@ -23,6 +23,8 @@ from systolab.harmonics import (
     sh_degrees,
     sh_index,
     sh_size,
+    sh_sum,
+    sh_sum_grad,
 )
 
 
@@ -144,6 +146,42 @@ class TestGradients:
         p = random_unit_points(rng, 10)
         _, dY = sh_basis(p, 0, grad=True)
         np.testing.assert_allclose(dY, 0.0, atol=1e-15)
+
+
+def coefficient_patterns(L, rng):
+    """Coefficient vectors of degree L with the zero patterns sh_sum skips."""
+    dense = rng.standard_normal(sh_size(L))
+    ls = sh_degrees(L)
+    ms = np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
+    return {
+        "zero": np.zeros(sh_size(L)),
+        "single order": np.where(np.abs(ms) == 1, dense, 0.0),
+        "zero +-m columns": np.where(np.abs(ms) == min(L, 2), 0.0, dense),
+        "zero top degrees": np.where(ls < max(L - 1, 1), dense, 0.0),
+        "sine side only": np.where(ms < 0, dense, 0.0),
+        "dense": dense,
+    }
+
+
+class TestCoefficientSums:
+    @pytest.mark.parametrize("L", [0, 1, 4, 8])
+    def test_sums_match_basis(self, L):
+        rng = np.random.default_rng(21 + L)
+        p = random_unit_points(rng, 200)
+        Y, dY = sh_basis(p, L, grad=True)
+        for name, c in coefficient_patterns(L, rng).items():
+            vals, grads = sh_sum_grad(c, p)
+            np.testing.assert_allclose(sh_sum(c, p), Y @ c, rtol=0, atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(vals, Y @ c, rtol=0, atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(grads, dY @ c, rtol=0, atol=1e-13, err_msg=name)
+
+    def test_values_agree_bit_for_bit(self):
+        # the Birkhoff half-pass takes its starting lengths from the values
+        # of sh_sum_grad and later compares them with sh_sum values
+        rng = np.random.default_rng(29)
+        p = random_unit_points(rng, 64)
+        for c in coefficient_patterns(8, rng).values():
+            np.testing.assert_array_equal(sh_sum(c, p), sh_sum_grad(c, p)[0])
 
 
 class TestQuadrature:
