@@ -223,11 +223,11 @@ def _order_tops(c, degrees, orders):
     highest order in use.  The recurrence of order m never needs to run past
     its top degree.
     """
-    tops = []
+    tops = [-1] * (degrees[-1] + 1)
     for k in np.flatnonzero(c).tolist():  # ascending k, so ascending degree
-        m = orders[k]
-        tops.extend([-1] * (m + 1 - len(tops)))
-        tops[m] = degrees[k]
+        tops[orders[k]] = degrees[k]
+    while tops and tops[-1] < 0:
+        tops.pop()
     return tops
 
 
@@ -256,8 +256,9 @@ def sh_sum(coeffs, points):
             cm, sm = x * cm - y * sm, x * sm + y * cm
         if top < 0:
             continue
+        # the sectoral value is a constant; numpy broadcasts the scalar
         q_prev2 = None
-        q_prev1 = np.full(n, qmm[m])
+        q_prev1 = qmm[m]
         for l in range(m, top + 1):
             if l == m:
                 q = q_prev1
@@ -309,9 +310,10 @@ def sh_sum_grad(coeffs, points):
             cm, sm = x * cm - y * sm, x * sm + y * cm
         if top < 0:
             continue
+        # the sectoral value is a constant; numpy broadcasts the scalars
         q_prev2 = dq_prev2 = None
-        q_prev1 = np.full(n, qmm[m])
-        dq_prev1 = np.zeros(n)
+        q_prev1 = qmm[m]
+        dq_prev1 = 0.0
         for l in range(m, top + 1):
             if l == m:
                 q, dq = q_prev1, dq_prev1
