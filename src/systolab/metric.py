@@ -36,7 +36,7 @@ from .harmonics import (
     normalize_points,
 )
 
-#: Relative L^2 residual allowed when projecting log w onto degree <= 2L.
+#: Relative L^2 residual allowed when projecting log w onto its projection degree.
 CURVATURE_RESIDUAL_TOL = 1e-6
 
 #: Highest degree the projection of log w is raised to before giving up.
