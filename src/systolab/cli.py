@@ -64,12 +64,12 @@ def _merged_settings(command, args):
     settings = {
         "f": default_f,
         "t_values": default_t,
-        "N": 65,
-        "n": 128,
-        "tol": 1e-10,
-        "seed": 0,
+        "N": ExperimentConfig.N,
+        "n": ExperimentConfig.n,
+        "tol": ExperimentConfig.tol,
+        "seed": ExperimentConfig.seed,
         "out": None,
-        "format": "csv",
+        "format": ExperimentConfig.fmt,
     }
     if args.config is not None:
         try:

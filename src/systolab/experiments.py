@@ -40,7 +40,7 @@ import numpy as np
 
 from .circles import great_circle_points
 from .errors import IOFailure, NonAdmissibleT
-from .geodesics import estimate_systole
+from .geodesics import DEFAULT_CURVES, DEFAULT_TOL, DEFAULT_VERTICES, estimate_systole
 from .harmonics import (
     SphericalFunction,
     build_quadrature,
@@ -145,9 +145,9 @@ class ExperimentConfig:
     kind: str
     f: SphericalFunction = None
     t_values: tuple = (0.0,)
-    N: int = 65
-    n: int = 128
-    tol: float = 1e-10
+    N: int = DEFAULT_CURVES
+    n: int = DEFAULT_VERTICES
+    tol: float = DEFAULT_TOL
     seed: int = 0
     out: str = None
     fmt: str = "csv"
@@ -216,13 +216,13 @@ class ExperimentConfig:
         return cls(
             kind=obj["kind"],
             f=f,
-            t_values=tuple(obj.get("t_values", (0.0,))),
-            N=int(obj.get("N", 65)),
-            n=int(obj.get("n", 128)),
-            tol=float(obj.get("tol", 1e-10)),
-            seed=int(obj.get("seed", 0)),
+            t_values=tuple(obj.get("t_values", cls.t_values)),
+            N=int(obj.get("N", cls.N)),
+            n=int(obj.get("n", cls.n)),
+            tol=float(obj.get("tol", cls.tol)),
+            seed=int(obj.get("seed", cls.seed)),
             out=obj.get("out"),
-            fmt=obj.get("format", "csv"),
+            fmt=obj.get("format", cls.fmt),
         )
 
 

@@ -41,7 +41,7 @@ from .errors import (
     StepTooLarge,
     SystolabError,
 )
-from .harmonics import FOUR_PI, normalize_points, sh_sum, sh_sum_grad
+from .harmonics import FOUR_PI, normalize_points
 from .metric import (
     DiscreteClosedCurve,
     _arc_lengths,
@@ -78,36 +78,6 @@ def length_increase_violations():
 
 
 # ---------------------------------------------------------------------------
-# metric sampling helpers (hot path: no basis matrices, no normalization cost)
-# ---------------------------------------------------------------------------
-
-
-def _w_values(g, pts):
-    """Length factor at unit points, flat array in, flat array out."""
-    if g.t == 0.0:
-        return np.full(pts.shape[0], g._sqrt_scale)
-    return g._sqrt_scale * (1.0 + g.t * sh_sum(g.f.coeffs, pts))
-
-
-def _w_and_gradw(g, pts):
-    """(w, grad w) with grad w tangential; grad w = sqrt(scale) * t * grad f."""
-    if g.t == 0.0:
-        return np.full(pts.shape[0], g._sqrt_scale), np.zeros_like(pts)
-    vals, grads = sh_sum_grad(g.f.coeffs, pts)
-    return g._sqrt_scale * (1.0 + g.t * vals), (g._sqrt_scale * g.t) * grads
-
-
-def _rho_gradient(g, pts):
-    """grad log w at (approximately unit) points, tangential, batched."""
-    if g.t == 0.0:
-        return np.zeros_like(pts)
-    r = np.linalg.norm(pts, axis=-1, keepdims=True)
-    unit = pts / r
-    vals, grads = sh_sum_grad(g.f.coeffs, unit)
-    return (g.t / (1.0 + g.t * vals))[:, None] * grads
-
-
-# ---------------------------------------------------------------------------
 # geodesic integration
 # ---------------------------------------------------------------------------
 
@@ -136,13 +106,17 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(g, c, v):
-    """Ambient acceleration of the conformal geodesic equation."""
+    """Time derivatives (position, velocity, metric length) of the state.
+
+    One evaluation of (w, grad w) at c / |c| gives both grad rho =
+    grad w / w for the acceleration and the metric speed w |v|.
+    """
+    w, gw = g.w_and_grad(c / np.linalg.norm(c, axis=-1, keepdims=True))
+    grad = gw / w[:, None]
     speed2 = np.sum(v * v, axis=-1, keepdims=True)
-    if g.t == 0.0:
-        return -speed2 * c
-    grad = _rho_gradient(g, c)
     radial = np.sum(grad * v, axis=-1, keepdims=True)
-    return -speed2 * c - 2.0 * radial * v + speed2 * grad
+    acc = -speed2 * c - 2.0 * radial * v + speed2 * grad
+    return v, acc, w * np.sqrt(np.sum(v**2, axis=-1))
 
 
 def integrate_geodesic(g, p, v, T, h=5e-3):
@@ -174,20 +148,13 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
     pts[:, 0] = c
     vels[:, 0] = vel
     lens[:, 0] = 0.0
-    conserved0 = _w_values(g, c) ** 2 * np.sum(vel * vel, axis=-1)
+    conserved0 = g.w_flat(c) ** 2 * np.sum(vel * vel, axis=-1)
     drift = 0.0
-
-    def rhs(state_c, state_v):
-        acc = _geodesic_rhs(g, state_c, state_v)
-        r = np.linalg.norm(state_c, axis=-1, keepdims=True)
-        speed = _w_values(g, state_c / r) * np.sqrt(np.sum(state_v**2, axis=-1))
-        return state_v, acc, speed
-
     for k in range(steps):
-        k1c, k1v, k1s = rhs(c, vel)
-        k2c, k2v, k2s = rhs(c + 0.5 * dt * k1c, vel + 0.5 * dt * k1v)
-        k3c, k3v, k3s = rhs(c + 0.5 * dt * k2c, vel + 0.5 * dt * k2v)
-        k4c, k4v, k4s = rhs(c + dt * k3c, vel + dt * k3v)
+        k1c, k1v, k1s = _geodesic_rhs(g, c, vel)
+        k2c, k2v, k2s = _geodesic_rhs(g, c + 0.5 * dt * k1c, vel + 0.5 * dt * k1v)
+        k3c, k3v, k3s = _geodesic_rhs(g, c + 0.5 * dt * k2c, vel + 0.5 * dt * k2v)
+        k4c, k4v, k4s = _geodesic_rhs(g, c + dt * k3c, vel + dt * k3v)
         c_new = c + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         vel = vel + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         dlen = (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
@@ -202,7 +169,7 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
         pts[:, k + 1] = c
         vels[:, k + 1] = vel
         lens[:, k + 1] = lens[:, k] + dlen
-        conserved = _w_values(g, c) ** 2 * np.sum(vel * vel, axis=-1)
+        conserved = g.w_flat(c) ** 2 * np.sum(vel * vel, axis=-1)
         drift = max(drift, float(np.max(np.abs(conserved / conserved0 - 1.0))))
 
     times = dt * np.arange(steps + 1)
@@ -308,7 +275,7 @@ def _arc_interp(g, path, b, dt, k, frac):
     metric speeds at the bracketing nodes as exact derivatives.
     """
     ends = path.points[b, k : k + 2]
-    speeds = _w_values(g, ends) * np.linalg.norm(path.velocities[b, k : k + 2], axis=-1)
+    speeds = g.w_flat(ends) * np.linalg.norm(path.velocities[b, k : k + 2], axis=-1)
     s = frac / dt
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
@@ -348,7 +315,7 @@ def _batch_metric_lengths(g, X):
     mids = X + nxt
     mids /= np.maximum(_norms(mids), 1e-30)[..., None]
     arcs = _arc_lengths(X, nxt)
-    w = _w_values(g, mids.reshape(-1, 3)).reshape(B, n)
+    w = g.w_flat(mids.reshape(-1, 3)).reshape(B, n)
     return np.sum(w * arcs, axis=1)
 
 
@@ -362,7 +329,7 @@ def _local_lengths(g, a, x, b):
     K = x.shape[0]
     mids = np.concatenate([a + x, x + b])
     mids /= np.maximum(_norms(mids), 1e-30)[:, None]
-    w = _w_values(g, mids)
+    w = g.w_flat(mids)
     return w[:K] * _arc_lengths(a, x) + w[K:] * _arc_lengths(x, b)
 
 
@@ -378,7 +345,7 @@ def _vertex_newton_step(g, a, x, b):
     K = x.shape[0]
     sums = np.concatenate([a + x, x + b])
     r = np.maximum(_norms(sums), 1e-30)[:, None]
-    w, gw = _w_and_gradw(g, sums / r)
+    w, gw = g.w_and_grad(sums / r)
     # pull the tangential gradient of w at each midpoint back through the
     # normalized-midpoint map (its transpose Jacobian is projection / norm)
     grad_w = gw / r
@@ -505,7 +472,7 @@ def _energy_gradient(g, V):
     nxt = np.roll(V, -1, axis=0)
     sums = V + nxt
     r = np.maximum(_norms(sums), 1e-30)[:, None]
-    w, gw = _w_and_gradw(g, sums / r)
+    w, gw = g.w_and_grad(sums / r)
     sins, dots = _sin_cos(V, nxt)
     d = np.arctan2(sins, dots)
     safe = np.maximum(sins, 1e-30)[:, None]
@@ -530,7 +497,7 @@ def _polygon_energy(g, V):
     nxt = np.roll(V, -1, axis=0)
     mids = V + nxt
     mids /= np.maximum(_norms(mids), 1e-30)[:, None]
-    seg = _w_values(g, mids) * _arc_lengths(V, nxt)
+    seg = g.w_flat(mids) * _arc_lengths(V, nxt)
     return float(np.sum(seg * seg) / (2.0 * TWO_PI / n))
 
 

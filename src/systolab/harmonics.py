@@ -12,6 +12,15 @@ Y_lm = sqrt(2) * Q_lm(z) * C_m(x, y) (cosine branch, m > 0), so the whole
 basis extends to polynomials in (x, y, z); differentiating that extension and
 projecting out the radial component yields the exact tangential gradient
 without pole special cases.
+
+One recurrence produces every Q_lm and dQ_lm/dz: the generator
+_scaled_legendre steps it upward in l, order by order, with the coefficients
+cached by _recurrence_tables, and stops each order at a caller-given top
+degree.  sh_basis runs it to the full degree and fills the basis matrix (the
+quadrature projections and sup_norm's grid scan use that).  sh_sum and
+sh_sum_grad share one accumulation loop that stops each order at its highest
+non-zero coefficient and skips empty orders; they serve every pointwise
+evaluation of a function or of a metric's length factor.
 """
 
 from __future__ import annotations
@@ -75,46 +84,64 @@ def sphere_point(x, y, z):
     return normalize_points(np.array([x, y, z], dtype=float))
 
 
-def _sectoral_scaled_legendre(z, degree_max, want_derivative=False):
-    """Normalized associated Legendre values with the sin^m(theta) factor removed.
+_RECURRENCE_CACHE = {}
 
-    Returns Q (and optionally dQ/dz) of shape (L+1, L+1, n); entry [l, m] is
-    Nbar_lm * P_lm(z) / (1-z^2)^(m/2), a degree l-m polynomial in z.  Upward
-    recursion in l for each fixed m; the scaled diagonal terms are constants.
+
+def _recurrence_tables(degree_max):
+    """Cached tables (qmm, a, b, degrees, orders) of the Legendre recurrence.
+
+    qmm[m] is the constant sectoral value Q_mm; for l > m the recurrence is
+    Q_lm = a[l][m] * z * Q_(l-1)m - b[l][m] * Q_(l-2)m, whose first step
+    (l = m + 1, a = sqrt(2m + 3)) has no Q_(l-2)m term.  degrees[k] and
+    orders[k] are the l and |m| of flat index k.
     """
-    z = np.asarray(z, dtype=float)
     L = degree_max
-    n = z.shape[0]
-    Q = np.zeros((L + 1, L + 1, n))
-    Q[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    for m in range(1, L + 1):
-        Q[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * Q[m - 1, m - 1]
-    for m in range(L):
-        Q[m + 1, m] = math.sqrt(2 * m + 3) * z * Q[m, m]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0)
-                * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            Q[l, m] = a * z * Q[l - 1, m] - b * Q[l - 2, m]
-    if not want_derivative:
-        return Q
-    dQ = np.zeros_like(Q)
-    for m in range(L):
-        dQ[m + 1, m] = math.sqrt(2 * m + 3) * Q[m, m]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0)
-                * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            dQ[l, m] = a * (z * dQ[l - 1, m] + Q[l - 1, m]) - b * dQ[l - 2, m]
-    return Q, dQ
+    if L not in _RECURRENCE_CACHE:
+        qmm = [1.0 / math.sqrt(FOUR_PI)]
+        for m in range(1, L + 1):
+            qmm.append(math.sqrt((2 * m + 1) / (2.0 * m)) * qmm[m - 1])
+        a = [[0.0] * (L + 1) for _ in range(L + 1)]
+        b = [[0.0] * (L + 1) for _ in range(L + 1)]
+        for m in range(L):
+            a[m + 1][m] = math.sqrt(2 * m + 3)
+        for m in range(L + 1):
+            for l in range(m + 2, L + 1):
+                a[l][m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b[l][m] = math.sqrt(
+                    (2.0 * l + 1.0)
+                    * ((l - 1.0) ** 2 - m * m)
+                    / ((2.0 * l - 3.0) * (l * l - m * m))
+                )
+        degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
+        orders = [abs(m) for l in range(L + 1) for m in range(-l, l + 1)]
+        _RECURRENCE_CACHE[L] = (qmm, a, b, degrees, orders)
+    return _RECURRENCE_CACHE[L]
+
+
+def _scaled_legendre(z, degree_max, tops, derivative):
+    """Yield (l, m, Q_lm, dQ_lm/dz) order by order, l ascending within each order.
+
+    Order m runs from l = m up to tops[m] and is skipped when tops[m] < 0.
+    The sectoral value Q_mm and its zero derivative are scalars, which
+    numpy broadcasts.  Without derivative, dQ is None from l = m + 2 on.
+    """
+    qmm, ta, tb, _, _ = _recurrence_tables(degree_max)
+    for m, top in enumerate(tops):
+        if top < 0:
+            continue
+        q1, dq1 = qmm[m], 0.0
+        yield m, m, q1, dq1
+        q2 = dq2 = None
+        for l in range(m + 1, top + 1):
+            a = ta[l][m]
+            if l == m + 1:
+                q, dq = a * z * q1, a * q1
+            else:
+                q = a * z * q1 - tb[l][m] * q2
+                dq = a * (z * dq1 + q1) - tb[l][m] * dq2 if derivative else None
+            q2, q1 = q1, q
+            dq2, dq1 = dq1, dq
+            yield l, m, q, dq
 
 
 def sh_basis(points, degree_max, grad=False):
@@ -149,71 +176,32 @@ def sh_basis(points, degree_max, grad=False):
 
     sqrt2 = math.sqrt(2.0)
     Y = np.empty((n, nb))
-    if not grad:
-        Q = _sectoral_scaled_legendre(z, L)
-        for l in range(L + 1):
-            Y[:, sh_index(l, 0)] = Q[l, 0]
-            for m in range(1, l + 1):
-                Y[:, sh_index(l, m)] = sqrt2 * Q[l, m] * C[m]
-                Y[:, sh_index(l, -m)] = sqrt2 * Q[l, m] * S[m]
-        return Y
-
-    Q, dQ = _sectoral_scaled_legendre(z, L, want_derivative=True)
-    dY = np.empty((n, 3, nb))
-    for l in range(L + 1):
-        k = sh_index(l, 0)
-        Y[:, k] = Q[l, 0]
-        dY[:, 0, k] = 0.0
-        dY[:, 1, k] = 0.0
-        dY[:, 2, k] = dQ[l, 0]
-        for m in range(1, l + 1):
-            kc = sh_index(l, m)
-            ks = sh_index(l, -m)
-            Y[:, kc] = sqrt2 * Q[l, m] * C[m]
-            Y[:, ks] = sqrt2 * Q[l, m] * S[m]
+    dY = np.zeros((n, 3, nb)) if grad else None
+    for l, m, q, dq in _scaled_legendre(z, L, [L] * (L + 1), grad):
+        kc = l * l + l + m
+        if m == 0:
+            Y[:, kc] = q
+            if grad:
+                dY[:, 2, kc] = dq
+            continue
+        ks = l * l + l - m
+        Y[:, kc] = sqrt2 * q * C[m]
+        Y[:, ks] = sqrt2 * q * S[m]
+        if grad:
             # d/dx (x+iy)^m = m (x+iy)^(m-1), d/dy = i m (x+iy)^(m-1)
-            dY[:, 0, kc] = sqrt2 * Q[l, m] * m * C[m - 1]
-            dY[:, 1, kc] = -sqrt2 * Q[l, m] * m * S[m - 1]
-            dY[:, 2, kc] = sqrt2 * dQ[l, m] * C[m]
-            dY[:, 0, ks] = sqrt2 * Q[l, m] * m * S[m - 1]
-            dY[:, 1, ks] = sqrt2 * Q[l, m] * m * C[m - 1]
-            dY[:, 2, ks] = sqrt2 * dQ[l, m] * S[m]
+            dY[:, 0, kc] = sqrt2 * q * m * C[m - 1]
+            dY[:, 1, kc] = -sqrt2 * q * m * S[m - 1]
+            dY[:, 2, kc] = sqrt2 * dq * C[m]
+            dY[:, 0, ks] = sqrt2 * q * m * S[m - 1]
+            dY[:, 1, ks] = sqrt2 * q * m * C[m - 1]
+            dY[:, 2, ks] = sqrt2 * dq * S[m]
+    if not grad:
+        return Y
     # Remove the radial component: gradients of any smooth extension agree
     # tangentially, so the polynomial extension above is as good as any.
     radial = np.einsum("nik,ni->nk", dY, p)
     dY -= radial[:, np.newaxis, :] * p[:, :, np.newaxis]
     return Y, dY
-
-
-_RECURRENCE_CACHE = {}
-
-
-def _recurrence_tables(degree_max):
-    """Cached tables (qmm, edge, a, b, degrees, orders) for the Legendre recurrences.
-
-    degrees[k] and orders[k] are the l and |m| of flat index k, as lists.
-    """
-    L = degree_max
-    if L not in _RECURRENCE_CACHE:
-        qmm = np.empty(L + 1)
-        qmm[0] = 1.0 / math.sqrt(FOUR_PI)
-        for m in range(1, L + 1):
-            qmm[m] = math.sqrt((2 * m + 1) / (2.0 * m)) * qmm[m - 1]
-        edge = np.array([math.sqrt(2 * m + 3) for m in range(L + 1)])
-        a = np.zeros((L + 1, L + 1))
-        b = np.zeros((L + 1, L + 1))
-        for m in range(L + 1):
-            for l in range(m + 2, L + 1):
-                a[l, m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b[l, m] = math.sqrt(
-                    (2.0 * l + 1.0)
-                    * ((l - 1.0) ** 2 - m * m)
-                    / ((2.0 * l - 3.0) * (l * l - m * m))
-                )
-        degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
-        orders = [abs(m) for l in range(L + 1) for m in range(-l, l + 1)]
-        _RECURRENCE_CACHE[L] = (qmm, edge, a, b, degrees, orders)
-    return _RECURRENCE_CACHE[L]
 
 
 def _order_tops(c, degrees, orders):
@@ -231,119 +219,70 @@ def _order_tops(c, degrees, orders):
     return tops
 
 
-def sh_sum(coeffs, points):
-    """Sum of coeffs[k] * Y_k at unit points, without the basis matrix.
+def _sh_accumulate(coeffs, points, grad):
+    """Values of a coefficient sum at unit points, and with grad its gradients.
 
     Column-by-column accumulation in O(n) memory.  Harmonics whose
-    coefficients vanish are skipped, and the Legendre recurrence of each
-    order stops at its highest non-zero degree, so sparse directions
-    evaluate in a handful of vector operations.
+    coefficients vanish are skipped, and the recurrence of each order stops
+    at its highest non-zero degree, so sparse directions evaluate in a
+    handful of vector operations.  The gradient carries d/dz of the scaled
+    Legendre values and the azimuth-derivative identities; its radial
+    component is projected out at the end.
     """
     c = np.asarray(coeffs, dtype=float)
     L = math.isqrt(c.size) - 1
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     n = p.shape[0]
-    qmm, edge, ta, tb, degrees, orders = _recurrence_tables(L)
-    tops = _order_tops(c, degrees, orders)
+    _, _, _, degrees, orders = _recurrence_tables(L)
     cl = c.tolist()
     sqrt2 = math.sqrt(2.0)
     val = np.zeros(n)
+    if grad:
+        gx, gy, gz = np.zeros(n), np.zeros(n), np.zeros(n)
     cm = np.ones(n)
     sm = np.zeros(n)
-    for m, top in enumerate(tops):
-        if m > 0:
+    am = 0  # order of the azimuth polynomials cm + i*sm; m > am steps them
+    for l, m, q, dq in _scaled_legendre(z, L, _order_tops(c, degrees, orders), grad):
+        while am < m:
+            cm_prev, sm_prev = cm, sm
             cm, sm = x * cm - y * sm, x * sm + y * cm
-        if top < 0:
+            am += 1
+        if m == 0:
+            cc = cl[l * l + l]
+            if cc != 0.0:
+                val += cc * q
+                if grad:
+                    gz += cc * dq
             continue
-        # the sectoral value is a constant; numpy broadcasts the scalar
-        q_prev2 = None
-        q_prev1 = qmm[m]
-        for l in range(m, top + 1):
-            if l == m:
-                q = q_prev1
-            elif l == m + 1:
-                q = edge[m] * z * q_prev1
-            else:
-                q = ta[l, m] * z * q_prev1 - tb[l, m] * q_prev2
-            if l > m:
-                q_prev2, q_prev1 = q_prev1, q
-            if m == 0:
-                cc = cl[l * l + l]
-                if cc != 0.0:
-                    val += cc * q
-            else:
-                cp = cl[l * l + l + m]
-                cn = cl[l * l + l - m]
-                if cp != 0.0 or cn != 0.0:
-                    val += (sqrt2 * (cp * cm + cn * sm)) * q
-    return val
+        cp = cl[l * l + l + m]
+        cn = cl[l * l + l - m]
+        if cp != 0.0 or cn != 0.0:
+            azim = cp * cm + cn * sm
+            val += sqrt2 * azim * q
+            if grad:
+                gz += sqrt2 * azim * dq
+                mq = m * sqrt2 * q
+                gx += mq * (cp * cm_prev + cn * sm_prev)
+                gy += mq * (cn * cm_prev - cp * sm_prev)
+    if not grad:
+        return val
+    radial = gx * x + gy * y + gz * z
+    grads = np.column_stack([gx - radial * x, gy - radial * y, gz - radial * z])
+    return val, grads
+
+
+def sh_sum(coeffs, points):
+    """Sum of coeffs[k] * Y_k at unit points, without the basis matrix."""
+    return _sh_accumulate(coeffs, points, False)
 
 
 def sh_sum_grad(coeffs, points):
     """(values, tangential gradients) of a coefficient sum at unit points.
 
-    Same accumulation scheme as sh_sum, carrying d/dz of the scaled Legendre
-    values and the azimuth-derivative identities; the radial component is
-    projected out at the end.
+    The values are bit-for-bit those of sh_sum.
     """
-    c = np.asarray(coeffs, dtype=float)
-    L = math.isqrt(c.size) - 1
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
-    n = p.shape[0]
-    qmm, edge, ta, tb, degrees, orders = _recurrence_tables(L)
-    tops = _order_tops(c, degrees, orders)
-    cl = c.tolist()
-    sqrt2 = math.sqrt(2.0)
-    val = np.zeros(n)
-    gx = np.zeros(n)
-    gy = np.zeros(n)
-    gz = np.zeros(n)
-    cm = np.ones(n)
-    sm = np.zeros(n)
-    cm_prev = None
-    sm_prev = None
-    for m, top in enumerate(tops):
-        if m > 0:
-            cm_prev, sm_prev = cm, sm
-            cm, sm = x * cm - y * sm, x * sm + y * cm
-        if top < 0:
-            continue
-        # the sectoral value is a constant; numpy broadcasts the scalars
-        q_prev2 = dq_prev2 = None
-        q_prev1 = qmm[m]
-        dq_prev1 = 0.0
-        for l in range(m, top + 1):
-            if l == m:
-                q, dq = q_prev1, dq_prev1
-            elif l == m + 1:
-                q = edge[m] * z * q_prev1
-                dq = edge[m] * q_prev1
-            else:
-                q = ta[l, m] * z * q_prev1 - tb[l, m] * q_prev2
-                dq = ta[l, m] * (z * dq_prev1 + q_prev1) - tb[l, m] * dq_prev2
-            if l > m:
-                q_prev2, q_prev1 = q_prev1, q
-                dq_prev2, dq_prev1 = dq_prev1, dq
-            if m == 0:
-                cc = cl[l * l + l]
-                if cc != 0.0:
-                    val += cc * q
-                    gz += cc * dq
-            else:
-                cp = cl[l * l + l + m]
-                cn = cl[l * l + l - m]
-                if cp != 0.0 or cn != 0.0:
-                    azim = cp * cm + cn * sm
-                    val += sqrt2 * azim * q
-                    gz += sqrt2 * azim * dq
-                    mq = m * sqrt2 * q
-                    gx += mq * (cp * cm_prev + cn * sm_prev)
-                    gy += mq * (cn * cm_prev - cp * sm_prev)
-    radial = gx * x + gy * y + gz * z
-    grads = np.column_stack([gx - radial * x, gy - radial * y, gz - radial * z])
-    return val, grads
+    return _sh_accumulate(coeffs, points, True)
 
 
 class SphericalFunction:

@@ -34,6 +34,9 @@ from .harmonics import (
     laplacian,
     mean_zero_decompose,
     normalize_points,
+    sh_basis,
+    sh_sum,
+    sh_sum_grad,
 )
 
 #: Relative L^2 residual allowed when projecting log w onto its projection degree.
@@ -137,27 +140,31 @@ class ConformalMetric:
         return self.t == 0.0
 
     def w(self, points):
-        """Pointwise length factor w = sqrt(1 + lam*t) * (1 + t*f)."""
-        if self.t == 0.0:
-            p = np.asarray(points, dtype=float)
-            shape = p.shape[:-1]
-            return 1.0 if shape == () else np.ones(shape)
-        return self._sqrt_scale * (1.0 + self.t * self.f(points))
+        """Pointwise length factor w = sqrt(1 + lam*t) * (1 + t*f).
 
-    def log_factor_gradient(self, points):
-        """Tangential gradient of rho = log w (exact, no projection).
-
-        grad rho = t * grad f / (1 + t*f); the constant sqrt(1 + lam*t)
-        contributes nothing.
+        points are validated and renormalized onto the sphere; a single
+        point gives a float, an array (..., 3) gives an array (...).
         """
         p = normalize_points(points)
+        vals = self.w_flat(p.reshape(-1, 3))
+        return float(vals[0]) if p.ndim == 1 else vals.reshape(p.shape[:-1])
+
+    def w_flat(self, pts):
+        """w at a flat (k, 3) array of unit points, taken as they are."""
         if self.t == 0.0:
-            return np.zeros(p.shape)
-        flat = p.reshape(-1, 3)
-        vals = self.f(flat)
-        grads = self.f.gradient(flat)
-        out = (self.t / (1.0 + self.t * vals))[:, np.newaxis] * grads
-        return out.reshape(p.shape) if p.ndim > 1 else out[0]
+            return np.full(pts.shape[0], self._sqrt_scale)
+        return self._sqrt_scale * (1.0 + self.t * sh_sum(self.f.coeffs, pts))
+
+    def w_and_grad(self, pts):
+        """(w, tangential grad w) at a flat (k, 3) array of unit points.
+
+        grad w = sqrt(1 + lam*t) * t * grad f; the round metric has w = 1
+        and grad w = 0.
+        """
+        if self.t == 0.0:
+            return np.full(pts.shape[0], self._sqrt_scale), np.zeros_like(pts)
+        vals, grads = sh_sum_grad(self.f.coeffs, pts)
+        return self._sqrt_scale * (1.0 + self.t * vals), (self._sqrt_scale * self.t) * grads
 
     @cached_property
     def _node_w(self):
@@ -165,13 +172,17 @@ class ConformalMetric:
         return self._sqrt_scale * (1.0 + self.t * vals)
 
     def _log_factor_projection(self, degree):
-        """(rho, check quadrature, relative L^2 residual) at one degree."""
+        """(rho, check quadrature, relative L^2 residual) at one degree.
+
+        The residual basis is not cached in the check quadrature, which the
+        metric keeps for min_curvature and gauss_bonnet_integral.
+        """
         q_proj = build_quadrature(2 * degree + 8)
         rho_nodes = np.log(self.w(q_proj.nodes))
         rho = q_proj.project(rho_nodes, degree)
         q_check = build_quadrature(3 * degree + 8)
         rho_exact = np.log(self.w(q_check.nodes))
-        diff = rho_exact - q_check.basis(degree) @ rho.coeffs
+        diff = rho_exact - sh_basis(q_check.nodes, degree) @ rho.coeffs
         norm = math.sqrt(q_check.integrate_values(rho_exact**2))
         residual = math.sqrt(q_check.integrate_values(diff**2))
         rel = 0.0 if norm <= 1e-14 else residual / norm

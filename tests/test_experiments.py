@@ -87,6 +87,10 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again.to_json() == cfg.to_json()
 
+    def test_json_defaults_are_the_field_defaults(self):
+        parsed = ExperimentConfig.from_json({"kind": "proposition"})
+        assert parsed.to_json() == ExperimentConfig(kind="proposition").to_json()
+
     def test_default_directions_cover_the_standard_set(self):
         dirs = default_directions()
         assert set(dirs) == {"Y20", "Y30", "Y21+0.5*Y43", "Y10+Y20"}

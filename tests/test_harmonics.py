@@ -99,11 +99,15 @@ class TestBasisValues:
         assert Y[0, sh_index(2, 1)] == 0.0
         assert Y[0, sh_index(2, -2)] == 0.0
 
-    @pytest.mark.parametrize("l,m", [(3, 0), (4, 2), (5, -3), (6, 6), (8, -7), (8, 1)])
+    @pytest.mark.parametrize(
+        "l,m",
+        [(3, 0), (4, 2), (5, -3), (6, 6), (8, -7), (8, 1),
+         (16, -9), (24, 17), (32, 20), (32, -32)],
+    )
     def test_against_scipy_complex_harmonics(self, l, m):
         rng = np.random.default_rng(100 + l * 10 + m)
         p = random_unit_points(rng, 60)
-        Y = sh_basis(p, 8)
+        Y = sh_basis(p, max(l, 8))
         np.testing.assert_allclose(
             Y[:, sh_index(l, m)], reference_real_harmonic(l, m, p), atol=1e-12
         )
@@ -164,7 +168,7 @@ def coefficient_patterns(L, rng):
 
 
 class TestCoefficientSums:
-    @pytest.mark.parametrize("L", [0, 1, 4, 8])
+    @pytest.mark.parametrize("L", [0, 1, 4, 8, 16])
     def test_sums_match_basis(self, L):
         rng = np.random.default_rng(21 + L)
         p = random_unit_points(rng, 200)

@@ -1,6 +1,7 @@
 """Tests for conformal metrics: areas, lengths, energies, curvature, ratio."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ class TestMakeVariation:
         p /= np.linalg.norm(p, axis=1, keepdims=True)
         np.testing.assert_allclose(g.w(p), 1.0, atol=0.0)
         assert g.is_round
+        w, gw = g.w_and_grad(p)
+        np.testing.assert_array_equal(w, np.ones(20))
+        np.testing.assert_array_equal(gw, np.zeros((20, 3)))
+        np.testing.assert_array_equal(g.w_flat(p), np.ones(20))
+
+    def test_flat_evaluators_match_w(self):
+        g = make_variation(small_direction(4, degree=6), 0.2, lam=0.3)
+        rng = np.random.default_rng(5)
+        p = rng.standard_normal((4, 5, 3))
+        p /= np.linalg.norm(p, axis=-1, keepdims=True)
+        flat = p.reshape(-1, 3)
+        np.testing.assert_array_equal(g.w(p), g.w_flat(flat).reshape(4, 5))
+        assert g.w(p[1, 2]) == g.w_flat(flat[7:8])[0]
+        w, gw = g.w_and_grad(flat)
+        np.testing.assert_array_equal(w, g.w_flat(flat))
+        np.testing.assert_allclose(gw, 0.2 * math.sqrt(1.06) * g.f.gradient(flat),
+                                   rtol=0, atol=1e-14)
 
     def test_valid_variation_length_factor(self):
         g = make_variation(SphericalFunction.harmonic(2, 0), 0.1)
@@ -272,6 +290,19 @@ class TestGaussCurvature:
         g = make_variation(small_direction(0, degree=8, size=1.0), 0.01)
         assert math.isfinite(min_curvature(g))
         assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
+
+    def test_check_grid_basis_is_not_held(self):
+        # the degree-24 residual basis of the retried projection is 16.6 MB;
+        # the check nodes and weights kept for min_curvature are about 0.1 MB
+        g = make_variation(small_direction(0, degree=8, size=1.0), 0.01)
+        tracemalloc.start()
+        try:
+            min_curvature(g)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+        assert not g._curvature_data[2]._basis_cache
 
     def test_matches_finite_difference_oracle(self):
         g = make_variation(SphericalFunction.harmonic(2, 0), 0.05)
