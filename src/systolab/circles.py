@@ -14,7 +14,6 @@ close to machine precision.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -28,7 +27,7 @@ from .harmonics import (
     normalize_points,
     sh_degrees,
 )
-from .metric import DiscreteClosedCurve
+from .metric import DiscreteClosedCurve, _polish_extremum, circle_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,22 +35,6 @@ TWO_PI = 2.0 * math.pi
 def default_circle_samples(degree_max):
     """Default number of circle sample points: max(256, 4L + 8)."""
     return max(256, 4 * degree_max + 8)
-
-
-def circle_frame(u):
-    """Right-handed orthonormal frame (e1, e2, u) for the axis u.
-
-    Deterministic: e1 comes from projecting out the coordinate axis least
-    aligned with u, and e2 = u x e1 so that traversal from e1 toward e2 is
-    the screw-rule orientation around u.
-    """
-    u = normalize_points(u)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = axis - np.dot(axis, u) * u
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
 
 
 class CircleSpec:
@@ -109,21 +92,9 @@ def great_circle_points(u, m, phase=0.0):
     return CircleSpec(u, 0.0).points(m, phase=phase)
 
 
-def _axes_array(axes):
-    a = normalize_points(np.atleast_2d(np.asarray(axes, dtype=float)))
-    return a
-
-
 def _great_circle_batch(axes, m):
     """Points of gamma(u) for every axis in a batch: shape (nu, m, 3)."""
-    axes = _axes_array(axes)
-    nu = axes.shape[0]
-    pick = np.argmin(np.abs(axes), axis=1)
-    seed = np.zeros((nu, 3))
-    seed[np.arange(nu), pick] = 1.0
-    e1 = seed - np.sum(seed * axes, axis=1, keepdims=True) * axes
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
+    e1, e2 = circle_frame(np.atleast_2d(np.asarray(axes, dtype=float)))
     phi = TWO_PI * np.arange(m) / m
     return (
         np.cos(phi)[None, :, None] * e1[:, None, :]
@@ -213,50 +184,21 @@ def verify_tangent_bundle_identity(g, q=None, m=None):
     return lhs, rhs
 
 
-def _refine_extremum(h, x0, maximize, tol=1e-10, max_iter=200):
-    """Step-halving gradient walk for an extremum of h on the sphere."""
-    sign = 1.0 if maximize else -1.0
-    x = normalize_points(np.asarray(x0, dtype=float))
-    step = 0.1
-    val = h(x)
-    for _ in range(max_iter):
-        grad = h.gradient(x)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < tol:
-            break
-        moved = False
-        while step > 1e-14:
-            cand = x + sign * step * grad / gnorm
-            cand = cand / np.linalg.norm(cand)
-            cval = h(cand)
-            if sign * (cval - val) > 0.0:
-                x, val = cand, cval
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return x
-
-
 def find_signed_funk_axes(f, q=None):
     """Axes u0, u1 with Funk(f)(u0) < 0 < Funk(f)(u1), or None.
 
-    Scans quadrature nodes for the extreme Funk values and refines each by
-    step-halving on the sphere.  Returns None when the transform vanishes
-    identically (max |Funk| <= 1e-9 on the scan), the odd-direction case.
+    Scans quadrature nodes for the extreme Funk values and polishes each
+    with the chart BFGS of sup_norm.  Returns None when the transform
+    vanishes identically (max |Funk| <= 1e-9 on the scan), the odd-direction
+    case.
     """
-    if q is None:
-        q = build_quadrature(max(2 * f.degree + 2, 18))
-    image = funk_image(f)
-    vals = q.basis(image.degree) @ image.coeffs
+    scan = funk_scan(f, q=q)
+    nodes, vals = scan[:, :3], scan[:, 3]
     if float(np.max(np.abs(vals))) <= 1e-9:
         return None
-    u0 = _refine_extremum(image, q.nodes[int(np.argmin(vals))], maximize=False)
-    u1 = _refine_extremum(image, q.nodes[int(np.argmax(vals))], maximize=True)
-    lo = funk_transform(f, u0)
-    hi = funk_transform(f, u1)
+    image = funk_image(f)
+    u0, lo = _polish_extremum(image, nodes[int(np.argmin(vals))], -1.0)
+    u1, hi = _polish_extremum(image, nodes[int(np.argmax(vals))], 1.0)
     if not lo < 0.0 < hi:
         raise SystolabError(
             f"sign dichotomy violated: refined Funk extremes {lo:.3e}, {hi:.3e}"
@@ -271,14 +213,3 @@ def funk_scan(f, q=None):
     image = funk_image(f)
     vals = q.basis(image.degree) @ image.coeffs
     return np.column_stack([q.nodes, vals])
-
-
-def write_funk_scan(f, path, q=None):
-    """Dump a Funk scan as CSV rows (ux, uy, uz, funk_value)."""
-    rows = funk_scan(f, q=q)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ux", "uy", "uz", "funk_value"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-    return path

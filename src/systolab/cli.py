@@ -4,7 +4,8 @@
              [--config cfg.json] [--out report.csv] [--format csv|json]
              [--t 0.05,-0.05] [--seed 7]
     systolab funk-scan [--config cfg.json] [--out scan.csv]
-    systolab systole   [--config cfg.json] [--out report.json] [--t 0.1] ...
+    systolab systole   [--config cfg.json] [--out report.json] [--format csv|json]
+             [--t 0.1] [--seed 7]
 
 Each experiment prints one line per row and exits nonzero when any row
 fails its bound, so a run doubles as a shell-scriptable check.  --config
@@ -14,12 +15,19 @@ format of SphericalFunction.to_json); flags override the file.
 
 import argparse
 import json
-import math
 import sys
 
-from .circles import funk_scan, write_funk_scan
 from .errors import IOFailure, SystolabError
-from .experiments import ExperimentConfig, emit_report, run_experiment
+from .experiments import (
+    ExperimentConfig,
+    _csv_text,
+    _funk_scan_csv,
+    _json_text,
+    _write_text,
+    emit_report,
+    run_experiment,
+    write_funk_scan,
+)
 from .geodesics import estimate_systole
 from .harmonics import SphericalFunction
 from .metric import area, normalized_variation, systolic_ratio
@@ -43,9 +51,13 @@ _DEFAULTS = {
     "pu_even": (_Y20, (-0.1, -0.05, 0.05, 0.1)),
     "scale_invariance": (_Y20, (0.1,)),
     "conjecture_probe": ([[1, 0, 1.0], [2, 0, 1.0]], (0.02, 0.05, 0.1)),
-    "funk-scan": (_Y20, (0.1,)),
+    "funk-scan": (_Y20, None),
     "systole": (_Y20, (0.1,)),
 }
+
+
+#: Columns of the systole CSV report.
+SYSTOLE_COLUMNS = ("t", "systole", "witness_length", "ratio", "curvature_min", "warnings")
 
 
 def _parse_t_list(text):
@@ -79,14 +91,11 @@ def _merged_settings(command, args):
             raise IOFailure(f"could not read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SystolabError(f"config {args.config} is not valid JSON: {exc}") from exc
-    if args.t is not None:
-        settings["t_values"] = args.t
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.out is not None:
-        settings["out"] = args.out
-    if args.format is not None:
-        settings["format"] = args.format
+    # funk-scan registers --config and --out only
+    for flag, key in (("t", "t_values"), ("seed", "seed"), ("out", "out"), ("format", "format")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[key] = value
     return settings
 
 
@@ -157,9 +166,7 @@ def _run_funk_scan(args):
         write_funk_scan(f, out)
         print(f"funk scan written to {out}")
     else:
-        print("ux,uy,uz,funk_value")
-        for row in funk_scan(f):
-            print(",".join(repr(float(v)) for v in row))
+        print(_funk_scan_csv(f), end="")
     return 0
 
 
@@ -185,35 +192,16 @@ def _run_systole(args):
         records.append({"t": t, "ratio": ratio, **report.to_json()})
     out = settings.get("out")
     if out:
-        fmt = settings.get("format", "csv")
-        if fmt == "json":
-            text = json.dumps(records, indent=2, default=_json_nan) + "\n"
+        if settings.get("format", "csv") == "json":
+            text = _json_text(records)
         else:
-            lines = ["t,systole,witness_length,ratio,curvature_min,warnings"]
-            for r in records:
-                lines.append(
-                    ",".join(
-                        [
-                            repr(r["t"]),
-                            repr(r["systole"]),
-                            repr(r["witness_length"]),
-                            repr(r["ratio"]),
-                            repr(r["curvature_min"]),
-                            '"' + "; ".join(r["warnings"]) + '"',
-                        ]
-                    )
-                )
-            text = "\n".join(lines) + "\n"
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+            text = _csv_text(SYSTOLE_COLUMNS, (
+                [r[c] for c in SYSTOLE_COLUMNS[:-1]] + ["; ".join(r["warnings"])]
+                for r in records
+            ))
+        _write_text(out, text, "systole report")
         print(f"systole report written to {out}")
     return 0
-
-
-def _json_nan(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    raise TypeError(f"not JSON serializable: {value!r}")
 
 
 def build_parser():
@@ -237,6 +225,8 @@ def build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with ExperimentConfig fields")
         p.add_argument("--out", help="write the report to this path")
+        if name == "funk-scan":
+            continue
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument(
             "--t",

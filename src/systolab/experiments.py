@@ -38,19 +38,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import great_circle_points
+from .circles import TWO_PI, funk_scan, great_circle_points
 from .errors import IOFailure, NonAdmissibleT
-from .geodesics import DEFAULT_CURVES, DEFAULT_TOL, DEFAULT_VERTICES, estimate_systole
+from .geodesics import (
+    DEFAULT_CURVES,
+    DEFAULT_TOL,
+    DEFAULT_VERTICES,
+    GeodesicResult,
+    estimate_systole,
+)
 from .harmonics import (
+    FOUR_PI,
     SphericalFunction,
     build_quadrature,
     mean_zero_decompose,
     parity_decompose,
 )
-from .metric import area, make_variation, max_admissible_t, systolic_ratio
+from .metric import DiscreteClosedCurve, area, make_variation, max_admissible_t, systolic_ratio
 
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 INV_PI = 1.0 / math.pi
 
 KINDS = (
@@ -362,44 +367,87 @@ def run_experiment(cfg):
     return rows
 
 
+# Every CSV and JSON file of the package is rendered and written here.
+
+
 def _format_cell(value):
+    if isinstance(value, np.generic):
+        # repr(np.float64(x)) is "np.float64(x)" under numpy 2
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # str and repr agree on Python floats
+
+
+def _csv_text(header, rows):
+    """CSV text of a header and rows of cells, each cell through _format_cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _nan_to_null(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    return value
+
+
+def _json_text(value):
+    """Indented JSON text with every NaN written as null."""
+    return json.dumps(_nan_to_null(value), indent=2) + "\n"
+
+
+def _write_text(path, text, what):
+    """Write text to path; an OSError becomes IOFailure."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IOFailure(f"could not write {what} to {path}: {exc}") from exc
+    return path
 
 
 def render_report(rows, fmt="csv"):
     """Report text for the rows; deterministic byte-for-byte."""
     if not rows:
         raise ValueError("no rows to report")
+    records = [row.as_record() for row in rows]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            record = row.as_record()
-            writer.writerow([_format_cell(record[c]) for c in CSV_COLUMNS])
-        return buf.getvalue()
+        return _csv_text(CSV_COLUMNS, ([r[c] for c in CSV_COLUMNS] for r in records))
     if fmt == "json":
-        records = []
-        for row in rows:
-            record = row.as_record()
-            if isinstance(record["curvature_min"], float) and math.isnan(
-                record["curvature_min"]
-            ):
-                record["curvature_min"] = None
-            records.append(record)
-        return json.dumps(records, indent=2) + "\n"
+        return _json_text(records)
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def emit_report(rows, path, fmt="csv"):
     """Write the report to path; identical inputs give identical bytes."""
-    text = render_report(rows, fmt=fmt)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IOFailure(f"could not write report to {path}: {exc}") from exc
+    _write_text(path, render_report(rows, fmt=fmt), "report")
+
+
+def write_trace(trace, path):
+    """Dump a tightening trace as CSV rows (iteration, max_length, argmax_index)."""
+    text = _csv_text(("iteration", "max_length", "argmax_index"), trace)
+    return _write_text(path, text, "trace")
+
+
+def write_witness_curve(witness, path):
+    """Dump a witness curve's vertices as CSV rows (x, y, z)."""
+    curve = witness.curve if isinstance(witness, GeodesicResult) else witness
+    verts = curve.vertices if isinstance(curve, DiscreteClosedCurve) else curve
+    text = _csv_text(("x", "y", "z"), np.asarray(verts, dtype=float))
+    return _write_text(path, text, "witness curve")
+
+
+def _funk_scan_csv(f, q=None):
+    return _csv_text(("ux", "uy", "uz", "funk_value"), funk_scan(f, q=q))
+
+
+def write_funk_scan(f, path, q=None):
+    """Dump a Funk scan as CSV rows (ux, uy, uz, funk_value)."""
+    return _write_text(path, _funk_scan_csv(f, q=q), "Funk scan")

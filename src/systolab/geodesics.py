@@ -26,7 +26,6 @@ to serve as witness.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 
@@ -41,20 +40,19 @@ from .errors import (
     StepTooLarge,
     SystolabError,
 )
-from .harmonics import FOUR_PI, normalize_points
+from .harmonics import normalize_points
 from .metric import (
     DiscreteClosedCurve,
     _arc_lengths,
     _dots,
     _norms,
     _sin_cos,
+    circle_frame,
     curve_energy,
     curve_length,
     min_curvature,
 )
-from .circles import CircleSpec, circle_frame, find_signed_funk_axes
-
-TWO_PI = 2.0 * math.pi
+from .circles import TWO_PI, CircleSpec, find_signed_funk_axes
 
 #: Round length below which a shortening curve counts as collapsed to a point.
 COLLAPSE_THRESHOLD = 0.1
@@ -188,6 +186,15 @@ def _hermite_eval(c0, v0, c1, v1, dt, tau):
     return h00 * c0 + h10 * dt * v0 + h01 * c1 + h11 * dt * v1
 
 
+def _path_point(path, b, dt, k, frac):
+    """Unit point of trajectory b at parameter k*dt + frac."""
+    c = _hermite_eval(
+        path.points[b, k], path.velocities[b, k],
+        path.points[b, k + 1], path.velocities[b, k + 1], dt, frac,
+    )
+    return c / np.linalg.norm(c)
+
+
 def geodesic_arc(g, p, q, tol=1e-10, max_iter=100):
     """Shortest geodesic arc of g between nearby points, by shooting.
 
@@ -231,14 +238,7 @@ def geodesic_arc(g, p, q, tol=1e-10, max_iter=100):
         k = min(int(tau / dt), path.points.shape[1] - 2)
         frac = tau - k * dt
 
-        def arrival(b):
-            c = _hermite_eval(
-                path.points[b, k], path.velocities[b, k],
-                path.points[b, k + 1], path.velocities[b, k + 1], dt, frac,
-            )
-            return c / np.linalg.norm(c)
-
-        c0 = arrival(0)
+        c0 = _path_point(path, 0, dt, k, frac)
         res = np.array([np.dot(c0 - q, b1), np.dot(c0 - q, b2)])
         if np.linalg.norm(res) < tol:
             total = _arc_interp(g, path, 0, dt, k, frac)
@@ -247,7 +247,7 @@ def geodesic_arc(g, p, q, tol=1e-10, max_iter=100):
         vel_tau = path.velocities[0, k] + (frac / dt) * (
             path.velocities[0, k + 1] - path.velocities[0, k]
         )
-        c1 = arrival(1)
+        c1 = _path_point(path, 1, dt, k, frac)
         jac = np.array(
             [
                 [np.dot(c1 - c0, b1) / delta, np.dot(vel_tau, b1)],
@@ -276,17 +276,9 @@ def _arc_interp(g, path, b, dt, k, frac):
     """
     ends = path.points[b, k : k + 2]
     speeds = g.w_flat(ends) * np.linalg.norm(path.velocities[b, k : k + 2], axis=-1)
-    s = frac / dt
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return float(
-        h00 * path.lengths[b, k]
-        + h10 * dt * speeds[0]
-        + h01 * path.lengths[b, k + 1]
-        + h11 * dt * speeds[1]
-    )
+    return float(_hermite_eval(
+        path.lengths[b, k], speeds[0], path.lengths[b, k + 1], speeds[1], dt, frac,
+    ))
 
 
 def _metric_midpoint(path, b, dt, target):
@@ -296,11 +288,7 @@ def _metric_midpoint(path, b, dt, target):
     k = max(0, min(k, len(lens) - 2))
     span = lens[k + 1] - lens[k]
     frac = 0.0 if span <= 0 else (target - lens[k]) * dt / span
-    c = _hermite_eval(
-        path.points[b, k], path.velocities[b, k],
-        path.points[b, k + 1], path.velocities[b, k + 1], dt, frac,
-    )
-    return c / np.linalg.norm(c)
+    return _path_point(path, b, dt, k, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +444,6 @@ def _run_passes(g, X, active, collapsed, max_passes, tol, on_pass=None, min_decr
 # ---------------------------------------------------------------------------
 
 
-def _tangent_frames(V):
-    """Deterministic orthonormal tangent pair at each vertex of (n, 3)."""
-    n = V.shape[0]
-    seed = np.zeros((n, 3))
-    seed[np.arange(n), np.argmin(np.abs(V), axis=1)] = 1.0
-    e1 = np.cross(V, seed)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    return e1, np.cross(V, e1)
-
-
 def _energy_gradient(g, V):
     """Tangential gradient of the discrete energy at each vertex, (n, 3)."""
     n = V.shape[0]
@@ -543,7 +521,7 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
          for j in (0, 1) for members, rr in zip(classes, touched)] + [diagonal]
     )
     for _ in range(max_newton):
-        e1, e2 = _tangent_frames(V)
+        e1, e2 = circle_frame(V)
         grad = _energy_gradient(g, V)
         fnorm = float(np.max(_norms(grad)))
         if fnorm < grad_tol:
@@ -815,28 +793,6 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL, polish_witness=True):
         if not top.is_point:
             witness = birkhoff_shorten(g, top, tol=tol)
     return TightenResult(width, witness, trace, lengths, collapsed)
-
-
-def write_trace(trace, path):
-    """Dump a tightening trace as CSV rows (iteration, max_length, argmax_index)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "max_length", "argmax_index"])
-        for iteration, max_length, argmax_index in trace:
-            writer.writerow([iteration, repr(float(max_length)), argmax_index])
-    return path
-
-
-def write_witness_curve(witness, path):
-    """Dump a witness curve's vertices as CSV rows (x, y, z)."""
-    curve = witness.curve if isinstance(witness, GeodesicResult) else witness
-    verts = curve.vertices if isinstance(curve, DiscreteClosedCurve) else np.asarray(curve)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "z"])
-        for p in verts:
-            writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,6 @@ def normalize_points(points, tol=UNIT_NORM_TOL):
     return p / r[..., np.newaxis]
 
 
-def sphere_point(x, y, z):
-    """Validated point of S^2 as a length-3 array."""
-    return normalize_points(np.array([x, y, z], dtype=float))
-
-
 _RECURRENCE_CACHE = {}
 
 

@@ -49,32 +49,50 @@ CURVATURE_MAX_DEGREE = 32
 _EDGE_SEP_TOL = 1e-9
 
 
-def _tangent_basis(p):
-    """Two orthonormal tangent vectors at unit point p."""
-    a = np.array([1.0, 0.0, 0.0]) if abs(p[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = a - np.dot(a, p) * p
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(p, e1)
-    return e1, e2
+def circle_frame(u):
+    """Right-handed orthonormal tangent frame (e1, e2) at the unit vector u.
+
+    u is one vector or an array (..., 3) of them, giving frames of the same
+    shape.  Deterministic: e1 comes from projecting out the coordinate axis
+    least aligned with u, and e2 = u x e1 so that traversal from e1 toward
+    e2 is the screw-rule orientation around u.
+    """
+    u = normalize_points(u)
+    axis = np.eye(3)[np.argmin(np.abs(u), axis=-1)]
+    e1 = axis - np.sum(axis * u, axis=-1, keepdims=True) * u
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, np.cross(u, e1)
 
 
-def _polish_abs_max(f, x0):
-    """Sharpen a grid candidate for max |f| by BFGS in a local tangent chart."""
-    v0 = f(x0)
-    sign = 1.0 if v0 >= 0.0 else -1.0
-    e1, e2 = _tangent_basis(x0)
+def _polish_extremum(f, x0, sign):
+    """Polish a grid point x0 toward a maximum (sign 1) or minimum (sign -1) of f.
 
-    def neg_signed(u):
+    BFGS in the tangent chart x0 + a*e1 + b*e2, projected onto the sphere,
+    runs to a chart gradient of 1e-8, about where f values stop resolving
+    the climb and the line search stalls.  One quasi-Newton step on the
+    BFGS inverse Hessian then takes the gradient to about 1e-10; it is kept
+    only if it shrinks the gradient.  Returns (point, f value at the point).
+    """
+    e1, e2 = circle_frame(x0)
+
+    def chart(u):
         y = x0 + u[0] * e1 + u[1] * e2
         r = np.linalg.norm(y)
-        x = y / r
-        val = sign * f(x)
+        return y / r, r
+
+    def neg_signed(u):
+        x, r = chart(u)
         g = sign * f.gradient(x)
-        return -val, -np.array([np.dot(g, e1), np.dot(g, e2)]) / r
+        return -sign * f(x), -np.array([np.dot(g, e1), np.dot(g, e2)]) / r
 
     res = minimize(neg_signed, np.zeros(2), jac=True, method="BFGS",
-                   options={"gtol": 1e-13, "maxiter": 80})
-    return float(-res.fun)
+                   options={"gtol": 1e-8, "maxiter": 80})
+    u, value = res.x, res.fun
+    step = u - res.hess_inv @ res.jac
+    step_value, step_grad = neg_signed(step)
+    if np.linalg.norm(step_grad) < np.linalg.norm(res.jac):
+        u, value = step, step_value
+    return chart(u)[0], -sign * float(value)
 
 
 def sup_norm(f):
@@ -82,7 +100,7 @@ def sup_norm(f):
 
     The grid is a quadrature node set several times denser than the band of
     f; the best candidates (and both poles, frequent extrema of zonal
-    functions) are refined to machine precision with a chart-based BFGS.
+    functions) are refined to machine precision with _polish_extremum.
     """
     if not np.any(f.coeffs):
         return 0.0
@@ -95,7 +113,8 @@ def sup_norm(f):
     candidates.append(np.array([0.0, 0.0, -1.0]))
     best = float(np.max(np.abs(vals)))
     for x0 in candidates:
-        best = max(best, _polish_abs_max(f, x0))
+        _, value = _polish_extremum(f, x0, 1.0 if f(x0) >= 0.0 else -1.0)
+        best = max(best, abs(value))
     return best
 
 

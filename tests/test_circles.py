@@ -26,8 +26,8 @@ from systolab.circles import (
     great_circle_length_many,
     sample_circle,
     verify_tangent_bundle_identity,
-    write_funk_scan,
 )
+from systolab.experiments import write_funk_scan
 
 TWO_PI = 2.0 * math.pi
 Y20_POLE = 0.5 * math.sqrt(5.0 / math.pi)
@@ -103,8 +103,8 @@ class TestSampleCircle:
 
     def test_frame_is_orthonormal_right_handed(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            u = random_axis(rng)
+        axes = np.array([random_axis(rng) for _ in range(10)])
+        for u in axes:
             e1, e2 = circle_frame(u)
             np.testing.assert_allclose(
                 [np.dot(e1, e1), np.dot(e2, e2), np.dot(e1, e2)],
@@ -112,6 +112,13 @@ class TestSampleCircle:
                 atol=1e-14,
             )
             np.testing.assert_allclose(np.cross(e1, e2), u, atol=1e-14)
+        # a (10, 3) batch gives, row by row, the single-axis frames
+        batch_e1, batch_e2 = circle_frame(axes)
+        assert batch_e1.shape == batch_e2.shape == (10, 3)
+        for u, e1, e2 in zip(axes, batch_e1, batch_e2):
+            single_e1, single_e2 = circle_frame(u)
+            np.testing.assert_array_equal(e1, single_e1)
+            np.testing.assert_array_equal(e2, single_e2)
 
 
 class TestFunkTransform:
@@ -306,6 +313,16 @@ class TestSignedFunkAxes:
         else:
             u0, u1 = result
             assert funk_transform(f, u0) < 0.0 < funk_transform(f, u1)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(2, 1, 1.0), (4, 3, 0.5)], [(2, 0, 1.0), (4, 3, 0.6), (6, -1, 0.3)]],
+    )
+    def test_axes_are_critical_points_of_the_image(self, pairs):
+        f = SphericalFunction.from_pairs(pairs)
+        image = funk_image(f)
+        for u in find_signed_funk_axes(f):
+            assert np.linalg.norm(image.gradient(u)) <= 1e-9
 
     def test_refinement_beats_grid(self):
         # refined minimum must not be worse than the best scanned node

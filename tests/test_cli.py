@@ -1,11 +1,13 @@
 """Tests for the command-line front end (all in-process via main(argv))."""
 
 import json
+import math
 
 import pytest
 
 from systolab import cli
 from systolab.experiments import CSV_COLUMNS, ResultRow
+from systolab.geodesics import SystoleReport
 
 
 def write_config(tmp_path, **overrides):
@@ -21,6 +23,13 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(settings))
     return str(path)
+
+
+def fake_estimate(curvature_min):
+    """A stand-in for estimate_systole that returns a fixed report at once."""
+    def estimate(g, **knobs):
+        return SystoleReport(6.2, None, [("family-F", 6.2)], curvature_min, [])
+    return estimate
 
 
 class TestExperimentCommands:
@@ -119,6 +128,17 @@ class TestFunkScan:
         for field in stdout_lines[1].split(","):
             float(field)
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing" / "scan.csv"
+        assert cli.main(["funk-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: could not write")
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--t", "0.1"], ["--seed", "3"]])
+    def test_unread_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            cli.main(["funk-scan", *flag])
+
 
 class TestSystoleCommand:
     def test_json_report(self, tmp_path, capsys):
@@ -143,3 +163,24 @@ class TestSystoleCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,systole,witness_length,ratio,curvature_min,warnings"
         assert len(lines) == 2
+        assert lines[1].endswith(",")  # no warnings: an empty last cell
+
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "estimate_systole", fake_estimate(0.9))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing" / "sys.csv"
+        assert cli.main(["systole", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: could not write")
+
+    def test_nan_curvature_is_json_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "estimate_systole", fake_estimate(math.nan))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sys.json"
+        assert cli.main(["systole", "--config", cfg, "--out", str(out),
+                         "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        records = json.loads(out.read_text(), parse_constant=reject)
+        assert records[0]["curvature_min"] is None

@@ -2,11 +2,13 @@
 
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from systolab.errors import IOFailure, NonAdmissibleT
-from systolab.harmonics import SphericalFunction, mean_zero_decompose
+from systolab.harmonics import SphericalFunction, mean_zero_decompose, sh_basis
 from systolab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -15,6 +17,9 @@ from systolab.experiments import (
     emit_report,
     render_report,
     run_experiment,
+    write_funk_scan,
+    write_trace,
+    write_witness_curve,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -298,3 +303,53 @@ class TestReports:
     def test_unwritable_path_raises_io_failure(self):
         with pytest.raises(IOFailure, match="could not write"):
             emit_report(sample_rows(), "/nonexistent-dir/report.csv")
+
+
+def axis_grid():
+    """A stand-in node grid on the three coordinate axes."""
+    nodes = np.eye(3)[::-1].copy()
+    return SimpleNamespace(nodes=nodes, basis=lambda degree: sh_basis(nodes, degree))
+
+
+class TestWriters:
+    def test_trace_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace([(0, 6.283185307179586, 3), (np.int64(1), np.float64(6.2), 4)], path)
+        assert path.read_bytes() == (
+            b"iteration,max_length,argmax_index\n"
+            b"0,6.283185307179586,3\n"
+            b"1,6.2,4\n"
+        )
+
+    def test_witness_curve_bytes(self, tmp_path):
+        path = tmp_path / "witness.csv"
+        write_witness_curve(np.array([[1, 0, 0], [0.0, 0.6, 0.8], [-0.5, 0.5, 0.1]]), path)
+        assert path.read_bytes() == (
+            b"x,y,z\n"
+            b"1.0,0.0,0.0\n"
+            b"0.0,0.6,0.8\n"
+            b"-0.5,0.5,0.1\n"
+        )
+
+    def test_funk_scan_bytes(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        write_funk_scan(SphericalFunction.harmonic(2, 0), path, q=axis_grid())
+        assert path.read_bytes() == (
+            b"ux,uy,uz,funk_value\n"
+            b"0.0,0.0,1.0,-1.981663648803006\n"
+            b"0.0,1.0,0.0,0.990831824401503\n"
+            b"1.0,0.0,0.0,0.990831824401503\n"
+        )
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_trace([(0, 1.0, 0)], path),
+            lambda path: write_witness_curve(np.eye(3), path),
+            lambda path: write_funk_scan(SphericalFunction.harmonic(2, 0), path),
+        ],
+        ids=["trace", "witness", "funk_scan"],
+    )
+    def test_unwritable_path_raises_io_failure(self, tmp_path, write):
+        with pytest.raises(IOFailure, match="could not write"):
+            write(tmp_path / "missing" / "out.csv")

@@ -20,6 +20,7 @@ from systolab.circles import (
     funk_transform,
     great_circle_points,
 )
+from systolab.experiments import write_trace, write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     GeodesicResult,
@@ -34,8 +35,6 @@ from systolab.geodesics import (
     integrate_geodesic,
     length_increase_violations,
     tighten_sweepout,
-    write_trace,
-    write_witness_curve,
     _batch_metric_lengths,
     _grad_norm,
     _initial_width,
