@@ -27,7 +27,7 @@ from .harmonics import (
     normalize_points,
     sh_degrees,
 )
-from .metric import DiscreteClosedCurve, _polish_extremum, circle_frame
+from .metric import DiscreteClosedCurve, _polish_extrema, circle_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,18 +187,17 @@ def verify_tangent_bundle_identity(g, q=None, m=None):
 def find_signed_funk_axes(f, q=None):
     """Axes u0, u1 with Funk(f)(u0) < 0 < Funk(f)(u1), or None.
 
-    Scans quadrature nodes for the extreme Funk values and polishes each
-    with the chart BFGS of sup_norm.  Returns None when the transform
-    vanishes identically (max |Funk| <= 1e-9 on the scan), the odd-direction
-    case.
+    Scans quadrature nodes for the extreme Funk values and polishes the
+    minimum and the maximum together with sup_norm's batched Newton polish
+    on the Funk image.  Returns None when the transform vanishes identically
+    (max |Funk| <= 1e-9 on the scan), the odd-direction case.
     """
     scan = funk_scan(f, q=q)
     nodes, vals = scan[:, :3], scan[:, 3]
     if float(np.max(np.abs(vals))) <= 1e-9:
         return None
-    image = funk_image(f)
-    u0, lo = _polish_extremum(image, nodes[int(np.argmin(vals))], -1.0)
-    u1, hi = _polish_extremum(image, nodes[int(np.argmax(vals))], 1.0)
+    starts = nodes[[np.argmin(vals), np.argmax(vals)]]
+    (u0, u1), (lo, hi) = _polish_extrema(funk_image(f), starts, [-1.0, 1.0])
     if not lo < 0.0 < hi:
         raise SystolabError(
             f"sign dichotomy violated: refined Funk extremes {lo:.3e}, {hi:.3e}"

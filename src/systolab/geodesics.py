@@ -49,7 +49,6 @@ from .metric import (
     _sin_cos,
     circle_frame,
     curve_energy,
-    curve_length,
     min_curvature,
 )
 from .circles import TWO_PI, CircleSpec, find_signed_funk_axes

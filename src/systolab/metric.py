@@ -18,7 +18,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     BandTooLow,
@@ -27,7 +26,6 @@ from .errors import (
     ProjectionResidualTooLarge,
 )
 from .harmonics import (
-    FOUR_PI,
     SphereQuadrature,
     SphericalFunction,
     build_quadrature,
@@ -48,6 +46,26 @@ CURVATURE_MAX_DEGREE = 32
 #: Slack on the pi/2 consecutive-vertex separation bound (allows exact pi/2).
 _EDGE_SEP_TOL = 1e-9
 
+#: Iteration cap of _polish_extrema; each iteration is one sh_sum_grad call.
+POLISH_ITERATIONS = 40
+
+#: Chart offset of the central-difference Hessian in _polish_extrema.
+_HESSIAN_STEP = 1e-4
+
+#: Chart gradient, relative to the largest |f| among the candidates, at which
+#: a polished candidate stops.
+_POLISH_GTOL = 1e-11
+
+#: Longest chart step of a polish iteration, in radians.
+_POLISH_STEP_MAX = 0.25
+
+#: Floor of the Hessian eigenvalue magnitudes in _polish_extrema, relative to
+#: the largest |f| among the candidates.
+_POLISH_EIGEN_FLOOR = 1e-8
+
+#: Distance under which two polished candidates count as the same point.
+_POLISH_SAME_POINT = 1e-7
+
 
 def circle_frame(u):
     """Right-handed orthonormal tangent frame (e1, e2) at the unit vector u.
@@ -64,43 +82,91 @@ def circle_frame(u):
     return e1, np.cross(u, e1)
 
 
-def _polish_extremum(f, x0, sign):
-    """Polish a grid point x0 toward a maximum (sign 1) or minimum (sign -1) of f.
+def _polish_extrema(f, x0, signs):
+    """Polish points x0 (k, 3) toward maxima (sign 1) or minima (sign -1) of f.
 
-    BFGS in the tangent chart x0 + a*e1 + b*e2, projected onto the sphere,
-    runs to a chart gradient of 1e-8, about where f values stop resolving
-    the climb and the line search stalls.  One quasi-Newton step on the
-    BFGS inverse Hessian then takes the gradient to about 1e-10; it is kept
-    only if it shrinks the gradient.  Returns (point, f value at the point).
+    One projected Newton iteration moves every candidate at once.  It makes
+    a single sh_sum_grad call on the (5k, 3) batch of the points and their
+    chart offsets +-h*e1, +-h*e2 (frames from circle_frame): the point gives
+    the value and the chart gradient, the offsets the 2x2 chart Hessian by
+    central differences of the analytic gradient.  The step is Newton's on
+    that Hessian with its eigenvalues made negative (maximum) or positive
+    (minimum) and floored, so it climbs or descends even where the Hessian
+    is indefinite or degenerate (extrema on a ring).  Steps are capped; a
+    candidate whose value got worse without its gradient shrinking returns
+    to its last point with a quarter of the cap.  A candidate stops at a
+    chart gradient of _POLISH_GTOL times the largest |f| among the
+    candidates, or when it comes within _POLISH_SAME_POINT of a candidate of
+    the same sign that is at least as good; the iterations are capped at
+    POLISH_ITERATIONS.  Returns (points (k, 3), f values (k,)).
     """
-    e1, e2 = circle_frame(x0)
-
-    def chart(u):
-        y = x0 + u[0] * e1 + u[1] * e2
-        r = np.linalg.norm(y)
-        return y / r, r
-
-    def neg_signed(u):
-        x, r = chart(u)
-        g = sign * f.gradient(x)
-        return -sign * f(x), -np.array([np.dot(g, e1), np.dot(g, e2)]) / r
-
-    res = minimize(neg_signed, np.zeros(2), jac=True, method="BFGS",
-                   options={"gtol": 1e-8, "maxiter": 80})
-    u, value = res.x, res.fun
-    step = u - res.hess_inv @ res.jac
-    step_value, step_grad = neg_signed(step)
-    if np.linalg.norm(step_grad) < np.linalg.norm(res.jac):
-        u, value = step, step_value
-    return chart(u)[0], -sign * float(value)
+    x = np.array(normalize_points(x0), dtype=float).reshape(-1, 3)
+    s = np.asarray(signs, dtype=float)
+    k = x.shape[0]
+    value, grad, step = np.empty(k), np.empty((k, 2)), np.zeros((k, 2))
+    e1, e2 = circle_frame(x)
+    trial, te1, te2 = x, e1, e2
+    cap = np.full(k, _POLISH_STEP_MAX)
+    active = np.ones(k, dtype=bool)
+    h = _HESSIAN_STEP
+    r = math.sqrt(1.0 + h * h)
+    same_sign = s[:, None] == s[None]
+    later = np.arange(k)[:, None] > np.arange(k)[None]
+    for it in range(POLISH_ITERATIONS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        n = idx.size
+        p, a1, a2 = trial[idx], te1[idx], te2[idx]
+        pts = np.concatenate([p, (p + h * a1) / r, (p - h * a1) / r,
+                              (p + h * a2) / r, (p - h * a2) / r])
+        vals, grads = sh_sum_grad(f.coeffs, pts)
+        grads = grads.reshape(5, n, 3)
+        # chart gradients at the point and at its four offsets; at an offset
+        # the chart map's derivative is the frame divided by r
+        cg = np.stack([_dots(grads, a1), _dots(grads, a2)], axis=-1)
+        cg[1:] /= r
+        g, v = cg[0], vals[:n]
+        hess = np.stack([cg[1] - cg[2], cg[3] - cg[4]], axis=1) / (2.0 * h)
+        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+        if it == 0:
+            fscale = float(np.max(np.abs(v)))
+            keep = np.ones(n, dtype=bool)
+        else:
+            # a worse value counts only if the gradient did not shrink: near
+            # the extremum f values no longer resolve a Newton step
+            keep = (s[idx] * v >= s[idx] * value[idx]) | (
+                np.hypot(*g.T) < np.hypot(*grad[idx].T))
+        acc, rej = idx[keep], idx[~keep]
+        x[acc], e1[acc], e2[acc] = p[keep], a1[keep], a2[keep]
+        value[acc], grad[acc] = v[keep], g[keep]
+        cap[rej] = 0.25 * np.minimum(cap[rej], np.hypot(*step[rej].T))
+        # Newton step on s*f with the Hessian's eigenvalues made negative and
+        # floored, taken in its eigenbasis
+        mu, vec = np.linalg.eigh(s[acc, None, None] * hess[keep])
+        coef = np.einsum("kji,kj->ki", vec, s[acc, None] * g[keep])
+        coef /= np.maximum(np.abs(mu), _POLISH_EIGEN_FLOOR * fscale)
+        step[acc] = np.einsum("kij,kj->ki", vec, coef)
+        active[idx] = np.hypot(*grad[idx].T) > _POLISH_GTOL * fscale
+        # drop a candidate that sits on an at-least-as-good one of its sign
+        close = np.linalg.norm(x[:, None] - x[None], axis=-1) < _POLISH_SAME_POINT
+        sv = s * value
+        better = (sv[:, None] < sv[None]) | ((sv[:, None] == sv[None]) & later)
+        active &= ~np.any(close & better & same_sign, axis=1)
+        d = step * np.minimum(1.0, cap / np.maximum(np.hypot(*step.T), 1e-300))[:, None]
+        trial = x + d[:, :1] * e1 + d[:, 1:] * e2
+        trial /= _norms(trial)[:, None]
+        te1, te2 = circle_frame(trial)
+    return x, value
 
 
 def sup_norm(f):
-    """Max of |f| over the sphere: dense-grid scan plus local polish.
+    """Max of |f| over the sphere: dense-grid scan plus a batched Newton polish.
 
     The grid is a quadrature node set several times denser than the band of
-    f; the best candidates (and both poles, frequent extrema of zonal
-    functions) are refined to machine precision with _polish_extremum.
+    f; its eight largest |f| nodes and both poles (frequent extrema of zonal
+    functions) are polished together by _polish_extrema, each toward the
+    extremum of the sign f has there.
     """
     if not np.any(f.coeffs):
         return 0.0
@@ -108,14 +174,10 @@ def sup_norm(f):
     q = build_quadrature(band)
     vals = q.basis(f.degree) @ f.coeffs
     order = np.argsort(-np.abs(vals))[:8]
-    candidates = [q.nodes[k] for k in order]
-    candidates.append(np.array([0.0, 0.0, 1.0]))
-    candidates.append(np.array([0.0, 0.0, -1.0]))
-    best = float(np.max(np.abs(vals)))
-    for x0 in candidates:
-        _, value = _polish_extremum(f, x0, 1.0 if f(x0) >= 0.0 else -1.0)
-        best = max(best, abs(value))
-    return best
+    candidates = np.concatenate([q.nodes[order], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    signs = np.where(sh_sum(f.coeffs, candidates) >= 0.0, 1.0, -1.0)
+    _, values = _polish_extrema(f, candidates, signs)
+    return max(float(np.max(np.abs(vals))), float(np.max(np.abs(values))))
 
 
 def max_admissible_t(f):

@@ -316,7 +316,11 @@ class TestSignedFunkAxes:
 
     @pytest.mark.parametrize(
         "pairs",
-        [[(2, 1, 1.0), (4, 3, 0.5)], [(2, 0, 1.0), (4, 3, 0.6), (6, -1, 0.3)]],
+        [
+            [(2, 1, 1.0), (4, 3, 0.5)],
+            [(2, 0, 1.0), (4, 3, 0.6), (6, -1, 0.3)],
+            [(2, 0, 1.0)],  # the maximum of the image is the equator ring
+        ],
     )
     def test_axes_are_critical_points_of_the_image(self, pairs):
         f = SphericalFunction.from_pairs(pairs)
