@@ -25,10 +25,6 @@ class StepTooLarge(SystolabError):
     """Geodesic integrator step produced an off-sphere drift beyond tolerance."""
 
 
-class NoConvergence(SystolabError):
-    """Iterative solver failed to reach its tolerance within the iteration cap."""
-
-
 class IOFailure(SystolabError):
     """A report or config file could not be read or written (wraps the underlying OSError)."""
 

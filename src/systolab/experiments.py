@@ -438,6 +438,8 @@ def write_trace(trace, path):
 
 def write_witness_curve(witness, path):
     """Dump a witness curve's vertices as CSV rows (x, y, z)."""
+    if witness is None:
+        raise ValueError("no witness curve")
     curve = witness.curve if isinstance(witness, GeodesicResult) else witness
     verts = curve.vertices if isinstance(curve, DiscreteClosedCurve) else curve
     text = _csv_text(("x", "y", "z"), np.asarray(verts, dtype=float))

@@ -35,7 +35,6 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import (
     CurvatureNotPositive,
-    NoConvergence,
     ProjectionResidualTooLarge,
     StepTooLarge,
     SystolabError,
@@ -61,6 +60,15 @@ DEFAULT_CURVES = 65
 DEFAULT_VERTICES = 128
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
+
+#: Fixed shape of the systole estimate: Birkhoff passes per G family, axes of
+#: the G grid, grid axes tightened in full, random seed circles, and the pass
+#: budget of the seed pool.
+FAMILY_PASSES = 40
+GRID_AXES = 26
+DEEP_AXES = 2
+SEED_CIRCLES = 20
+SEED_PASSES = 1500
 
 #: Slack allowed on the per-pass length monotonicity assertion.
 MONOTONE_SLACK = 1e-13
@@ -173,121 +181,6 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
     if single:
         return GeodesicPath(pts[0], vels[0], lens[0], times, drift)
     return GeodesicPath(pts, vels, lens, times, drift)
-
-
-def _hermite_eval(c0, v0, c1, v1, dt, tau):
-    """Cubic Hermite interpolation of a trajectory within one step."""
-    s = tau / dt
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * c0 + h10 * dt * v0 + h01 * c1 + h11 * dt * v1
-
-
-def _path_point(path, b, dt, k, frac):
-    """Unit point of trajectory b at parameter k*dt + frac."""
-    c = _hermite_eval(
-        path.points[b, k], path.velocities[b, k],
-        path.points[b, k + 1], path.velocities[b, k + 1], dt, frac,
-    )
-    return c / np.linalg.norm(c)
-
-
-def geodesic_arc(g, p, q, tol=1e-10, max_iter=100):
-    """Shortest geodesic arc of g between nearby points, by shooting.
-
-    Newton iteration on (launch angle, arrival time): the residual is the
-    arrival error expressed in a tangent basis at q; the time column of the
-    Jacobian is the arrival velocity (free), the angle column is finite
-    differenced with a companion trajectory integrated in the same batch.
-    Requires round distance < pi/2 so the short arc is unambiguous.
-
-    Returns (midpoint, arc_length): the point halving the metric length and
-    the metric length of the arc.
-    """
-    p = normalize_points(np.asarray(p, dtype=float))
-    q = normalize_points(np.asarray(q, dtype=float))
-    d = float(_arc_lengths(p[None, :], q[None, :])[0])
-    if not d < math.pi / 2.0 + 1e-9:
-        raise ValueError(f"points are {d:.4f} apart; shooting needs < pi/2")
-    if d < 1e-13:
-        return p.copy(), 0.0
-    # tangent frames at p (aimed at q) and at q (for the residual)
-    e1 = q - np.dot(q, p) * p
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(p, e1)
-    b1 = p - np.dot(p, q) * q
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(q, b1)
-
-    theta, tau = 0.0, d
-    h = min(1e-2, max(2e-3, d / 40.0))
-    delta = 1e-7
-    for iteration in range(max_iter):
-        dirs = np.array(
-            [
-                math.cos(theta) * e1 + math.sin(theta) * e2,
-                math.cos(theta + delta) * e1 + math.sin(theta + delta) * e2,
-            ]
-        )
-        horizon = tau + 10.0 * h
-        path = integrate_geodesic(g, np.array([p, p]), dirs, horizon, h)
-        dt = path.times[1]
-        k = min(int(tau / dt), path.points.shape[1] - 2)
-        frac = tau - k * dt
-
-        c0 = _path_point(path, 0, dt, k, frac)
-        res = np.array([np.dot(c0 - q, b1), np.dot(c0 - q, b2)])
-        if np.linalg.norm(res) < tol:
-            total = _arc_interp(g, path, 0, dt, k, frac)
-            mid = _metric_midpoint(path, 0, dt, total / 2.0)
-            return mid, total
-        vel_tau = path.velocities[0, k] + (frac / dt) * (
-            path.velocities[0, k + 1] - path.velocities[0, k]
-        )
-        c1 = _path_point(path, 1, dt, k, frac)
-        jac = np.array(
-            [
-                [np.dot(c1 - c0, b1) / delta, np.dot(vel_tau, b1)],
-                [np.dot(c1 - c0, b2) / delta, np.dot(vel_tau, b2)],
-            ]
-        )
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular shooting Jacobian: {exc}") from exc
-        limit = 0.5 * max(d, 1e-3)
-        norm = float(np.linalg.norm(step))
-        if norm > limit:
-            step *= limit / norm
-        theta += float(step[0])
-        tau += float(step[1])
-        tau = min(max(tau, 0.25 * d), 4.0 * d + 1.0)
-    raise NoConvergence(f"shooting did not reach tol={tol} in {max_iter} iterations")
-
-
-def _arc_interp(g, path, b, dt, k, frac):
-    """Cumulative metric length at parameter k*dt + frac.
-
-    Hermite interpolation of the RK4-integrated cumulative length, using the
-    metric speeds at the bracketing nodes as exact derivatives.
-    """
-    ends = path.points[b, k : k + 2]
-    speeds = g.w_flat(ends) * np.linalg.norm(path.velocities[b, k : k + 2], axis=-1)
-    return float(_hermite_eval(
-        path.lengths[b, k], speeds[0], path.lengths[b, k + 1], speeds[1], dt, frac,
-    ))
-
-
-def _metric_midpoint(path, b, dt, target):
-    """Point along a trajectory at a prescribed cumulative metric length."""
-    lens = path.lengths[b]
-    k = int(np.searchsorted(lens, target) - 1)
-    k = max(0, min(k, len(lens) - 2))
-    span = lens[k + 1] - lens[k]
-    frac = 0.0 if span <= 0 else (target - lens[k]) * dt / span
-    return _path_point(path, b, dt, k, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +653,7 @@ class TightenResult:
         self.collapsed = collapsed
 
 
-def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL, polish_witness=True):
+def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
     """Shorten every member of a sweepout and report the family width.
 
     Runs up to `passes` Birkhoff passes on all members simultaneously
@@ -787,10 +680,8 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL, polish_witness=True):
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
     witness = None
-    if polish_witness and not collapsed[arg] and lengths[arg] > COLLAPSE_THRESHOLD:
-        top = DiscreteClosedCurve(X[arg])
-        if not top.is_point:
-            witness = birkhoff_shorten(g, top, tol=tol)
+    if not collapsed[arg] and lengths[arg] > COLLAPSE_THRESHOLD:
+        witness = birkhoff_shorten(g, DiscreteClosedCurve(X[arg]), tol=tol)
     return TightenResult(width, witness, trace, lengths, collapsed)
 
 
@@ -853,27 +744,14 @@ def _initial_width(g, sw):
     return float(_batch_metric_lengths(g, X).max())
 
 
-def estimate_systole(
-    g,
-    N=DEFAULT_CURVES,
-    n=DEFAULT_VERTICES,
-    tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER,
-    seed=0,
-    family_passes=40,
-    grid_axes=26,
-    deep_axes=2,
-    seed_circles=20,
-):
-    """Estimate the systole of g as the minimum over three candidate pools.
+def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
+    """Estimate the systole of g as the minimum over two candidate pools.
 
-    (a) the width of the tightened great-circle family F,
-    (b) the widths of the parallel-circle families G(u): every axis of a
-        deterministic grid contributes its initial width, and the most
-        promising axes (plus the signed extreme axes of the Funk transform
-        of the direction, where the short geodesics live at first order)
-        are tightened in full,
-    (c) seeded great circles shortened to closed geodesics directly.
+    (a) the parallel-circle families G(u), tightened in full at the signed
+        extreme axes of the Funk transform of the direction (where the short
+        geodesics live at first order) and at the grid axes of smallest
+        initial width,
+    (b) seeded great circles shortened to closed geodesics directly.
 
     Collapsed curves are excluded.  Returns a SystoleReport whose witness is
     the shortest candidate realized by an actual discrete geodesic.
@@ -897,14 +775,9 @@ def estimate_systole(
         if result is not None and not result.collapsed:
             witnesses.append((tag, result))
 
-    # (a) the great-circle family
-    res_f = tighten_sweepout(g, build_sweepout("F", N, n), family_passes, tol)
-    record("family-F", res_f.width)
-    if res_f.witness is not None and not res_f.witness.collapsed:
-        record("geodesic-F", res_f.witness.length, res_f.witness)
-
-    # (b) the parallel-circle families
-    axes = [(f"grid{k}", u) for k, u in enumerate(fibonacci_axes(grid_axes))]
+    # (a) the parallel-circle families; the grid's initial widths only pick
+    # which grid axes are tightened
+    axes = [(f"grid{k}", u) for k, u in enumerate(fibonacci_axes(GRID_AXES))]
     if not g.is_round:
         signed = find_signed_funk_axes(g.f)
         if signed is not None:
@@ -914,28 +787,25 @@ def estimate_systole(
     widths0 = np.array([_initial_width(g, sw) for _, sw in sweeps])
     n_signed = sum(1 for tag, _ in axes if tag.startswith("funk-"))
     deep = set(range(n_signed))
-    deep |= set(np.argsort(widths0)[:deep_axes].tolist())
+    deep |= set(np.argsort(widths0)[:DEEP_AXES].tolist())
     for i, (tag, sw) in enumerate(sweeps):
         if i in deep:
-            res = tighten_sweepout(g, sw, family_passes, tol)
+            res = tighten_sweepout(g, sw, FAMILY_PASSES, tol)
             record(f"family-G-{tag}", res.width)
             if res.witness is not None and not res.witness.collapsed:
                 record(f"geodesic-G-{tag}", res.witness.length, res.witness)
-        else:
-            record(f"family-G0-{tag}", widths0[i])
 
-    # (c) seeded great circles shortened to geodesics
+    # (b) seeded great circles shortened to geodesics
     rng = np.random.default_rng(seed)
-    seed_axes = rng.normal(size=(seed_circles, 3))
+    seed_axes = rng.normal(size=(SEED_CIRCLES, 3))
     seed_axes /= np.linalg.norm(seed_axes, axis=-1, keepdims=True)
-    tags = [f"seed{k}" for k in range(seed_circles)]
+    tags = [f"seed{k}" for k in range(SEED_CIRCLES)]
     extra = [u for tag, u in axes if tag.startswith("funk-")]
     if extra:
         seed_axes = np.concatenate([np.asarray(extra), seed_axes], axis=0)
         tags = [f"funk-circle{k}" for k in range(len(extra))] + tags
     X = np.stack([CircleSpec(u, 0.0).points(n) for u in seed_axes])
-    budget = min(max_iter, 1500)
-    lengths, residuals, collapsed, _ = _shorten_batch(g, X, tol, budget)
+    lengths, residuals, collapsed, _ = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
         # a curve still sliding is neither a geodesic nor a certified bound
         if collapsed[k] or not residuals[k] < 1e-6:

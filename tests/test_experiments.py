@@ -331,6 +331,13 @@ class TestWriters:
             b"-0.5,0.5,0.1\n"
         )
 
+    def test_missing_witness_writes_nothing(self, tmp_path):
+        # SystoleReport.witness is None when no candidate is a geodesic
+        path = tmp_path / "witness.csv"
+        with pytest.raises(ValueError, match="no witness curve"):
+            write_witness_curve(None, path)
+        assert not path.exists()
+
     def test_funk_scan_bytes(self, tmp_path):
         path = tmp_path / "scan.csv"
         write_funk_scan(SphericalFunction.harmonic(2, 0), path, q=axis_grid())
