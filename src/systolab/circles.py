@@ -37,6 +37,28 @@ def default_circle_samples(degree_max):
     return max(256, 4 * degree_max + 8)
 
 
+def circle_points(axes, offsets, m):
+    """m points of each circle gamma(u, s), uniformly spaced in arc length.
+
+    axes is one axis (3,) or an array (..., 3) of them; offsets, each in
+    [-1, 1], broadcast against the leading shape of axes.  Returns the points
+    with shape (broadcast leading shape, m, 3) in screw-rule order around u;
+    |s| = 1 gives m copies of +/-u.
+    """
+    u = normalize_points(axes)
+    s = np.asarray(offsets, dtype=float)
+    if not np.all(np.abs(s) <= 1.0):
+        raise ValueError(f"offsets must lie in [-1, 1], got {s}")
+    e1, e2 = circle_frame(u)
+    phi = TWO_PI * np.arange(m) / m
+    r = np.sqrt(np.maximum(0.0, 1.0 - s**2))[..., None, None]
+    return (
+        s[..., None, None] * u[..., None, :]
+        + r * (np.cos(phi)[:, None] * e1[..., None, :])
+        + r * (np.sin(phi)[:, None] * e2[..., None, :])
+    )
+
+
 class CircleSpec:
     """Circle of S^2: axis u and signed offset s in [-1, 1].
 
@@ -57,24 +79,9 @@ class CircleSpec:
     def radius(self):
         return math.sqrt(max(0.0, 1.0 - self.offset**2))
 
-    @property
-    def is_point(self):
-        return abs(self.offset) == 1.0
-
-    def points(self, m, phase=0.0):
+    def points(self, m):
         """m points uniformly spaced in arc length, screw-rule order."""
-        u = self.axis
-        if self.is_point:
-            tip = u if self.offset > 0 else -u
-            return np.tile(tip, (m, 1))
-        e1, e2 = circle_frame(u)
-        phi = phase + TWO_PI * np.arange(m) / m
-        r = self.radius
-        return (
-            self.offset * u
-            + r * np.outer(np.cos(phi), e1)
-            + r * np.outer(np.sin(phi), e2)
-        )
+        return circle_points(self.axis, self.offset, m)
 
     def __repr__(self):
         return f"CircleSpec(axis={np.round(self.axis, 6)}, offset={self.offset})"
@@ -87,19 +94,15 @@ def sample_circle(spec, m):
     return DiscreteClosedCurve(spec.points(m))
 
 
-def great_circle_points(u, m, phase=0.0):
+def great_circle_points(u, m):
     """Sample points of the great circle gamma(u)."""
-    return CircleSpec(u, 0.0).points(m, phase=phase)
+    return circle_points(u, 0.0, m)
 
 
-def _great_circle_batch(axes, m):
-    """Points of gamma(u) for every axis in a batch: shape (nu, m, 3)."""
-    e1, e2 = circle_frame(np.atleast_2d(np.asarray(axes, dtype=float)))
-    phi = TWO_PI * np.arange(m) / m
-    return (
-        np.cos(phi)[None, :, None] * e1[:, None, :]
-        + np.sin(phi)[None, :, None] * e2[:, None, :]
-    )
+def _great_circle_sums(func, axes, m):
+    """Trapezoid sums of func over gamma(u), shape (k,) for k axes (1 for one)."""
+    pts = circle_points(np.atleast_2d(axes), 0.0, m)
+    return np.sum(func(pts.reshape(-1, 3)).reshape(pts.shape[:-1]), axis=-1) * TWO_PI / m
 
 
 def funk_transform(f, u, m=None):
@@ -109,20 +112,18 @@ def funk_transform(f, u, m=None):
     trigonometric polynomial of degree <= deg(f), so m >= 2*deg(f) + 2 makes
     the sum exact up to rounding.
     """
-    m = default_circle_samples(f.degree) if m is None else m
-    if m < 2 * f.degree + 2:
-        raise ValueError(f"m={m} too small for degree {f.degree} (need >= {2 * f.degree + 2})")
-    pts = great_circle_points(u, m)
-    return float(np.sum(f(pts)) * TWO_PI / m)
+    return float(funk_transform_many(f, u, m)[0])
 
 
 def funk_transform_many(f, axes, m=None):
-    """funk_transform evaluated for a whole batch of axes at once."""
+    """funk_transform evaluated for a whole batch of axes at once.
+
+    m defaults to default_circle_samples; m < 2*deg(f) + 2 raises ValueError.
+    """
     m = default_circle_samples(f.degree) if m is None else m
-    pts = _great_circle_batch(axes, m)
-    nu = pts.shape[0]
-    vals = f(pts.reshape(-1, 3)).reshape(nu, m)
-    return np.sum(vals, axis=1) * TWO_PI / m
+    if m < 2 * f.degree + 2:
+        raise ValueError(f"m={m} too small for degree {f.degree} (need >= {2 * f.degree + 2})")
+    return _great_circle_sums(f, axes, m)
 
 
 def funk_image(f):
@@ -136,51 +137,40 @@ def funk_image(f):
     return SphericalFunction(f.coeffs * scale)
 
 
-def great_circle_length(g, u, m=None):
+def great_circle_length(g, u):
     """Length of the great circle gamma(u) under g, spectrally.
 
     Equals sqrt(1 + lam*t) * (2*pi + t * Funk(f)(u)); with lam = 0 this is
     the exact first-order length identity.
     """
-    m = default_circle_samples(g.f.degree) if m is None else m
-    pts = great_circle_points(u, m)
-    return float(np.sum(g.w(pts)) * TWO_PI / m)
+    return float(great_circle_length_many(g, u)[0])
 
 
-def great_circle_length_many(g, axes, m=None):
+def great_circle_length_many(g, axes):
     """Batched great-circle lengths for many axes."""
-    m = default_circle_samples(g.f.degree) if m is None else m
-    pts = _great_circle_batch(axes, m)
-    nu = pts.shape[0]
-    w = g.w(pts.reshape(-1, 3)).reshape(nu, m)
-    return np.sum(w, axis=1) * TWO_PI / m
+    return _great_circle_sums(g.w, axes, default_circle_samples(g.f.degree))
 
 
-def average_great_circle_length(g, q=None, m=None):
+def average_great_circle_length(g):
     """Mean over axes of the great-circle length, (1/4pi) integral dv(u).
 
     For lam = 0 and mean-zero f this is exactly 2*pi: averaging the length
     identity kills the Funk term because the Funk image inherits mean zero.
     """
-    if q is None:
-        q = build_quadrature(2 * g.f.degree + 2)
-    lengths = great_circle_length_many(g, q.nodes, m=m)
-    return float(q.weights @ lengths) / FOUR_PI
+    q = build_quadrature(2 * g.f.degree + 2)
+    return float(q.weights @ great_circle_length_many(g, q.nodes)) / FOUR_PI
 
 
-def verify_tangent_bundle_identity(g, q=None, m=None):
+def verify_tangent_bundle_identity(g):
     """Both evaluation orders of the unit-tangent-bundle average.
 
     Fiber-first: 2*pi * integral of w dv0 (each fiber contributes the same
     circle of directions).  Base-first: integral over axes of the length of
     gamma(u).  Both equal 8*pi^2 for lam = 0 and mean-zero f.
     """
-    if q is None:
-        q = build_quadrature(2 * g.f.degree + 2)
-    w_nodes = g.w(q.nodes)
-    lhs = TWO_PI * float(q.weights @ w_nodes)
-    lengths = great_circle_length_many(g, q.nodes, m=m)
-    rhs = float(q.weights @ lengths)
+    q = build_quadrature(2 * g.f.degree + 2)
+    lhs = TWO_PI * float(q.weights @ g.w(q.nodes))
+    rhs = float(q.weights @ great_circle_length_many(g, q.nodes))
     return lhs, rhs
 
 

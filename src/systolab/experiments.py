@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import TWO_PI, funk_scan, great_circle_points
+from .circles import TWO_PI, circle_points, default_circle_samples, funk_scan
 from .errors import IOFailure, NonAdmissibleT
 from .geodesics import (
     DEFAULT_CURVES,
@@ -50,7 +50,6 @@ from .geodesics import (
 from .harmonics import (
     FOUR_PI,
     SphericalFunction,
-    build_quadrature,
     mean_zero_decompose,
     parity_decompose,
 )
@@ -256,28 +255,24 @@ def _zoll_deviations(f_odd, t, axes, m):
     the t-linear (plus t-cubed) term, which the Funk transform of an odd
     function annihilates.
     """
-    dev = 0.0
-    linear = 0.0
+    pts = circle_points(axes, 0.0, m)
+    vals = f_odd(pts.reshape(-1, 3)).reshape(pts.shape[:-1])
     step = TWO_PI / m
-    for u in axes:
-        vals = f_odd(great_circle_points(u, m))
-        l_plus = step * float(np.sum(np.exp(t * vals)))
-        l_minus = step * float(np.sum(np.exp(-t * vals)))
-        dev = max(dev, abs(l_plus - TWO_PI))
-        linear = max(linear, 0.5 * abs(l_plus - l_minus))
-    return dev, linear
+    l_plus = step * np.sum(np.exp(t * vals), axis=-1)
+    l_minus = step * np.sum(np.exp(-t * vals), axis=-1)
+    return float(np.max(np.abs(l_plus - TWO_PI))), float(np.max(0.5 * np.abs(l_plus - l_minus)))
 
 
 def _zoll_check(cfg, t):
     """First-order Zoll facts for the row at t; returns (ok, extras)."""
     f_odd = cfg.direction()
-    q = build_quadrature(max(2 * f_odd.degree + 2, 18))
-    m = max(256, 4 * f_odd.degree + 8)
-    dev_full, linear = _zoll_deviations(f_odd, t, q.nodes, m)
+    axes = funk_scan(f_odd)[:, :3]
+    m = default_circle_samples(f_odd.degree)
+    dev_full, linear = _zoll_deviations(f_odd, t, axes, m)
     extras = {"zoll_linear_max": linear, "zoll_deviation": dev_full}
     ok = linear <= ZOLL_LINEAR_TOL
     if t != 0.0:
-        dev_half, _ = _zoll_deviations(f_odd, 0.5 * t, q.nodes, m)
+        dev_half, _ = _zoll_deviations(f_odd, 0.5 * t, axes, m)
         if dev_half > 1e-13:
             quad_ratio = dev_full / dev_half
             extras["zoll_quad_ratio"] = quad_ratio

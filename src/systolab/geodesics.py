@@ -50,7 +50,7 @@ from .metric import (
     curve_energy,
     min_curvature,
 )
-from .circles import TWO_PI, CircleSpec, find_signed_funk_axes
+from .circles import TWO_PI, circle_points, find_signed_funk_axes
 
 #: Round length below which a shortening curve counts as collapsed to a point.
 COLLAPSE_THRESHOLD = 0.1
@@ -596,11 +596,20 @@ class Sweepout:
         return len(self.curves)
 
 
+def _parallel_offsets(N):
+    """Offsets s of the parallel circles gamma(u, s) of family G with N members."""
+    n_circles = N - 2 * max(2, N // 8)  # even point-curve count: s = 0 is a member
+    return -1.0 + 2.0 * np.arange(n_circles) / (n_circles - 1)
+
+
 def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
     """Construct the discrete family F or G(axis) with N members, n vertices.
 
-    N must be odd (>= 9) so family G contains the exact great circle s = 0;
-    n must be even (>= 32) for the alternating-parity shortening passes.
+    The circles of either family come from one circle_points call; the
+    offsets of G come from _parallel_offsets(N), which the grid ranking of
+    estimate_systole shares.  N must be odd (>= 9) so family G contains the
+    exact great circle s = 0; n must be even (>= 32) for the
+    alternating-parity shortening passes.
     """
     if N < 9 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 9")
@@ -608,22 +617,15 @@ def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
         raise ValueError("n must be an even integer >= 32")
     params = np.arange(N) / (N - 1)
     if kind == "F":
-        curves = []
-        for i in range(N):
-            ang = math.pi * i / (N - 1)
-            u = np.array([math.cos(ang), math.sin(ang), 0.0])
-            curves.append(DiscreteClosedCurve(CircleSpec(u, 0.0).points(n)))
+        axes = [(math.cos(a), math.sin(a), 0.0) for a in math.pi * np.arange(N) / (N - 1)]
+        curves = [DiscreteClosedCurve(c) for c in circle_points(axes, 0.0, n)]
         return Sweepout("F", None, curves, params)
     if kind == "G":
         if axis is None:
             raise ValueError("family G needs an axis")
         u = normalize_points(np.asarray(axis, dtype=float))
-        n_points = 2 * max(2, N // 8)  # even, so the circle leg has odd count
-        n_circles = N - n_points
-        curves = []
-        for j in range(n_circles):
-            s = -1.0 + 2.0 * j / (n_circles - 1)
-            curves.append(DiscreteClosedCurve(CircleSpec(u, s).points(n)))
+        curves = [DiscreteClosedCurve(c) for c in circle_points(u, _parallel_offsets(N), n)]
+        n_points = N - len(curves)
         e1, _ = circle_frame(u)
         for k in range(1, n_points + 1):
             ang = math.pi * k / (n_points + 1)
@@ -738,9 +740,15 @@ class SystoleReport:
         )
 
 
-def _initial_width(g, sw):
-    """Family maximum before any shortening pass."""
-    X = np.stack([c.vertices for c in sw.curves])
+def _grid_width(g, axis, N, n):
+    """Initial width of G(axis): the length of its longest parallel circle.
+
+    The circles are sampled and renormalized as build_sweepout and
+    DiscreteClosedCurve make them, so this is the family's maximum before
+    any pass, without building its curves.
+    """
+    u = normalize_points(np.asarray(axis, dtype=float))
+    X = normalize_points(circle_points(u, _parallel_offsets(N), n))
     return float(_batch_metric_lengths(g, X).max())
 
 
@@ -749,8 +757,9 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
 
     (a) the parallel-circle families G(u), tightened in full at the signed
         extreme axes of the Funk transform of the direction (where the short
-        geodesics live at first order) and at the grid axes of smallest
-        initial width,
+        geodesics live at first order) and at the DEEP_AXES grid axes of
+        smallest initial width; that width is the longest parallel circle
+        of the axis, so only the tightened families are built,
     (b) seeded great circles shortened to closed geodesics directly.
 
     Collapsed curves are excluded.  Returns a SystoleReport whose witness is
@@ -783,14 +792,13 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         if signed is not None:
             u0, u1 = signed
             axes = [("funk-min", u0), ("funk-max", u1)] + axes
-    sweeps = [(tag, build_sweepout("G", N, n, axis=u)) for tag, u in axes]
-    widths0 = np.array([_initial_width(g, sw) for _, sw in sweeps])
+    widths0 = np.array([_grid_width(g, u, N, n) for _, u in axes])
     n_signed = sum(1 for tag, _ in axes if tag.startswith("funk-"))
     deep = set(range(n_signed))
     deep |= set(np.argsort(widths0)[:DEEP_AXES].tolist())
-    for i, (tag, sw) in enumerate(sweeps):
+    for i, (tag, u) in enumerate(axes):
         if i in deep:
-            res = tighten_sweepout(g, sw, FAMILY_PASSES, tol)
+            res = tighten_sweepout(g, build_sweepout("G", N, n, axis=u), FAMILY_PASSES, tol)
             record(f"family-G-{tag}", res.width)
             if res.witness is not None and not res.witness.collapsed:
                 record(f"geodesic-G-{tag}", res.witness.length, res.witness)
@@ -804,7 +812,7 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
     if extra:
         seed_axes = np.concatenate([np.asarray(extra), seed_axes], axis=0)
         tags = [f"funk-circle{k}" for k in range(len(extra))] + tags
-    X = np.stack([CircleSpec(u, 0.0).points(n) for u in seed_axes])
+    X = circle_points(seed_axes, 0.0, n)
     lengths, residuals, collapsed, _ = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
         # a curve still sliding is neither a geodesic nor a certified bound

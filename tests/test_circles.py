@@ -18,6 +18,7 @@ from systolab.circles import (
     CircleSpec,
     average_great_circle_length,
     circle_frame,
+    circle_points,
     find_signed_funk_axes,
     funk_image,
     funk_transform,
@@ -47,6 +48,43 @@ def random_direction(seed, degree=8, size=0.3):
     c[0] = 0.0
     f = SphericalFunction(c)
     return f * (size / sup_norm(f))
+
+
+class TestCirclePoints:
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(21)
+        axes = np.array([random_axis(rng) for _ in range(40)]).reshape(8, 5, 3)
+        offsets = rng.uniform(-1.0, 1.0, size=(8, 5))
+        offsets[0, :2] = (1.0, -1.0)
+        batch = circle_points(axes, offsets, 64)
+        assert batch.shape == (8, 5, 64, 3)
+        for i in range(8):
+            for j in range(5):
+                np.testing.assert_array_equal(
+                    batch[i, j], circle_points(axes[i, j], offsets[i, j], 64)
+                )
+
+    def test_offsets_broadcast_against_one_axis(self):
+        u = random_axis(np.random.default_rng(22))
+        offsets = np.linspace(-0.9, 0.9, 7)
+        stack = circle_points(u, offsets, 32)
+        assert stack.shape == (7, 32, 3)
+        for s, pts in zip(offsets, stack):
+            np.testing.assert_array_equal(pts, circle_points(u, s, 32))
+            np.testing.assert_allclose(pts @ u, s, atol=1e-15)
+            np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-15)
+
+    def test_unit_offsets_give_the_poles_exactly(self):
+        u = random_axis(np.random.default_rng(23))
+        tips = circle_points(u, [1.0, -1.0], 16)
+        assert np.all(tips[0] == u)
+        assert np.all(tips[1] == -u)
+
+    def test_offset_outside_unit_interval_raises(self):
+        u = np.array([0.0, 0.0, 1.0])
+        for bad in (1.5, -1.0000001, [0.0, 2.0], float("nan")):
+            with pytest.raises(ValueError):
+                circle_points(u, bad, 8)
 
 
 class TestSampleCircle:
@@ -183,6 +221,15 @@ class TestFunkTransform:
         f = SphericalFunction.harmonic(8, 0)
         with pytest.raises(ValueError):
             funk_transform(f, np.array([0.0, 0.0, 1.0]), m=17)
+
+    def test_batch_rejects_undersampling(self):
+        f = SphericalFunction.harmonic(8, 0)
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            funk_transform_many(f, axes, m=8)
+        np.testing.assert_array_equal(
+            funk_transform_many(f, axes, m=18), [funk_transform(f, u, m=18) for u in axes]
+        )
 
 
 class TestGreatCircleLength:

@@ -28,6 +28,8 @@ from systolab.geodesics import (
     SystoleReport,
     TightenResult,
     birkhoff_shorten,
+    DEEP_AXES,
+    GRID_AXES,
     build_sweepout,
     estimate_systole,
     fibonacci_axes,
@@ -36,7 +38,7 @@ from systolab.geodesics import (
     tighten_sweepout,
     _batch_metric_lengths,
     _grad_norm,
-    _initial_width,
+    _grid_width,
     _local_lengths,
     _newton_polish,
     _polygon_energy,
@@ -307,9 +309,8 @@ class TestTightenSweepout:
         # uniform sampling of a great circle annihilates odd harmonics, so
         # every member of F has discrete length exactly 2 pi
         g = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
-        sw = build_sweepout("F")
-        assert _initial_width(g, sw) == pytest.approx(TWO_PI, abs=1e-12)
-        res = tighten_sweepout(g, sw, passes=5)
+        res = tighten_sweepout(g, build_sweepout("F"), passes=5)
+        assert res.trace[0][1] == pytest.approx(TWO_PI, abs=1e-12)
         assert res.width <= TWO_PI + 1e-12
 
     def test_trace_is_monotone(self):
@@ -325,6 +326,36 @@ class TestTightenSweepout:
         sw = Sweepout("F", None, [a, b], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             tighten_sweepout(ROUND, sw, passes=1)
+
+
+class TestGridRanking:
+    def test_grid_width_is_the_initial_family_maximum(self):
+        axes = list(find_signed_funk_axes(MIXED.f)) + list(fibonacci_axes(GRID_AXES))
+        ranked = np.array([_grid_width(MIXED, u, 65, 128) for u in axes])
+        built = np.array([
+            _batch_metric_lengths(
+                MIXED, np.stack([c.vertices for c in build_sweepout("G", axis=u).curves])
+            ).max()
+            for u in axes
+        ])
+        assert len(axes) == 28
+        np.testing.assert_array_equal(ranked, built)
+        assert np.array_equal(np.argsort(ranked)[:DEEP_AXES], np.argsort(built)[:DEEP_AXES])
+
+    def test_estimate_builds_only_the_deep_families(self, monkeypatch):
+        import systolab.geodesics as geodesics
+
+        built = []
+
+        def counting(kind, *args, **kwargs):
+            built.append(kind)
+            return build_sweepout(kind, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "build_sweepout", counting)
+        report = estimate_systole(ZONAL, N=17, n=32)
+        families = [tag for tag, _ in report.candidates if tag.startswith("family-G-")]
+        assert built == ["G"] * len(families)
+        assert 2 < len(families) <= 2 + DEEP_AXES
 
 
 class TestWriters:
@@ -439,8 +470,8 @@ class TestOddWidthProperty:
         if s == 0.0:
             return
         g = make_variation(f, scale * 0.5 / s)
-        sw = build_sweepout("F", N=9, n=32)
-        assert _initial_width(g, sw) == pytest.approx(TWO_PI, abs=1e-11)
+        res = tighten_sweepout(g, build_sweepout("F", N=9, n=32), passes=0)
+        assert res.trace[0][1] == pytest.approx(TWO_PI, abs=1e-11)
 
 
 class TestMonotonicityCounter:
