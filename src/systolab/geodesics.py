@@ -62,8 +62,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
 #: Fixed shape of the systole estimate: Birkhoff passes per G family, axes of
-#: the G grid, grid axes tightened in full, random seed circles, and the pass
-#: budget of the seed pool.
+#: the G grid, axes of smallest initial width (Funk or grid) tightened in
+#: full, random seed circles, and the pass budget of the seed pool.
 FAMILY_PASSES = 40
 GRID_AXES = 26
 DEEP_AXES = 2
@@ -288,47 +288,50 @@ def _half_pass(g, X, parity, active, newton_iters=3):
     return disp
 
 
-def _run_passes(g, X, active, collapsed, max_passes, tol, on_pass=None, min_decrease=0.0):
+def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=None,
+                min_decrease=0.0):
     """Drive Birkhoff passes on a batch of curves, in place.
 
-    active and collapsed are boolean masks updated in place: a curve freezes
-    once its per-pass displacement falls below tol (discrete geodesic) or its
-    round length falls below the collapse threshold.  Each pass asserts the
-    length monotonicity the acceptance rule guarantees; a violation beyond
-    MONOTONE_SLACK is counted and raised.  Returns (lengths, residuals,
-    passes_done); residuals hold the last displacement of each curve.
+    active, collapsed and residuals are per-curve state updated in place: a
+    curve freezes once its per-pass displacement (its residual) falls below
+    tol (discrete geodesic) or its round length falls below the collapse
+    threshold, and a frozen curve keeps the residual it froze with.  A pass
+    measures only the curves active when it starts; a frozen curve does not
+    move, so its length carries over and its length increase is exactly 0.
+    Each pass asserts the length monotonicity the acceptance rule
+    guarantees; a violation beyond MONOTONE_SLACK is counted and raised.
+    Returns (lengths, passes_done).
     """
     global _length_increase_violations
     lengths = _batch_metric_lengths(g, X)
-    residuals = np.full(X.shape[0], np.inf)
-    residuals[~active] = 0.0
     passes_done = 0
     for _ in range(max_passes):
-        if not active.any():
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
         d0 = _half_pass(g, X, 0, active)
         d1 = _half_pass(g, X, 1, active)
         passes_done += 1
-        new_lengths = _batch_metric_lengths(g, X)
-        increase = new_lengths - lengths
+        moved = X[rows]
+        new_lengths = _batch_metric_lengths(g, moved)
+        increase = new_lengths - lengths[rows]
         if np.any(increase > MONOTONE_SLACK):
             _length_increase_violations += int(np.sum(increase > MONOTONE_SLACK))
             raise SystolabError(
                 f"Birkhoff pass increased a curve length by {float(increase.max()):.3e}"
             )
-        drop = float(np.max(lengths[active] - new_lengths[active]))
-        lengths = new_lengths
-        residuals[active] = np.maximum(d0, d1)[active]
-        rounds = _batch_round_lengths(X)
-        newly_collapsed = active & (rounds < COLLAPSE_THRESHOLD)
-        collapsed |= newly_collapsed
-        active &= ~newly_collapsed
+        drop = -float(increase.min())
+        lengths[rows] = new_lengths
+        residuals[rows] = np.maximum(d0[rows], d1[rows])
+        newly_collapsed = rows[_batch_round_lengths(moved) < COLLAPSE_THRESHOLD]
+        collapsed[newly_collapsed] = True
+        active[newly_collapsed] = False
         active &= residuals >= tol
         if on_pass is not None:
             on_pass(passes_done, lengths)
         if min_decrease > 0.0 and drop < min_decrease:
             break
-    return lengths, residuals, passes_done
+    return lengths, passes_done
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +340,30 @@ def _run_passes(g, X, active, collapsed, max_passes, tol, on_pass=None, min_decr
 
 
 def _energy_gradient(g, V):
-    """Tangential gradient of the discrete energy at each vertex, (n, 3)."""
-    n = V.shape[0]
-    nxt = np.roll(V, -1, axis=0)
+    """Tangential gradient of the discrete energy at each vertex.
+
+    V is one closed polygon (n, 3) or a stack of them (..., n, 3), evaluated
+    in one harmonic call; each polygon's gradient is the one it gets alone.
+    """
+    n = V.shape[-2]
+    nxt = np.roll(V, -1, axis=-2)
     sums = V + nxt
-    r = np.maximum(_norms(sums), 1e-30)[:, None]
-    w, gw = g.w_and_grad(sums / r)
+    r = np.maximum(_norms(sums), 1e-30)[..., None]
+    w, gw = g.w_and_grad((sums / r).reshape(-1, 3))
+    w = w.reshape(V.shape[:-1])
+    gw = gw.reshape(V.shape)
     sins, dots = _sin_cos(V, nxt)
     d = np.arctan2(sins, dots)
-    safe = np.maximum(sins, 1e-30)[:, None]
-    grad_d_tail = -(nxt - dots[:, None] * V) / safe
-    grad_d_head = -(V - dots[:, None] * nxt) / safe
+    safe = np.maximum(sins, 1e-30)[..., None]
+    grad_d_tail = -(nxt - dots[..., None] * V) / safe
+    grad_d_head = -(V - dots[..., None] * nxt) / safe
     pull = gw / r
-    coeff = (w * d)[:, None]
-    g_tail = coeff * (d[:, None] * pull + w[:, None] * grad_d_tail)
-    g_head = coeff * (d[:, None] * pull + w[:, None] * grad_d_head)
-    grad = g_tail + np.roll(g_head, 1, axis=0)
-    grad -= _dots(grad, V)[:, None] * V
+    coeff = (w * d)[..., None]
+    g_tail = coeff * (d[..., None] * pull + w[..., None] * grad_d_tail)
+    g_head = coeff * (d[..., None] * pull + w[..., None] * grad_d_head)
+    grad = g_tail + np.roll(g_head, 1, axis=-2)
+    grad -= _dots(grad, V)[..., None] * V
     return grad / (TWO_PI / n)
-
-
-def _grad_norm(g, V):
-    return float(np.max(_norms(_energy_gradient(g, V))))
 
 
 def _polygon_energy(g, V):
@@ -377,9 +382,12 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     Solves grad E = 0 in the 2n tangent coordinates of the current vertices.
     The Jacobian is block-tridiagonal with cyclic corners (2x2 vertex
     blocks), so it is finite differenced with a cyclic coloring (vertices
-    >= 3 apart are independent) in 2c gradient evaluations, c the smallest
-    divisor of n that is >= 3, and its three block bands go straight into a
-    sparse matrix.  Closed geodesics come in families (rotation along the
+    >= 3 apart are independent): the 2c shifted polygons, c the smallest
+    divisor of n that is >= 3, go through one batched gradient call, and the
+    three block bands go straight into a sparse matrix.  The gradient the
+    line search computed at the accepted point starts the next iteration,
+    so an iteration costs one Jacobian call plus one call per line-search
+    trial.  Closed geodesics come in families (rotation along the
     curve, ambient isometries), which makes the Jacobian rank-deficient, so
     the step solves the Levenberg-Marquardt system (J + mu I) s = -F with
     mu = 1e-10 max|J|: mu keeps the sparse LU nonsingular along those null
@@ -399,41 +407,37 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     base_energy = _polygon_energy(g, V0)
     V = V0.copy()
     delta = 1e-7
-    classes = [np.flatnonzero(np.arange(n) % c == cls) for cls in range(c)]
+    classes = np.arange(n).reshape(-1, c).T
     # rows of F that a shift of each class member moves: the x/y coordinates
     # of the member and of its two neighbors, one column per member
-    touched = []
-    for members in classes:
-        near = np.stack([(members - 1) % n, members, (members + 1) % n])
-        touched.append(np.concatenate([2 * near, 2 * near + 1]))
+    near = np.stack([(classes - 1) % n, classes, (classes + 1) % n], axis=1)
+    touched = np.concatenate([2 * near, 2 * near + 1], axis=1).reshape(c, -1)
     diagonal = np.arange(2 * n)
-    band_rows = np.concatenate([rr.ravel() for rr in touched] * 2 + [diagonal])
+    band_rows = np.concatenate([touched.ravel()] * 2 + [diagonal])
     band_cols = np.concatenate(
-        [np.broadcast_to(2 * members + j, rr.shape).ravel()
-         for j in (0, 1) for members, rr in zip(classes, touched)] + [diagonal]
+        [np.broadcast_to(2 * classes[:, None] + j, (c, 6, n // c)).ravel() for j in (0, 1)]
+        + [diagonal]
     )
+    # row cls of shifts moves the vertices of class cls by delta, the rest by 0
+    shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
+    grad = _energy_gradient(g, V)
     for _ in range(max_newton):
-        e1, e2 = circle_frame(V)
-        grad = _energy_gradient(g, V)
         fnorm = float(np.max(_norms(grad)))
         if fnorm < grad_tol:
             break
+        e1, e2 = circle_frame(V)
         F = np.empty(2 * n)
         F[0::2] = _dots(grad, e1)
         F[1::2] = _dots(grad, e2)
-        bands = []
-        for basis in (e1, e2):
-            for members, rr in zip(classes, touched):
-                shift = np.zeros((n, 1))
-                shift[members] = delta
-                Vp = V + shift * basis
-                Vp /= _norms(Vp)[:, None]
-                gp = _energy_gradient(g, Vp)
-                Fp = np.empty(2 * n)
-                Fp[0::2] = _dots(gp, e1)
-                Fp[1::2] = _dots(gp, e2)
-                bands.append(((Fp - F) / delta)[rr].ravel())
-        values = np.concatenate(bands)
+        # the 2c shifted polygons, along e1 then e2, in one gradient call
+        Vp = (V + shifts * np.stack([e1, e2])[:, None]).reshape(2 * c, n, 3)
+        Vp /= _norms(Vp)[..., None]
+        gp = _energy_gradient(g, Vp)
+        Fp = np.empty((2 * c, 2 * n))
+        Fp[:, 0::2] = _dots(gp, e1)
+        Fp[:, 1::2] = _dots(gp, e2)
+        bands = np.take_along_axis(((Fp - F) / delta).reshape(2, c, -1), touched[None], axis=-1)
+        values = bands.ravel()
         mu = 1e-10 * float(np.max(np.abs(values)))
         # the coordinate format sums the repeated diagonal entries into J + mu I
         values = np.concatenate([values, np.full(2 * n, mu)])
@@ -449,9 +453,11 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
             Vt = V + scale * (step[0::2, None] * e1 + step[1::2, None] * e2)
             Vt /= _norms(Vt)[:, None]
-            ft = _grad_norm(g, Vt)
+            # the accepted trial's gradient starts the next iteration
+            gt = _energy_gradient(g, Vt)
+            ft = float(np.max(_norms(gt)))
             if ft < fnorm * (1.0 - 1e-3) or ft < grad_tol:
-                V = Vt
+                V, grad = Vt, gt
                 moved = True
                 break
         if not moved:
@@ -511,7 +517,7 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
     while passes < max_iter and active.any():
         chunk = min(polish_every, max_iter - passes)
         before = X.copy()
-        lengths, residuals, done = _run_passes(g, X, active, collapsed, chunk, tol)
+        lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk, tol)
         passes += done
         if not active.any() or passes >= max_iter:
             break
@@ -521,7 +527,7 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
             polished = _newton_polish(g, X[i])
             if polished is not None:
                 X[i] = polished
-        lengths, residuals, done = _run_passes(g, X, active, collapsed, 1, tol)
+        lengths, done = _run_passes(g, X, active, collapsed, residuals, 1, tol)
         passes += done
     return lengths, residuals, collapsed, passes
 
@@ -676,8 +682,9 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
     def on_pass(k, lens):
         trace.append((k, float(lens.max()), int(np.argmax(lens))))
 
-    lengths, residuals, done = _run_passes(
-        g, X, active, collapsed, passes, tol, on_pass=on_pass, min_decrease=1e-12
+    residuals = np.where(active, np.inf, 0.0)
+    lengths, done = _run_passes(
+        g, X, active, collapsed, residuals, passes, tol, on_pass=on_pass, min_decrease=1e-12
     )
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
@@ -757,9 +764,11 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
 
     (a) the parallel-circle families G(u), tightened in full at the signed
         extreme axes of the Funk transform of the direction (where the short
-        geodesics live at first order) and at the DEEP_AXES grid axes of
-        smallest initial width; that width is the longest parallel circle
-        of the axis, so only the tightened families are built,
+        geodesics live at first order) and at the DEEP_AXES axes of smallest
+        initial width among the Funk and grid axes together, so a Funk axis
+        among them leaves one grid axis fewer; that width is the longest
+        parallel circle of the axis, so only the tightened families are
+        built,
     (b) seeded great circles shortened to closed geodesics directly.
 
     Collapsed curves are excluded.  Returns a SystoleReport whose witness is

@@ -394,6 +394,23 @@ class SphericalFunction:
         )
 
 
+_GAUSS_LEGENDRE_CACHE = {}
+
+
+def _gauss_legendre(count):
+    """Cached read-only Gauss-Legendre (nodes, weights) of count points on [-1, 1].
+
+    The rule is a constant of count, so every quadrature of a band shares
+    one pair; the arrays are read-only so no caller can alter the others'.
+    """
+    if count not in _GAUSS_LEGENDRE_CACHE:
+        rule = leggauss(count)
+        for arr in rule:
+            arr.flags.writeable = False
+        _GAUSS_LEGENDRE_CACHE[count] = rule
+    return _GAUSS_LEGENDRE_CACHE[count]
+
+
 class SphereQuadrature:
     """Product quadrature on S^2: Gauss-Legendre in cos(theta), uniform longitude.
 
@@ -407,7 +424,7 @@ class SphereQuadrature:
         self.band = band
         ntheta = band // 2 + 1
         nphi = band + 1
-        zs, wz = leggauss(ntheta)
+        zs, wz = _gauss_legendre(ntheta)
         phis = 2.0 * math.pi * np.arange(nphi) / nphi
         sin_t = np.sqrt(1.0 - zs**2)
         x = np.outer(sin_t, np.cos(phis)).ravel()

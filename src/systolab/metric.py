@@ -73,13 +73,17 @@ def circle_frame(u):
     u is one vector or an array (..., 3) of them, giving frames of the same
     shape.  Deterministic: e1 comes from projecting out the coordinate axis
     least aligned with u, and e2 = u x e1 so that traversal from e1 toward
-    e2 is the screw-rule orientation around u.
+    e2 is the screw-rule orientation around u.  The row-wise kernels below
+    give exactly what np.sum, np.linalg.norm and np.cross would.
     """
     u = normalize_points(u)
     axis = np.eye(3)[np.argmin(np.abs(u), axis=-1)]
-    e1 = axis - np.sum(axis * u, axis=-1, keepdims=True) * u
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    return e1, np.cross(u, e1)
+    e1 = axis - _dots(axis, u)[..., None] * u
+    e1 /= _norms(e1)[..., None]
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    ax, ay, az = e1[..., 0], e1[..., 1], e1[..., 2]
+    e2 = np.stack([uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax], axis=-1)
+    return e1, e2
 
 
 def _polish_extrema(f, x0, signs):

@@ -11,6 +11,7 @@ from systolab.harmonics import (
     FOUR_PI,
     SphericalFunction,
     build_quadrature,
+    normalize_points,
     sh_size,
 )
 from systolab.metric import curve_length, make_variation, sup_norm
@@ -138,6 +139,21 @@ class TestSampleCircle:
             CircleSpec(np.array([0.0, 0.0, 1.0]), 1.5)
         with pytest.raises(ValueError):
             sample_circle(CircleSpec(np.array([0.0, 0.0, 1.0])), 2)
+
+    def test_frame_equals_the_numpy_cross_frame(self):
+        rng = np.random.default_rng(41)
+        u = rng.standard_normal((1000, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        u = np.concatenate([u, np.eye(3), -np.eye(3)])
+        got_e1, got_e2 = circle_frame(u)
+        u = normalize_points(u)  # circle_frame renormalizes its axes first
+        axis = np.eye(3)[np.argmin(np.abs(u), axis=-1)]
+        e1 = axis - np.sum(axis * u, axis=-1, keepdims=True) * u
+        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        np.testing.assert_array_equal(got_e1, e1)
+        np.testing.assert_array_equal(got_e2, np.cross(u, e1))
+        with pytest.raises(ValueError):
+            circle_frame(np.array([0.0, 0.0, 1.1]))
 
     def test_frame_is_orthonormal_right_handed(self):
         rng = np.random.default_rng(4)

@@ -16,6 +16,7 @@ from systolab.metric import (
 )
 from systolab.circles import (
     CircleSpec,
+    circle_points,
     find_signed_funk_axes,
     funk_transform,
     great_circle_points,
@@ -37,11 +38,13 @@ from systolab.geodesics import (
     length_increase_violations,
     tighten_sweepout,
     _batch_metric_lengths,
-    _grad_norm,
+    _energy_gradient,
     _grid_width,
     _local_lengths,
     _newton_polish,
     _polygon_energy,
+    _run_passes,
+    _shorten_batch,
     _vertex_newton_step,
 )
 from systolab.metric import _arc_lengths
@@ -57,6 +60,11 @@ POLE = np.array([0.0, 0.0, 1.0])
 Y20_POLE = 0.5 * math.sqrt(5.0 / math.pi)
 FUNK_Y20_POLE = -math.pi * Y20_POLE
 FUNK_Y20_EQUATOR = math.pi * Y20_POLE / 2.0
+
+
+def grad_norm(g, V):
+    """Largest per-vertex norm of the discrete energy gradient."""
+    return float(np.max(np.linalg.norm(_energy_gradient(g, V), axis=-1)))
 
 
 def random_tangent_starts(count, seed):
@@ -185,6 +193,47 @@ class TestBirkhoffShorten:
         assert length_increase_violations() == 0
 
 
+class TestBatchedShortening:
+    def test_frozen_rows_keep_the_lengths_of_a_full_evaluation(self):
+        # a point curve (frozen from the start), the ZONAL equator (a discrete
+        # geodesic, frozen after one pass) and two tilted circles still moving
+        tilted = [np.array([math.sin(a), 0.0, math.cos(a)]) for a in (0.2, 0.4)]
+        X = np.stack([
+            DiscreteClosedCurve.point(POLE, 64).vertices,
+            great_circle_points(POLE, 64),
+            *circle_points(np.array(tilted), 0.0, 64),
+        ])
+        active = np.array([False, True, True, True])
+        collapsed = np.zeros(4, dtype=bool)
+        residuals = np.where(active, np.inf, 0.0)
+        seen = []
+
+        def on_pass(k, lengths):
+            seen.append((lengths.copy(), _batch_metric_lengths(ZONAL, X), active.copy()))
+
+        lengths, done = _run_passes(ZONAL, X, active, collapsed, residuals, 20, 1e-10,
+                                    on_pass=on_pass)
+        assert done == 20 and len(seen) == 20
+        assert not seen[-1][2][:2].any() and seen[-1][2][2:].all()
+        for carried, full, _ in seen:
+            np.testing.assert_array_equal(carried, full)
+        np.testing.assert_array_equal(lengths, _batch_metric_lengths(ZONAL, X))
+
+    def test_early_frozen_curve_keeps_its_residual(self):
+        # seed circles of MIXED: the first freezes in the first chunk of
+        # passes, the second needs two more chunks
+        rng = np.random.default_rng(0)
+        axes = rng.normal(size=(20, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        alone = circle_points(axes[5:6], 0.0, 64)
+        _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400)
+        pair = circle_points(axes[[5, 12]], 0.0, 64)
+        _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400)
+        assert pair_passes > solo_passes
+        assert 0.0 < solo[0] < 1e-10
+        assert both[0] == solo[0]
+
+
 class TestArcLengths:
     def test_identical_antipodal_and_tiny_angles(self):
         p, v = random_tangent_starts(16, seed=31)
@@ -222,15 +271,54 @@ class TestNewtonPolish:
         out = _newton_polish(ZONAL, start)
         assert out is not None
         assert np.all(np.isfinite(out))
-        assert _grad_norm(ZONAL, out) < 1e-11
+        assert grad_norm(ZONAL, out) < 1e-11
         assert _polygon_energy(ZONAL, out) <= _polygon_energy(ZONAL, start)
         np.testing.assert_allclose(out[:, 2], 0.0, atol=1e-9)
+
+    def test_stacked_gradient_equals_single_calls(self):
+        rng = np.random.default_rng(36)
+        V = great_circle_points(POLE, 128) + 1e-2 * rng.standard_normal((5, 128, 3))
+        V /= np.linalg.norm(V, axis=-1, keepdims=True)
+        for g in (ROUND, MIXED):
+            stacked = _energy_gradient(g, V)
+            for k in range(V.shape[0]):
+                np.testing.assert_array_equal(stacked[k], _energy_gradient(g, V[k]))
+            np.testing.assert_array_equal(
+                _energy_gradient(g, V[None, 1:3]), stacked[None, 1:3]
+            )
+
+    def test_harmonic_call_budget(self, monkeypatch):
+        # one batched Jacobian call per iteration, one call per line-search
+        # trial (at most 5), and one for the starting gradient
+        import systolab.geodesics as geodesics
+        import systolab.metric as metric
+
+        grad_calls, solves = [], []
+        original_grad = metric.sh_sum_grad
+        original_solve = geodesics.spsolve
+
+        def counted_grad(*args):
+            grad_calls.append(1)
+            return original_grad(*args)
+
+        def counted_solve(*args):
+            solves.append(1)
+            return original_solve(*args)
+
+        monkeypatch.setattr(metric, "sh_sum_grad", counted_grad)
+        monkeypatch.setattr(geodesics, "spsolve", counted_solve)
+        rng = np.random.default_rng(34)
+        start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
+        start /= np.linalg.norm(start, axis=-1, keepdims=True)
+        assert _newton_polish(ZONAL, start) is not None
+        assert len(solves) > 0
+        assert len(grad_calls) <= 1 + len(solves) * (1 + 5)
 
     def test_non_symmetric_direction(self):
         start = great_circle_points(find_signed_funk_axes(MIXED.f)[0], 128)
         out = _newton_polish(MIXED, start)
         assert out is not None
-        assert _grad_norm(MIXED, out) < 1e-11
+        assert grad_norm(MIXED, out) < 1e-11
         assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
 
 
@@ -470,8 +558,10 @@ class TestOddWidthProperty:
         if s == 0.0:
             return
         g = make_variation(f, scale * 0.5 / s)
-        res = tighten_sweepout(g, build_sweepout("F", N=9, n=32), passes=0)
-        assert res.trace[0][1] == pytest.approx(TWO_PI, abs=1e-11)
+        # the family maximum before any pass, tighten_sweepout's trace[0][1]
+        sw = build_sweepout("F", N=9, n=32)
+        width = _batch_metric_lengths(g, np.stack([c.vertices for c in sw.curves])).max()
+        assert width == pytest.approx(TWO_PI, abs=1e-11)
 
 
 class TestMonotonicityCounter:

@@ -25,6 +25,7 @@ from systolab.harmonics import (
     sh_size,
     sh_sum,
     sh_sum_grad,
+    _gauss_legendre,
 )
 
 
@@ -215,6 +216,30 @@ class TestQuadrature:
         f = SphericalFunction.harmonic(6, 0)
         with pytest.raises(BandTooLow):
             integrate(f, build_quadrature(5))
+
+    def test_nodes_equal_a_fresh_rule_and_are_read_only(self):
+        from numpy.polynomial.legendre import leggauss
+
+        for band in (0, 5, 18, 40):
+            q = build_quadrature(band)
+            # the quadrature a fresh Gauss-Legendre rule builds
+            zs, wz = leggauss(band // 2 + 1)
+            nphi = band + 1
+            phis = 2.0 * math.pi * np.arange(nphi) / nphi
+            sin_t = np.sqrt(1.0 - zs**2)
+            nodes = np.column_stack([
+                np.outer(sin_t, np.cos(phis)).ravel(),
+                np.outer(sin_t, np.sin(phis)).ravel(),
+                np.outer(zs, np.ones(nphi)).ravel(),
+            ])
+            np.testing.assert_array_equal(q.nodes, nodes)
+            np.testing.assert_array_equal(q.weights, np.repeat(wz, nphi) * (2.0 * math.pi / nphi))
+            np.testing.assert_array_equal(build_quadrature(band).nodes, q.nodes)
+        rule = _gauss_legendre(10)
+        assert _gauss_legendre(10) is rule
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_projection_recovers_coefficients(self):
         rng = np.random.default_rng(22)
