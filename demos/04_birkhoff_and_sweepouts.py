@@ -7,8 +7,9 @@ Two engines produce closed geodesics here:
     red-black half-pass at a time.  Every accepted pass is length-non-
     increasing by construction, so whatever it converges to certifies an
     upper bound for the length of some closed geodesic.
-  * tighten_sweepout shortens a whole one-parameter family at once.  The
-    maximum length over the family (its width) can only decrease, and the
+  * tighten_sweepout tightens a whole one-parameter family, shortening
+    the members that can still reach its maximum length.  That maximum
+    (the family's width) can only decrease, and the
     minimax principle says the width of a sweepout bounds the shortest
     closed geodesic from above — on positively curved spheres, the systole.
 

@@ -18,10 +18,10 @@ collapsed: it is converging to a point, which the systole must exclude.
 Sweepouts realize the two families the minimax argument uses — the
 half-turn loop of great circles, and for a fixed axis the stack of parallel
 circles closed up by point curves along a half great circle.  Tightening a
-sweepout shortens every member per iteration; the family maximum is a
-certified upper bound for the minimax level, and the member attaining it is
-polished to a discrete closed geodesic (Newton on the stationarity system)
-to serve as witness.
+sweepout shortens the members that can still reach the family maximum; that
+maximum is a certified upper bound for the minimax level, and the member
+attaining it is polished to a discrete closed geodesic (Newton on the
+stationarity system) to serve as witness.
 """
 
 from __future__ import annotations
@@ -288,8 +288,7 @@ def _half_pass(g, X, parity, active, newton_iters=3):
     return disp
 
 
-def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=None,
-                min_decrease=0.0):
+def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=None):
     """Drive Birkhoff passes on a batch of curves, in place.
 
     active, collapsed and residuals are per-curve state updated in place: a
@@ -300,18 +299,20 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
     move, so its length carries over and its length increase is exactly 0.
     Each pass asserts the length monotonicity the acceptance rule
     guarantees; a violation beyond MONOTONE_SLACK is counted and raised.
-    Returns (lengths, passes_done).
+    The passes run until max_passes or until every curve froze, and
+    on_pass(k, lengths) sees the lengths after pass k.  Returns (lengths,
+    passes), passes counting per curve the passes it moved in.
     """
     global _length_increase_violations
     lengths = _batch_metric_lengths(g, X)
-    passes_done = 0
-    for _ in range(max_passes):
+    passes = np.zeros(X.shape[0], dtype=int)
+    for k in range(1, max_passes + 1):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         d0 = _half_pass(g, X, 0, active)
         d1 = _half_pass(g, X, 1, active)
-        passes_done += 1
+        passes[rows] += 1
         moved = X[rows]
         new_lengths = _batch_metric_lengths(g, moved)
         increase = new_lengths - lengths[rows]
@@ -320,7 +321,6 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
             raise SystolabError(
                 f"Birkhoff pass increased a curve length by {float(increase.max()):.3e}"
             )
-        drop = -float(increase.min())
         lengths[rows] = new_lengths
         residuals[rows] = np.maximum(d0[rows], d1[rows])
         newly_collapsed = rows[_batch_round_lengths(moved) < COLLAPSE_THRESHOLD]
@@ -328,10 +328,8 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
         active[newly_collapsed] = False
         active &= residuals >= tol
         if on_pass is not None:
-            on_pass(passes_done, lengths)
-        if min_decrease > 0.0 and drop < min_decrease:
-            break
-    return lengths, passes_done
+            on_pass(k, lengths)
+    return lengths, passes
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +502,9 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
     Alternates chunks of Birkhoff passes with drift extrapolation and Newton
     polish on the curves that have not yet frozen; each polish is followed
     by a measuring pass so the reported residual is an honest per-pass
-    vertex displacement.
+    vertex displacement.  Returns (lengths, residuals, collapsed, passes),
+    passes counting per curve the passes it moved in: a curve moves in every
+    pass until it freezes, so its count is the one it gets alone.
     """
     B = X.shape[0]
     spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
@@ -513,13 +513,15 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
     attempts = np.zeros(B, dtype=int)
     lengths = _batch_metric_lengths(g, X)
     residuals = np.where(active, np.inf, 0.0)
-    passes = 0
-    while passes < max_iter and active.any():
-        chunk = min(polish_every, max_iter - passes)
+    passes = np.zeros(B, dtype=int)
+    # the curve active longest moved in every pass, so passes.max() is the
+    # number of passes the batch ran
+    while active.any() and passes.max() < max_iter:
+        chunk = min(polish_every, max_iter - passes.max())
         before = X.copy()
         lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk, tol)
         passes += done
-        if not active.any() or passes >= max_iter:
+        if not active.any() or passes.max() >= max_iter:
             break
         lengths = _extrapolate_batch(g, X, active, lengths, X - before)
         for i in np.flatnonzero(active & (attempts < 6)):
@@ -573,7 +575,7 @@ def birkhoff_shorten(g, curve, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     out = DiscreteClosedCurve(X[0])
     energy = 0.0 if out.is_point else curve_energy(g, out)
     return GeodesicResult(
-        out, float(lengths[0]), energy, float(residuals[0]), bool(collapsed[0]), passes
+        out, float(lengths[0]), energy, float(residuals[0]), bool(collapsed[0]), int(passes[0])
     )
 
 
@@ -648,7 +650,9 @@ class TightenResult:
     minimax level); witness is the maximal member shortened all the way to a
     discrete closed geodesic (None if it collapsed); trace records
     (iteration, max_length, argmax_index) per pass; lengths and collapsed
-    give the final per-member state.
+    give the final per-member state, in which a member never shortened (a
+    point curve, or one that could not reach the maximum) keeps its initial
+    length and is not collapsed.
     """
 
     __slots__ = ("width", "witness", "trace", "lengths", "collapsed")
@@ -662,30 +666,54 @@ class TightenResult:
 
 
 def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
-    """Shorten every member of a sweepout and report the family width.
+    """Shorten the members of a sweepout that can set its width, and report it.
 
-    Runs up to `passes` Birkhoff passes on all members simultaneously
-    (stopping early when the maximum length stalls), then polishes the
-    member attaining the width into a witness geodesic.  The width after
-    any number of length-non-increasing passes is a certified upper bound
-    for the minimax level of the family.
+    A pass lengthens no curve by more than MONOTONE_SLACK, so a member of
+    initial length L0 can reach a maximum M only if L0 + passes *
+    MONOTONE_SLACK >= M, and only those contenders are shortened.  The
+    moving members of largest L0 run up to `passes` Birkhoff passes,
+    stopping once all of them froze; every member that can still reach
+    their maximum then joins and runs the same passes from its own initial
+    state (curves shorten independently, so its lengths are those of a run
+    of the whole family), until no member has to join.  Trace row k is
+    (k, max_length, argmax_index) after pass k, the other members counted
+    at L0, strictly below the maximum; the trace ends when every contender
+    froze.  The member attaining the width is then polished into a witness
+    geodesic.  The width after any number of length-non-increasing passes
+    is a certified upper bound for the minimax level of the family.
     """
     counts = {c.vertices.shape[0] for c in sw.curves}
     if len(counts) != 1:
         raise ValueError("sweepout members must share one vertex count")
     X = np.stack([c.vertices for c in sw.curves]).astype(float)
-    active = np.array([not c.is_point for c in sw.curves])
-    collapsed = np.zeros(len(sw.curves), dtype=bool)
+    moving = np.array([not c.is_point for c in sw.curves])
     lengths0 = _batch_metric_lengths(g, X)
-    trace = [(0, float(lengths0.max()), int(np.argmax(lengths0)))]
-
-    def on_pass(k, lens):
-        trace.append((k, float(lens.max()), int(np.argmax(lens))))
-
-    residuals = np.where(active, np.inf, 0.0)
-    lengths, done = _run_passes(
-        g, X, active, collapsed, residuals, passes, tol, on_pass=on_pass, min_decrease=1e-12
-    )
+    lengths = lengths0.copy()
+    collapsed = np.zeros(len(sw.curves), dtype=bool)
+    contenders = np.zeros(len(sw.curves), dtype=bool)
+    runs = []  # (rows, lengths of those rows after pass 0, 1, ...)
+    reach = lengths0[moving].max() if moving.any() else math.inf
+    while True:
+        joining = moving & ~contenders & (lengths0 + passes * MONOTONE_SLACK >= reach)
+        if not joining.any():
+            break
+        rows = np.flatnonzero(joining)
+        sub, sub_collapsed = X[rows], np.zeros(rows.size, dtype=bool)
+        history = [lengths0[rows]]
+        lengths[rows], _ = _run_passes(
+            g, sub, np.ones(rows.size, dtype=bool), sub_collapsed, np.full(rows.size, np.inf),
+            passes, tol, on_pass=lambda k, lens: history.append(lens.copy()),
+        )
+        X[rows], collapsed[rows] = sub, sub_collapsed
+        runs.append((rows, history))
+        contenders |= joining
+        reach = lengths[contenders].max()
+    trace = []
+    current = lengths0.copy()
+    for k in range(max((len(history) for _, history in runs), default=1)):
+        for rows, history in runs:
+            current[rows] = history[min(k, len(history) - 1)]
+        trace.append((k, float(current.max()), int(np.argmax(current))))
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
     witness = None
@@ -822,7 +850,7 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         seed_axes = np.concatenate([np.asarray(extra), seed_axes], axis=0)
         tags = [f"funk-circle{k}" for k in range(len(extra))] + tags
     X = circle_points(seed_axes, 0.0, n)
-    lengths, residuals, collapsed, _ = _shorten_batch(g, X, tol, SEED_PASSES)
+    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
         # a curve still sliding is neither a geodesic nor a certified bound
         if collapsed[k] or not residuals[k] < 1e-6:
@@ -830,7 +858,7 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         out = DiscreteClosedCurve(X[k])
         result = GeodesicResult(
             out, float(lengths[k]), curve_energy(g, out),
-            float(residuals[k]), False, 0,
+            float(residuals[k]), False, int(passes[k]),
         )
         record(f"geodesic-{tag}", lengths[k], result)
 

@@ -24,6 +24,7 @@ from systolab.circles import (
 from systolab.experiments import write_trace, write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
+    MONOTONE_SLACK,
     GeodesicResult,
     Sweepout,
     SystoleReport,
@@ -40,6 +41,7 @@ from systolab.geodesics import (
     _batch_metric_lengths,
     _energy_gradient,
     _grid_width,
+    _half_pass,
     _local_lengths,
     _newton_polish,
     _polygon_energy,
@@ -213,7 +215,7 @@ class TestBatchedShortening:
 
         lengths, done = _run_passes(ZONAL, X, active, collapsed, residuals, 20, 1e-10,
                                     on_pass=on_pass)
-        assert done == 20 and len(seen) == 20
+        assert list(done) == [0, 1, 20, 20] and len(seen) == 20
         assert not seen[-1][2][:2].any() and seen[-1][2][2:].all()
         for carried, full, _ in seen:
             np.testing.assert_array_equal(carried, full)
@@ -229,7 +231,9 @@ class TestBatchedShortening:
         _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400)
         pair = circle_points(axes[[5, 12]], 0.0, 64)
         _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400)
-        assert pair_passes > solo_passes
+        assert pair_passes[1] > solo_passes[0] > 0
+        # each curve counts the passes it moved in, the count it gets alone
+        assert pair_passes[0] == solo_passes[0]
         assert 0.0 < solo[0] < 1e-10
         assert both[0] == solo[0]
 
@@ -372,6 +376,49 @@ class TestSweepoutConstruction:
             build_sweepout("H")
 
 
+def tighten_every_member(g, sw, passes, tol=1e-10):
+    """Reference run of a whole family: every moving member through the passes.
+
+    Returns (width, argmax, witness, trace, lengths), the trace recording
+    every pass until every member froze.
+    """
+    X = np.stack([c.vertices for c in sw.curves]).astype(float)
+    active = np.array([not c.is_point for c in sw.curves])
+    lengths0 = _batch_metric_lengths(g, X)
+    trace = [(0, float(lengths0.max()), int(np.argmax(lengths0)))]
+
+    def on_pass(k, lengths):
+        trace.append((k, float(lengths.max()), int(np.argmax(lengths))))
+
+    lengths, _ = _run_passes(g, X, active, np.zeros(len(X), dtype=bool),
+                             np.where(active, np.inf, 0.0), passes, tol, on_pass=on_pass)
+    arg = int(np.argmax(lengths))
+    witness = birkhoff_shorten(g, DiscreteClosedCurve(X[arg]), tol=tol)
+    return float(lengths.max()), arg, witness, trace, lengths
+
+
+def assert_same_as_every_member(g, sw, passes):
+    """tighten_sweepout agrees bit for bit with the whole family's run."""
+    res = tighten_sweepout(g, sw, passes)
+    width, arg, witness, trace, lengths = tighten_every_member(g, sw, passes)
+    assert res.width == width
+    assert int(np.argmax(res.lengths)) == arg
+    np.testing.assert_array_equal(res.witness.curve.vertices, witness.curve.vertices)
+    assert res.witness.length == witness.length
+    # the trace may end early, once every contender froze: the whole run's
+    # later rows repeat its last one
+    assert res.trace == trace[: len(res.trace)]
+    assert all(row[1:] == res.trace[-1][1:] for row in trace[len(res.trace):])
+    # a member is shortened as in the whole run, or it kept its initial
+    # length, too short to reach the width
+    lengths0 = _batch_metric_lengths(g, np.stack([c.vertices for c in sw.curves]))
+    kept = res.lengths != lengths
+    np.testing.assert_array_equal(res.lengths[kept], lengths0[kept])
+    assert np.all(lengths0[kept] + passes * MONOTONE_SLACK < width)
+    assert not res.collapsed[kept].any()
+    return res
+
+
 class TestTightenSweepout:
     def test_round_family_f_width(self):
         res = tighten_sweepout(ROUND, build_sweepout("F"), passes=10)
@@ -407,6 +454,51 @@ class TestTightenSweepout:
         widths = [row[1] for row in res.trace]
         assert iterations == list(range(len(iterations)))
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+
+    @pytest.mark.parametrize("g, axis", [
+        (ZONAL, POLE),
+        (ZONAL, fibonacci_axes(GRID_AXES)[7]),
+        (MIXED, find_signed_funk_axes(MIXED.f)[0]),
+        (MIXED, find_signed_funk_axes(MIXED.f)[1]),
+        (MIXED, fibonacci_axes(GRID_AXES)[0]),
+    ], ids=["zonal-pole", "zonal-grid7", "mixed-funk-min", "mixed-funk-max", "mixed-grid0"])
+    def test_contenders_match_the_whole_family(self, g, axis):
+        assert_same_as_every_member(g, build_sweepout("G", N=17, n=32, axis=axis), 40)
+
+    def test_contender_set_grows(self):
+        # a wiggly equator starts longest but loses its wiggles within a few
+        # passes, so the tilted circles it started above must join; the
+        # small circle stays far below and is never shortened
+        rng = np.random.default_rng(0)
+        wiggly = great_circle_points(POLE, 32) + 0.02 * rng.standard_normal((32, 3))
+        wiggly /= np.linalg.norm(wiggly, axis=-1, keepdims=True)
+        tilted = circle_points(np.array([[math.sin(a), 0.0, math.cos(a)] for a in (0.3, 0.15)]),
+                               0.0, 32)
+        members = [wiggly, *tilted, circle_points(POLE, 0.5, 32)]
+        sw = Sweepout("G", POLE, [DiscreteClosedCurve(v) for v in members], np.arange(4) / 3)
+        res = assert_same_as_every_member(ZONAL, sw, 40)
+        lengths0 = _batch_metric_lengths(ZONAL, np.stack(members))
+        assert res.trace[0][2] == 0 and res.trace[-1][2] == 1
+        assert np.all(res.lengths[:3] < lengths0[:3])
+        assert res.lengths[3] == lengths0[3]
+
+    def test_only_contenders_pass(self, monkeypatch):
+        # the equator of G(pole) is the longest member and a discrete geodesic
+        # of ZONAL; no other circle of the stack can reach its length
+        import systolab.geodesics as geodesics
+
+        seen = []
+
+        def counting(g, X, parity, active, *args):
+            seen.append(int(np.count_nonzero(active)))
+            return _half_pass(g, X, parity, active, *args)
+
+        monkeypatch.setattr(geodesics, "_half_pass", counting)
+        sw = build_sweepout("G", N=17, n=32, axis=POLE)
+        res = tighten_sweepout(ZONAL, sw, 40)
+        moving = sum(1 for c in sw.curves if not c.is_point)
+        assert res.width == pytest.approx(TWO_PI + 0.1 * FUNK_Y20_POLE, abs=1e-9)
+        assert seen and max(seen) <= 2 < moving
 
     def test_mixed_vertex_counts_rejected(self):
         a = DiscreteClosedCurve(great_circle_points(POLE, 32))
@@ -520,6 +612,14 @@ class TestEstimateSystole:
         rep = estimate_systole(g)
         assert rep.systole <= TWO_PI + 1e-10
         assert rep.systole == pytest.approx(TWO_PI, abs=5e-3)
+
+    def test_seed_witness_reports_its_passes(self):
+        g = make_variation(SphericalFunction.harmonic(2, 0), -0.1)
+        rep = estimate_systole(g, N=17, n=32)
+        won = {tag for tag, length in rep.candidates
+               if tag.startswith("geodesic-") and length == rep.witness.length}
+        assert won and all(tag.startswith("geodesic-seed") for tag in won)
+        assert rep.witness.passes > 0
 
     def test_report_shape(self):
         rep = estimate_systole(ROUND)
