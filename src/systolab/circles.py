@@ -27,7 +27,7 @@ from .harmonics import (
     normalize_points,
     sh_degrees,
 )
-from .metric import DiscreteClosedCurve, _polish_extrema, circle_frame
+from .metric import _polish_extrema, circle_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,41 +57,6 @@ def circle_points(axes, offsets, m):
         + r * (np.cos(phi)[:, None] * e1[..., None, :])
         + r * (np.sin(phi)[:, None] * e2[..., None, :])
     )
-
-
-class CircleSpec:
-    """Circle of S^2: axis u and signed offset s in [-1, 1].
-
-    s = 0 is the great circle gamma(u); |s| = 1 degenerates to the point
-    +/-u; in between, the geometric radius is sqrt(1 - s^2).
-    """
-
-    __slots__ = ("axis", "offset")
-
-    def __init__(self, axis, offset=0.0):
-        self.axis = normalize_points(np.asarray(axis, dtype=float))
-        s = float(offset)
-        if not -1.0 <= s <= 1.0:
-            raise ValueError(f"offset must lie in [-1, 1], got {s}")
-        self.offset = s
-
-    @property
-    def radius(self):
-        return math.sqrt(max(0.0, 1.0 - self.offset**2))
-
-    def points(self, m):
-        """m points uniformly spaced in arc length, screw-rule order."""
-        return circle_points(self.axis, self.offset, m)
-
-    def __repr__(self):
-        return f"CircleSpec(axis={np.round(self.axis, 6)}, offset={self.offset})"
-
-
-def sample_circle(spec, m):
-    """Discretize a circle into a closed curve of m uniformly spaced vertices."""
-    if m < 3:
-        raise ValueError(f"need at least 3 sample points, got {m}")
-    return DiscreteClosedCurve(spec.points(m))
 
 
 def great_circle_points(u, m):

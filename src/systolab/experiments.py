@@ -425,12 +425,6 @@ def emit_report(rows, path, fmt="csv"):
     _write_text(path, render_report(rows, fmt=fmt), "report")
 
 
-def write_trace(trace, path):
-    """Dump a tightening trace as CSV rows (iteration, max_length, argmax_index)."""
-    text = _csv_text(("iteration", "max_length", "argmax_index"), trace)
-    return _write_text(path, text, "trace")
-
-
 def write_witness_curve(witness, path):
     """Dump a witness curve's vertices as CSV rows (x, y, z)."""
     if witness is None:

@@ -45,6 +45,7 @@ from .metric import (
     _arc_lengths,
     _dots,
     _norms,
+    _polygon_edges,
     _sin_cos,
     circle_frame,
     curve_energy,
@@ -61,12 +62,9 @@ DEFAULT_VERTICES = 128
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
-#: Fixed shape of the systole estimate: Birkhoff passes per G family, axes of
-#: the G grid, axes of smallest initial width (Funk or grid) tightened in
-#: full, random seed circles, and the pass budget of the seed pool.
+#: Fixed shape of the systole estimate: Birkhoff passes per G family, random
+#: seed circles, and the pass budget of the seed pool.
 FAMILY_PASSES = 40
-GRID_AXES = 26
-DEEP_AXES = 2
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
 
@@ -188,20 +186,14 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
 # ---------------------------------------------------------------------------
 
 
+def _edge_lengths(g, mids, arcs):
+    """Metric lengths (midpoint rule) of polygons from their _polygon_edges."""
+    return np.sum(g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs, axis=-1)
+
+
 def _batch_metric_lengths(g, X):
     """Metric lengths (midpoint rule) of a batch of closed polygons (B, n, 3)."""
-    B, n, _ = X.shape
-    nxt = np.roll(X, -1, axis=1)
-    mids = X + nxt
-    mids /= np.maximum(_norms(mids), 1e-30)[..., None]
-    arcs = _arc_lengths(X, nxt)
-    w = g.w_flat(mids.reshape(-1, 3)).reshape(B, n)
-    return np.sum(w * arcs, axis=1)
-
-
-def _batch_round_lengths(X):
-    """Round lengths of a batch of closed polygons, for collapse detection."""
-    return _arc_lengths(X, np.roll(X, -1, axis=1)).sum(axis=1)
+    return _edge_lengths(g, *_polygon_edges(X))
 
 
 def _local_lengths(g, a, x, b):
@@ -313,8 +305,8 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
         d0 = _half_pass(g, X, 0, active)
         d1 = _half_pass(g, X, 1, active)
         passes[rows] += 1
-        moved = X[rows]
-        new_lengths = _batch_metric_lengths(g, moved)
+        mids, arcs = _polygon_edges(X[rows])
+        new_lengths = _edge_lengths(g, mids, arcs)
         increase = new_lengths - lengths[rows]
         if np.any(increase > MONOTONE_SLACK):
             _length_increase_violations += int(np.sum(increase > MONOTONE_SLACK))
@@ -323,7 +315,7 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
             )
         lengths[rows] = new_lengths
         residuals[rows] = np.maximum(d0[rows], d1[rows])
-        newly_collapsed = rows[_batch_round_lengths(moved) < COLLAPSE_THRESHOLD]
+        newly_collapsed = rows[arcs.sum(axis=1) < COLLAPSE_THRESHOLD]
         collapsed[newly_collapsed] = True
         active[newly_collapsed] = False
         active &= residuals >= tol
@@ -366,12 +358,9 @@ def _energy_gradient(g, V):
 
 def _polygon_energy(g, V):
     """Discrete energy of one closed polygon (n, 3)."""
-    n = V.shape[0]
-    nxt = np.roll(V, -1, axis=0)
-    mids = V + nxt
-    mids /= np.maximum(_norms(mids), 1e-30)[:, None]
-    seg = g.w_flat(mids) * _arc_lengths(V, nxt)
-    return float(np.sum(seg * seg) / (2.0 * TWO_PI / n))
+    mids, arcs = _polygon_edges(V)
+    seg = g.w_flat(mids) * arcs
+    return float(np.sum(seg * seg) / (2.0 * TWO_PI / V.shape[0]))
 
 
 def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
@@ -486,9 +475,9 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
             break
         Y = X[trial] + factor * drift[trial]
         Y /= np.maximum(_norms(Y), 1e-30)[..., None]
-        new_lengths = _batch_metric_lengths(g, Y)
-        edges = _arc_lengths(Y, np.roll(Y, -1, axis=1))
-        ok = (new_lengths <= lengths[trial]) & (edges.max(axis=1) < 1.4)
+        mids, arcs = _polygon_edges(Y)
+        new_lengths = _edge_lengths(g, mids, arcs)
+        ok = (new_lengths <= lengths[trial]) & (arcs.max(axis=1) < 1.4)
         good = trial[ok]
         X[good] = Y[ok]
         lengths[good] = new_lengths[ok]
@@ -604,25 +593,26 @@ class Sweepout:
         return len(self.curves)
 
 
-def _parallel_offsets(N):
-    """Offsets s of the parallel circles gamma(u, s) of family G with N members."""
-    n_circles = N - 2 * max(2, N // 8)  # even point-curve count: s = 0 is a member
-    return -1.0 + 2.0 * np.arange(n_circles) / (n_circles - 1)
+def _check_shape(N, n):
+    """Reject a family size N or a vertex count n the shortening cannot use.
 
-
-def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
-    """Construct the discrete family F or G(axis) with N members, n vertices.
-
-    The circles of either family come from one circle_points call; the
-    offsets of G come from _parallel_offsets(N), which the grid ranking of
-    estimate_systole shares.  N must be odd (>= 9) so family G contains the
-    exact great circle s = 0; n must be even (>= 32) for the
-    alternating-parity shortening passes.
+    N must be odd (>= 9) so family G contains the exact great circle s = 0;
+    n must be even (>= 32) so the two parity classes of the alternating
+    passes tile the edges.
     """
     if N < 9 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 9")
     if n < 32 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 32")
+
+
+def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
+    """Construct the discrete family F or G(axis) with N members, n vertices.
+
+    The circles of either family come from one circle_points call.  N must
+    be odd (>= 9) and n even (>= 32); _check_shape says why.
+    """
+    _check_shape(N, n)
     params = np.arange(N) / (N - 1)
     if kind == "F":
         axes = [(math.cos(a), math.sin(a), 0.0) for a in math.pi * np.arange(N) / (N - 1)]
@@ -632,7 +622,9 @@ def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
         if axis is None:
             raise ValueError("family G needs an axis")
         u = normalize_points(np.asarray(axis, dtype=float))
-        curves = [DiscreteClosedCurve(c) for c in circle_points(u, _parallel_offsets(N), n)]
+        n_circles = N - 2 * max(2, N // 8)  # even point-curve count: s = 0 is a member
+        offsets = -1.0 + 2.0 * np.arange(n_circles) / (n_circles - 1)
+        curves = [DiscreteClosedCurve(c) for c in circle_points(u, offsets, n)]
         n_points = N - len(curves)
         e1, _ = circle_frame(u)
         for k in range(1, n_points + 1):
@@ -727,20 +719,6 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def fibonacci_axes(count):
-    """Deterministic, roughly uniform axes on the upper half sphere.
-
-    Great circles only see axes up to sign, so the grid stays on z > 0 to
-    avoid antipodal duplicates.
-    """
-    k = np.arange(count, dtype=float)
-    z = (k + 0.5) / count
-    r = np.sqrt(1.0 - z * z)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    phi = TWO_PI * k / golden**2
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
 class SystoleReport:
     """Everything the systole estimate produced.
 
@@ -775,33 +753,22 @@ class SystoleReport:
         )
 
 
-def _grid_width(g, axis, N, n):
-    """Initial width of G(axis): the length of its longest parallel circle.
-
-    The circles are sampled and renormalized as build_sweepout and
-    DiscreteClosedCurve make them, so this is the family's maximum before
-    any pass, without building its curves.
-    """
-    u = normalize_points(np.asarray(axis, dtype=float))
-    X = normalize_points(circle_points(u, _parallel_offsets(N), n))
-    return float(_batch_metric_lengths(g, X).max())
-
-
 def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
     """Estimate the systole of g as the minimum over two candidate pools.
 
-    (a) the parallel-circle families G(u), tightened in full at the signed
-        extreme axes of the Funk transform of the direction (where the short
-        geodesics live at first order) and at the DEEP_AXES axes of smallest
-        initial width among the Funk and grid axes together, so a Funk axis
-        among them leaves one grid axis fewer; that width is the longest
-        parallel circle of the axis, so only the tightened families are
-        built,
-    (b) seeded great circles shortened to closed geodesics directly.
+    (a) the parallel-circle families G(u) at the two signed extreme axes of
+        the Funk transform of the direction, where the short geodesics live
+        at first order (none for the round metric or an odd direction),
+    (b) seeded great circles shortened to closed geodesics directly: one at
+        each signed Funk axis and SEED_CIRCLES random ones.
 
-    Collapsed curves are excluded.  Returns a SystoleReport whose witness is
-    the shortest candidate realized by an actual discrete geodesic.
+    When neither pool yields a candidate, the loop F of great circles is
+    tightened instead.  Collapsed curves are excluded.  N and n are checked
+    as build_sweepout checks them, whether or not a family is built.
+    Returns a SystoleReport whose witness is the shortest candidate realized
+    by an actual discrete geodesic.
     """
+    _check_shape(N, n)
     warnings_log = []
     try:
         curvature_min = float(min_curvature(g))
@@ -821,34 +788,26 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         if result is not None and not result.collapsed:
             witnesses.append((tag, result))
 
-    # (a) the parallel-circle families; the grid's initial widths only pick
-    # which grid axes are tightened
-    axes = [(f"grid{k}", u) for k, u in enumerate(fibonacci_axes(GRID_AXES))]
-    if not g.is_round:
-        signed = find_signed_funk_axes(g.f)
-        if signed is not None:
-            u0, u1 = signed
-            axes = [("funk-min", u0), ("funk-max", u1)] + axes
-    widths0 = np.array([_grid_width(g, u, N, n) for _, u in axes])
-    n_signed = sum(1 for tag, _ in axes if tag.startswith("funk-"))
-    deep = set(range(n_signed))
-    deep |= set(np.argsort(widths0)[:DEEP_AXES].tolist())
-    for i, (tag, u) in enumerate(axes):
-        if i in deep:
-            res = tighten_sweepout(g, build_sweepout("G", N, n, axis=u), FAMILY_PASSES, tol)
-            record(f"family-G-{tag}", res.width)
-            if res.witness is not None and not res.witness.collapsed:
-                record(f"geodesic-G-{tag}", res.witness.length, res.witness)
+    def tighten(tag, sw):
+        res = tighten_sweepout(g, sw, FAMILY_PASSES, tol)
+        record(f"family-{tag}", res.width)
+        if res.witness is not None and not res.witness.collapsed:
+            record(f"geodesic-{tag}", res.witness.length, res.witness)
+
+    # (a) the parallel-circle families at the signed Funk axes
+    signed = None if g.is_round else find_signed_funk_axes(g.f)
+    axes = [] if signed is None else [("funk-min", signed[0]), ("funk-max", signed[1])]
+    for tag, u in axes:
+        tighten(f"G-{tag}", build_sweepout("G", N, n, axis=u))
 
     # (b) seeded great circles shortened to geodesics
     rng = np.random.default_rng(seed)
     seed_axes = rng.normal(size=(SEED_CIRCLES, 3))
     seed_axes /= np.linalg.norm(seed_axes, axis=-1, keepdims=True)
     tags = [f"seed{k}" for k in range(SEED_CIRCLES)]
-    extra = [u for tag, u in axes if tag.startswith("funk-")]
-    if extra:
-        seed_axes = np.concatenate([np.asarray(extra), seed_axes], axis=0)
-        tags = [f"funk-circle{k}" for k in range(len(extra))] + tags
+    if axes:
+        seed_axes = np.concatenate([np.asarray([u for _, u in axes]), seed_axes], axis=0)
+        tags = [f"funk-circle{k}" for k in range(len(axes))] + tags
     X = circle_points(seed_axes, 0.0, n)
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
@@ -861,6 +820,13 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
             float(residuals[k]), False, int(passes[k]),
         )
         record(f"geodesic-{tag}", lengths[k], result)
+
+    if not candidates:
+        # no family was built and every seed collapsed or kept sliding (odd
+        # directions at coarse n do this).  The Funk transform vanishes, so
+        # every great circle has the round length and no axis stands out:
+        # the loop F of great circles bounds the systole.
+        tighten("F", build_sweepout("F", N, n))
 
     valid = [(tag, length) for tag, length in candidates if length > COLLAPSE_THRESHOLD]
     if not valid:

@@ -411,11 +411,7 @@ class DiscreteClosedCurve:
     def edges(self):
         """(midpoints, round arc lengths) of the n closing edges, cached."""
         if self._edges is None:
-            v = self.vertices
-            nxt = np.roll(v, -1, axis=0)
-            mids = v + nxt
-            mids = mids / _norms(mids)[:, None]
-            self._edges = (mids, _arc_lengths(v, nxt))
+            self._edges = _polygon_edges(self.vertices)
         return self._edges
 
     def round_length(self):
@@ -457,6 +453,14 @@ def _sin_cos(p, q):
 def _arc_lengths(p, q):
     """Round distances between paired unit points (robust at small angles)."""
     return np.arctan2(*_sin_cos(p, q))
+
+
+def _polygon_edges(X):
+    """(unit edge midpoints, round arc lengths) of closed polygons (..., n, 3)."""
+    nxt = np.roll(X, -1, axis=-2)
+    mids = X + nxt
+    mids /= np.maximum(_norms(mids), 1e-30)[..., None]
+    return mids, _arc_lengths(X, nxt)
 
 
 def curve_length(g, c):

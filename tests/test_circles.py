@@ -14,9 +14,8 @@ from systolab.harmonics import (
     normalize_points,
     sh_size,
 )
-from systolab.metric import curve_length, make_variation, sup_norm
+from systolab.metric import DiscreteClosedCurve, curve_length, make_variation, sup_norm
 from systolab.circles import (
-    CircleSpec,
     average_great_circle_length,
     circle_frame,
     circle_points,
@@ -26,7 +25,6 @@ from systolab.circles import (
     funk_transform_many,
     great_circle_length,
     great_circle_length_many,
-    sample_circle,
     verify_tangent_bundle_identity,
 )
 from systolab.experiments import write_funk_scan
@@ -90,38 +88,36 @@ class TestCirclePoints:
 
 class TestSampleCircle:
     def test_equator_four_points(self):
-        c = sample_circle(CircleSpec(np.array([0.0, 0.0, 1.0]), 0.0), 4)
+        c = DiscreteClosedCurve(circle_points(np.array([0.0, 0.0, 1.0]), 0.0, 4))
         expected = np.array(
             [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]]
         )
         np.testing.assert_allclose(c.vertices, expected, atol=1e-15)
 
     def test_degenerate_point(self):
-        spec = CircleSpec(np.array([0.0, 0.0, 1.0]), 1.0)
-        c = sample_circle(spec, 16)
+        c = DiscreteClosedCurve(circle_points(np.array([0.0, 0.0, 1.0]), 1.0, 16))
         assert c.is_point
         np.testing.assert_allclose(c.vertices, [[0.0, 0.0, 1.0]] * 16, atol=0.0)
-        south = sample_circle(CircleSpec(np.array([0.0, 0.0, 1.0]), -1.0), 5)
+        south = DiscreteClosedCurve(circle_points(np.array([0.0, 0.0, 1.0]), -1.0, 5))
         np.testing.assert_allclose(south.vertices[0], [0.0, 0.0, -1.0], atol=0.0)
 
     def test_small_circle_circumference(self):
         g = make_variation(SphericalFunction.zeros(2), 0.0)
-        c = sample_circle(CircleSpec(np.array([0.0, 0.0, 1.0]), 0.5), 256)
+        c = DiscreteClosedCurve(circle_points(np.array([0.0, 0.0, 1.0]), 0.5, 256))
         assert curve_length(g, c) == pytest.approx(
             TWO_PI * math.sqrt(1.0 - 0.25), abs=1e-3
         )
 
     def test_uniform_spacing(self):
         rng = np.random.default_rng(1)
-        spec = CircleSpec(random_axis(rng), 0.3)
-        c = sample_circle(spec, 37)
+        c = DiscreteClosedCurve(circle_points(random_axis(rng), 0.3, 37))
         _, arcs = c.edges()
         np.testing.assert_allclose(arcs, arcs[0], atol=1e-12)
 
     def test_screw_rule_orientation(self):
         rng = np.random.default_rng(2)
         u = random_axis(rng)
-        pts = sample_circle(CircleSpec(u, 0.0), 64).vertices
+        pts = DiscreteClosedCurve(circle_points(u, 0.0, 64)).vertices
         # velocity at the first vertex should align with u x position
         vel = pts[1] - pts[0]
         assert np.dot(vel, np.cross(u, pts[0])) > 0.0
@@ -129,16 +125,14 @@ class TestSampleCircle:
     def test_offset_height_and_radius(self):
         rng = np.random.default_rng(3)
         u = random_axis(rng)
-        spec = CircleSpec(u, -0.4)
-        pts = sample_circle(spec, 50).vertices
+        pts = DiscreteClosedCurve(circle_points(u, -0.4, 50)).vertices
         np.testing.assert_allclose(pts @ u, -0.4, atol=1e-12)
-        assert spec.radius == pytest.approx(math.sqrt(1 - 0.16), abs=1e-15)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            CircleSpec(np.array([0.0, 0.0, 1.0]), 1.5)
+            circle_points(np.array([0.0, 0.0, 1.0]), 1.5, 8)
         with pytest.raises(ValueError):
-            sample_circle(CircleSpec(np.array([0.0, 0.0, 1.0])), 2)
+            DiscreteClosedCurve(circle_points(np.array([0.0, 0.0, 1.0]), 0.0, 2))
 
     def test_frame_equals_the_numpy_cross_frame(self):
         rng = np.random.default_rng(41)
@@ -283,10 +277,8 @@ class TestGreatCircleLength:
     def test_orientation_independence(self):
         f = random_direction(12)
         g = make_variation(f, 0.2)
-        spec = CircleSpec(np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81]), 0.0)
-        c = sample_circle(spec, 128)
-        from systolab.metric import DiscreteClosedCurve
-
+        u = np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
+        c = DiscreteClosedCurve(circle_points(u, 0.0, 128))
         reversed_c = DiscreteClosedCurve(c.vertices[::-1])
         assert curve_length(g, c) == pytest.approx(
             curve_length(g, reversed_c), rel=1e-14

@@ -28,7 +28,7 @@ def write_config(tmp_path, **overrides):
 def fake_estimate(curvature_min):
     """A stand-in for estimate_systole that returns a fixed report at once."""
     def estimate(g, **knobs):
-        return SystoleReport(6.2, None, [("family-G-grid0", 6.2)], curvature_min, [])
+        return SystoleReport(6.2, None, [("family-G-funk-min", 6.2)], curvature_min, [])
     return estimate
 
 

@@ -18,7 +18,6 @@ from systolab.experiments import (
     render_report,
     run_experiment,
     write_funk_scan,
-    write_trace,
     write_witness_curve,
 )
 
@@ -312,15 +311,6 @@ def axis_grid():
 
 
 class TestWriters:
-    def test_trace_bytes(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace([(0, 6.283185307179586, 3), (np.int64(1), np.float64(6.2), 4)], path)
-        assert path.read_bytes() == (
-            b"iteration,max_length,argmax_index\n"
-            b"0,6.283185307179586,3\n"
-            b"1,6.2,4\n"
-        )
-
     def test_witness_curve_bytes(self, tmp_path):
         path = tmp_path / "witness.csv"
         write_witness_curve(np.array([[1, 0, 0], [0.0, 0.6, 0.8], [-0.5, 0.5, 0.1]]), path)
@@ -351,11 +341,10 @@ class TestWriters:
     @pytest.mark.parametrize(
         "write",
         [
-            lambda path: write_trace([(0, 1.0, 0)], path),
             lambda path: write_witness_curve(np.eye(3), path),
             lambda path: write_funk_scan(SphericalFunction.harmonic(2, 0), path),
         ],
-        ids=["trace", "witness", "funk_scan"],
+        ids=["witness", "funk_scan"],
     )
     def test_unwritable_path_raises_io_failure(self, tmp_path, write):
         with pytest.raises(IOFailure, match="could not write"):

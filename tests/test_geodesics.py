@@ -15,13 +15,12 @@ from systolab.metric import (
     make_variation,
 )
 from systolab.circles import (
-    CircleSpec,
     circle_points,
     find_signed_funk_axes,
     funk_transform,
     great_circle_points,
 )
-from systolab.experiments import write_trace, write_witness_curve
+from systolab.experiments import write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     MONOTONE_SLACK,
@@ -30,17 +29,13 @@ from systolab.geodesics import (
     SystoleReport,
     TightenResult,
     birkhoff_shorten,
-    DEEP_AXES,
-    GRID_AXES,
     build_sweepout,
     estimate_systole,
-    fibonacci_axes,
     integrate_geodesic,
     length_increase_violations,
     tighten_sweepout,
     _batch_metric_lengths,
     _energy_gradient,
-    _grid_width,
     _half_pass,
     _local_lengths,
     _newton_polish,
@@ -56,7 +51,9 @@ TWO_PI = 2.0 * math.pi
 ROUND = make_variation(SphericalFunction.zeros(4), 0.0)
 ZONAL = make_variation(SphericalFunction.harmonic(2, 0), 0.1)
 MIXED = make_variation(SphericalFunction.from_pairs([(2, 1, 1.0), (4, 3, 0.5)]), 0.1)
+ODD = make_variation(SphericalFunction.harmonic(3, 0), 0.05)
 POLE = np.array([0.0, 0.0, 1.0])
+TILTED = np.array([0.6, -0.48, 0.64])
 
 # the Funk transform of Y20 at the pole axis and at an equatorial axis
 Y20_POLE = 0.5 * math.sqrt(5.0 / math.pi)
@@ -177,7 +174,7 @@ class TestBirkhoffShorten:
         assert res.length <= curve_length(ZONAL, start)
 
     def test_small_circle_collapses(self):
-        small = DiscreteClosedCurve(CircleSpec(POLE, 0.6).points(32))
+        small = DiscreteClosedCurve(circle_points(POLE, 0.6, 32))
         res = birkhoff_shorten(ZONAL, small, max_iter=3000)
         assert res.collapsed
         assert res.curve.round_length() < COLLAPSE_THRESHOLD
@@ -457,11 +454,11 @@ class TestTightenSweepout:
 
     @pytest.mark.parametrize("g, axis", [
         (ZONAL, POLE),
-        (ZONAL, fibonacci_axes(GRID_AXES)[7]),
+        (ZONAL, TILTED),
         (MIXED, find_signed_funk_axes(MIXED.f)[0]),
         (MIXED, find_signed_funk_axes(MIXED.f)[1]),
-        (MIXED, fibonacci_axes(GRID_AXES)[0]),
-    ], ids=["zonal-pole", "zonal-grid7", "mixed-funk-min", "mixed-funk-max", "mixed-grid0"])
+        (MIXED, TILTED[[1, 2, 0]]),
+    ], ids=["zonal-pole", "zonal-tilted", "mixed-funk-min", "mixed-funk-max", "mixed-tilted"])
     def test_contenders_match_the_whole_family(self, g, axis):
         assert_same_as_every_member(g, build_sweepout("G", N=17, n=32, axis=axis), 40)
 
@@ -508,50 +505,59 @@ class TestTightenSweepout:
             tighten_sweepout(ROUND, sw, passes=1)
 
 
-class TestGridRanking:
-    def test_grid_width_is_the_initial_family_maximum(self):
-        axes = list(find_signed_funk_axes(MIXED.f)) + list(fibonacci_axes(GRID_AXES))
-        ranked = np.array([_grid_width(MIXED, u, 65, 128) for u in axes])
-        built = np.array([
-            _batch_metric_lengths(
-                MIXED, np.stack([c.vertices for c in build_sweepout("G", axis=u).curves])
-            ).max()
-            for u in axes
-        ])
-        assert len(axes) == 28
-        np.testing.assert_array_equal(ranked, built)
-        assert np.array_equal(np.argsort(ranked)[:DEEP_AXES], np.argsort(built)[:DEEP_AXES])
+def count_builds(monkeypatch):
+    """Record (kind, axis) of every sweepout estimate_systole builds."""
+    import systolab.geodesics as geodesics
 
-    def test_estimate_builds_only_the_deep_families(self, monkeypatch):
-        import systolab.geodesics as geodesics
+    built = []
 
-        built = []
+    def counting(kind, *args, **kwargs):
+        sw = build_sweepout(kind, *args, **kwargs)
+        built.append((kind, sw.axis))
+        return sw
 
-        def counting(kind, *args, **kwargs):
-            built.append(kind)
-            return build_sweepout(kind, *args, **kwargs)
+    monkeypatch.setattr(geodesics, "build_sweepout", counting)
+    return built
 
-        monkeypatch.setattr(geodesics, "build_sweepout", counting)
-        report = estimate_systole(ZONAL, N=17, n=32)
-        families = [tag for tag, _ in report.candidates if tag.startswith("family-G-")]
-        assert built == ["G"] * len(families)
-        assert 2 < len(families) <= 2 + DEEP_AXES
+
+class TestFamilyPool:
+    @pytest.mark.parametrize("g, n, families", [
+        (ZONAL, 32, 2),
+        (ROUND, 32, 0),
+        (ODD, 64, 0),
+    ], ids=["zonal", "round", "odd"])
+    def test_one_family_per_signed_funk_axis(self, monkeypatch, g, n, families):
+        built = count_builds(monkeypatch)
+        report = estimate_systole(g, N=17, n=n)
+        tags = [tag for tag, _ in report.candidates if tag.startswith("family-")]
+        assert len(built) == len(tags) == families
+        if families:
+            assert tags == ["family-G-funk-min", "family-G-funk-max"]
+            for (kind, axis), u in zip(built, find_signed_funk_axes(g.f)):
+                assert kind == "G"
+                np.testing.assert_allclose(axis, u, rtol=0.0, atol=1e-15)
+
+    def test_great_circle_loop_when_no_candidate_survives(self, monkeypatch):
+        # at n = 32 every seed circle of the odd direction collapses, and no
+        # Funk axis gives a family
+        built = count_builds(monkeypatch)
+        report = estimate_systole(ODD, N=17, n=32)
+        assert built == [("F", None)]
+        tags = [tag for tag, _ in report.candidates]
+        assert tags[0] == "family-F"
+        assert not any(tag.startswith("geodesic-seed") for tag in tags)
+        assert report.systole <= TWO_PI + 1e-12
+        assert report.systole == pytest.approx(TWO_PI, abs=1e-3)
+
+    @pytest.mark.parametrize("g", [ROUND, ODD], ids=["round", "odd"])
+    @pytest.mark.parametrize("shape", [dict(n=33), dict(n=30), dict(N=8)],
+                             ids=["n33", "n30", "N8"])
+    def test_shape_is_checked_without_a_family(self, g, shape):
+        with pytest.raises(ValueError):
+            estimate_systole(g, **shape)
 
 
 class TestWriters:
-    def test_trace_roundtrip(self, tmp_path):
-        res = tighten_sweepout(ZONAL, build_sweepout("F", N=9, n=32), passes=5)
-        path = tmp_path / "trace.csv"
-        write_trace(res.trace, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "max_length", "argmax_index"]
-        assert len(rows) == len(res.trace) + 1
-        for row, (it, ml, am) in zip(rows[1:], res.trace):
-            assert int(row[0]) == it
-            assert float(row[1]) == ml
-            assert int(row[2]) == am
-
     def test_witness_roundtrip(self, tmp_path):
         eq = DiscreteClosedCurve(great_circle_points(POLE, 32))
         res = birkhoff_shorten(ZONAL, eq)
@@ -563,21 +569,6 @@ class TestWriters:
         verts = np.array([[float(v) for v in row] for row in rows[1:]])
         assert verts.shape == res.curve.vertices.shape
         assert np.array_equal(verts, res.curve.vertices)
-
-
-class TestFibonacciAxes:
-    def test_shape_and_norms(self):
-        axes = fibonacci_axes(26)
-        assert axes.shape == (26, 3)
-        assert np.allclose(np.linalg.norm(axes, axis=-1), 1.0, atol=1e-12)
-        assert np.all(axes[:, 2] > 0.0)
-
-    def test_reasonable_spread(self):
-        axes = fibonacci_axes(26)
-        dots = axes @ axes.T
-        np.fill_diagonal(dots, -1.0)
-        # no two axes closer than ~14 degrees
-        assert dots.max() < math.cos(0.25)
 
 
 class TestEstimateSystole:
@@ -629,11 +620,14 @@ class TestEstimateSystole:
             "systole", "witness_length", "candidates", "curvature_min", "warnings",
         }
         assert payload["systole"] == rep.systole
+        # the round metric has no signed Funk axes, so only seeds compete
         tags = [tag for tag, _ in rep.candidates]
-        for kept in ("family-G-", "geodesic-G-", "geodesic-seed"):
+        assert tags and all(tag.startswith("geodesic-seed") for tag in tags)
+        tags = [tag for tag, _ in estimate_systole(ZONAL, N=17, n=32).candidates]
+        for kept in ("family-G-funk-min", "family-G-funk-max", "geodesic-G-", "geodesic-seed"):
             assert any(tag.startswith(kept) for tag in tags), kept
-        for dropped in ("family-F", "geodesic-F", "family-G0-"):
-            assert not any(tag.startswith(dropped) for tag in tags), dropped
+        for dropped in ("family-F", "geodesic-F", "family-G0-", "grid"):
+            assert not any(dropped in tag for tag in tags), dropped
 
 
 @st.composite
