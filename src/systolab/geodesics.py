@@ -20,8 +20,13 @@ half-turn loop of great circles, and for a fixed axis the stack of parallel
 circles closed up by point curves along a half great circle.  Tightening a
 sweepout shortens the members that can still reach the family maximum; that
 maximum is a certified upper bound for the minimax level, and the member
-attaining it is polished to a discrete closed geodesic (Newton on the
-stationarity system) to serve as witness.
+attaining it is shortened to a discrete closed geodesic to serve as witness.
+
+Between chunks of passes every curve still moving is polished: Newton on
+the stationarity system of the discrete energy first, and where Newton
+gives up, a Levenberg-Marquardt descent on the same Jacobian that never
+raises the energy.  A curve the passes alone would drag through a shallow
+valley for a thousand passes becomes a geodesic in a chunk or two.
 """
 
 from __future__ import annotations
@@ -363,36 +368,18 @@ def _polygon_energy(g, V):
     return float(np.sum(seg * seg) / (2.0 * TWO_PI / V.shape[0]))
 
 
-def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
-    """Jump a near-geodesic to stationarity with Newton's method.
+def _jacobian_pattern(n):
+    """Coloring and sparsity pattern of the stationarity Jacobian at n vertices.
 
-    Solves grad E = 0 in the 2n tangent coordinates of the current vertices.
-    The Jacobian is block-tridiagonal with cyclic corners (2x2 vertex
-    blocks), so it is finite differenced with a cyclic coloring (vertices
-    >= 3 apart are independent): the 2c shifted polygons, c the smallest
-    divisor of n that is >= 3, go through one batched gradient call, and the
-    three block bands go straight into a sparse matrix.  The gradient the
-    line search computed at the accepted point starts the next iteration,
-    so an iteration costs one Jacobian call plus one call per line-search
-    trial.  Closed geodesics come in families (rotation along the
-    curve, ambient isometries), which makes the Jacobian rank-deficient, so
-    the step solves the Levenberg-Marquardt system (J + mu I) s = -F with
-    mu = 1e-10 max|J|: mu keeps the sparse LU nonsingular along those null
-    modes while moving the step elsewhere only at the 1e-10 relative level.
-    A non-finite step gives up.  The step is trust-region capped per vertex
-    so inflection zones of the energy landscape are crossed in bounded
-    downhill slides.  The result is accepted only when the discrete energy
-    did not increase — the energy is the Lyapunov function here, because
-    re-parameterizing vertices along the same support wiggles the
-    midpoint-rule length at O(1/n^2) in either sign while uphill jumps to
-    saddle geodesics raise the energy.  Returns polished vertices or None.
+    The Jacobian of grad E = 0 in the 2n tangent coordinates is
+    block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
+    >= 3 apart are independent and are shifted together: the c classes of
+    a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
+    (delta, shifts, touched, rows, cols), or None when n has no such divisor.
     """
-    n = V0.shape[0]
     c = next((k for k in range(3, n + 1) if n % k == 0), None)
     if c is None:
         return None
-    base_energy = _polygon_energy(g, V0)
-    V = V0.copy()
     delta = 1e-7
     classes = np.arange(n).reshape(-1, c).T
     # rows of F that a shift of each class member moves: the x/y coordinates
@@ -400,46 +387,98 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     near = np.stack([(classes - 1) % n, classes, (classes + 1) % n], axis=1)
     touched = np.concatenate([2 * near, 2 * near + 1], axis=1).reshape(c, -1)
     diagonal = np.arange(2 * n)
-    band_rows = np.concatenate([touched.ravel()] * 2 + [diagonal])
-    band_cols = np.concatenate(
+    rows = np.concatenate([touched.ravel()] * 2 + [diagonal])
+    cols = np.concatenate(
         [np.broadcast_to(2 * classes[:, None] + j, (c, 6, n // c)).ravel() for j in (0, 1)]
         + [diagonal]
     )
     # row cls of shifts moves the vertices of class cls by delta, the rest by 0
     shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
+    return delta, shifts, touched, rows, cols
+
+
+def _linearize(g, V, grad, pattern):
+    """Linearize the stationarity system grad E = 0 at the polygon V.
+
+    F holds the components of grad (the gradient at V) in the tangent frame
+    (e1, e2) of each vertex.  The Jacobian J is finite differenced: the 2c
+    shifted polygons of the coloring go through one batched gradient call,
+    and the three block bands go straight into a sparse matrix.  Returns
+    (jmax, solve, move): jmax is max|J| over the bands, solve(mu, cap) the
+    step s of (J + mu I) s = -F, scaled down so that no vertex moves farther
+    than cap, and move(s) the polygon V moved by s, back on the sphere.
+    """
+    delta, shifts, touched, rows, cols = pattern
+    c, n = shifts.shape[:2]
+    e1, e2 = circle_frame(V)
+    F = np.empty(2 * n)
+    F[0::2] = _dots(grad, e1)
+    F[1::2] = _dots(grad, e2)
+    # the 2c shifted polygons, along e1 then e2, in one gradient call
+    Vp = (V + shifts * np.stack([e1, e2])[:, None]).reshape(2 * c, n, 3)
+    Vp /= _norms(Vp)[..., None]
+    gp = _energy_gradient(g, Vp)
+    Fp = np.empty((2 * c, 2 * n))
+    Fp[:, 0::2] = _dots(gp, e1)
+    Fp[:, 1::2] = _dots(gp, e2)
+    bands = np.take_along_axis(((Fp - F) / delta).reshape(2, c, -1), touched[None], axis=-1)
+    values = bands.ravel()
+
+    def solve(mu, cap):
+        # the coordinate format sums the repeated diagonal entries into J + mu I
+        damped = sparse.csc_matrix(
+            (np.concatenate([values, np.full(2 * n, mu)]), (rows, cols)), shape=(2 * n, 2 * n)
+        )
+        step = spsolve(damped, -F)
+        worst = float(np.hypot(step[0::2], step[1::2]).max())
+        if worst > cap:
+            step *= cap / worst
+        return step
+
+    def move(step):
+        Vt = V + (step[0::2, None] * e1 + step[1::2, None] * e2)
+        return Vt / _norms(Vt)[:, None]
+
+    return float(np.max(np.abs(values))), solve, move
+
+
+def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
+    """Jump a near-geodesic to stationarity with Newton's method.
+
+    Solves grad E = 0 in the 2n tangent coordinates of the current vertices,
+    on the Jacobian of _linearize.  The gradient the line search computed at
+    the accepted point starts the next iteration, so an iteration costs one
+    Jacobian call plus one call per line-search trial.  Closed geodesics
+    come in families (rotation along the curve, ambient isometries), which
+    makes the Jacobian rank-deficient, so the step solves the
+    Levenberg-Marquardt system (J + mu I) s = -F with mu = 1e-10 max|J|: mu
+    keeps the sparse LU nonsingular along those null modes while moving the
+    step elsewhere only at the 1e-10 relative level.  A non-finite step
+    gives up.  The step is trust-region capped per vertex so inflection
+    zones of the energy landscape are crossed in bounded downhill slides.
+    The result is accepted only when the discrete energy did not increase —
+    the energy is the Lyapunov function here, because re-parameterizing
+    vertices along the same support wiggles the midpoint-rule length at
+    O(1/n^2) in either sign while uphill jumps to saddle geodesics raise the
+    energy.  Returns polished vertices or None.
+    """
+    pattern = _jacobian_pattern(V0.shape[0])
+    if pattern is None:
+        return None
+    base_energy = _polygon_energy(g, V0)
+    V = V0.copy()
     grad = _energy_gradient(g, V)
     for _ in range(max_newton):
         fnorm = float(np.max(_norms(grad)))
         if fnorm < grad_tol:
             break
-        e1, e2 = circle_frame(V)
-        F = np.empty(2 * n)
-        F[0::2] = _dots(grad, e1)
-        F[1::2] = _dots(grad, e2)
-        # the 2c shifted polygons, along e1 then e2, in one gradient call
-        Vp = (V + shifts * np.stack([e1, e2])[:, None]).reshape(2 * c, n, 3)
-        Vp /= _norms(Vp)[..., None]
-        gp = _energy_gradient(g, Vp)
-        Fp = np.empty((2 * c, 2 * n))
-        Fp[:, 0::2] = _dots(gp, e1)
-        Fp[:, 1::2] = _dots(gp, e2)
-        bands = np.take_along_axis(((Fp - F) / delta).reshape(2, c, -1), touched[None], axis=-1)
-        values = bands.ravel()
-        mu = 1e-10 * float(np.max(np.abs(values)))
-        # the coordinate format sums the repeated diagonal entries into J + mu I
-        values = np.concatenate([values, np.full(2 * n, mu)])
-        damped = sparse.csc_matrix((values, (band_rows, band_cols)), shape=(2 * n, 2 * n))
-        step = spsolve(damped, -F)
+        jmax, solve, move = _linearize(g, V, grad, pattern)
+        step = solve(1e-10 * jmax, cap)
         if not np.all(np.isfinite(step)):
             return None
-        per_vertex = np.hypot(step[0::2], step[1::2])
-        worst = float(per_vertex.max())
-        if worst > cap:
-            step *= cap / worst
         moved = False
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            Vt = V + scale * (step[0::2, None] * e1 + step[1::2, None] * e2)
-            Vt /= _norms(Vt)[:, None]
+            Vt = move(scale * step)
             # the accepted trial's gradient starts the next iteration
             gt = _energy_gradient(g, Vt)
             ft = float(np.max(_norms(gt)))
@@ -454,6 +493,52 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     if _polygon_energy(g, V) > base_energy * (1.0 + 1e-11):
         return None
     return V
+
+
+def _energy_descent(g, V0):
+    """Slide a near-geodesic downhill to stationarity, or give up.
+
+    Newton's line search accepts any drop of |grad E|, so near a saddle it
+    can climb to a higher critical point, and the energy check then rejects
+    the result.  This polish only goes down: Levenberg-Marquardt on the
+    Jacobian of _linearize, whose step (J + mu I) s = -F is taken only when
+    the discrete energy does not rise.  mu starts at 1e-3 max|J|, grows
+    tenfold on a rejected trial (at most 12 per iteration) and shrinks
+    tenfold on an accepted one, so the step moves between a short gradient
+    step and a Newton step.  Steps are capped at 0.25 per vertex, and the
+    iteration budget is Newton's 40.  Returns the polygon once max|grad E|
+    < 1e-11 with round length >= COLLAPSE_THRESHOLD, and None when the
+    budget runs out, a trial never lowers the energy, or the round length
+    falls below the threshold (the curve is heading to a point).
+    """
+    pattern = _jacobian_pattern(V0.shape[0])
+    if pattern is None:
+        return None
+    V = V0.copy()
+    energy = _polygon_energy(g, V)
+    grad = _energy_gradient(g, V)
+    mu = None
+    for _ in range(40):
+        if _polygon_edges(V)[1].sum() < COLLAPSE_THRESHOLD:
+            return None
+        if float(np.max(_norms(grad))) < 1e-11:
+            return V
+        jmax, solve, move = _linearize(g, V, grad, pattern)
+        if mu is None:
+            mu = 1e-3 * jmax
+        for _ in range(12):
+            step = solve(mu, 0.25)
+            if np.all(np.isfinite(step)):
+                Vt = move(step)
+                trial = _polygon_energy(g, Vt)
+                if trial <= energy:
+                    break
+            mu *= 10.0
+        else:
+            return None
+        V, energy, mu = Vt, trial, mu / 10.0
+        grad = _energy_gradient(g, V)
+    return None
 
 
 def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4.0, 2.0)):
@@ -488,18 +573,19 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
 def _shorten_batch(g, X, tol, max_iter, polish_every=60):
     """Shorten a batch of closed polygons in place until stationary.
 
-    Alternates chunks of Birkhoff passes with drift extrapolation and Newton
-    polish on the curves that have not yet frozen; each polish is followed
-    by a measuring pass so the reported residual is an honest per-pass
-    vertex displacement.  Returns (lengths, residuals, collapsed, passes),
-    passes counting per curve the passes it moved in: a curve moves in every
-    pass until it freezes, so its count is the one it gets alone.
+    Alternates chunks of Birkhoff passes with drift extrapolation and a
+    polish of every curve that has not yet frozen, after every chunk: Newton
+    first, and the energy descent where Newton gives up.  Each polish is
+    followed by a measuring pass so the reported residual is an honest
+    per-pass vertex displacement.  Returns (lengths, residuals, collapsed,
+    passes), passes counting per curve the passes it moved in: a curve
+    moves in every pass until it freezes, so its count is the one it gets
+    alone.
     """
     B = X.shape[0]
     spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
     active = spread >= 1e-12
     collapsed = np.zeros(B, dtype=bool)
-    attempts = np.zeros(B, dtype=int)
     lengths = _batch_metric_lengths(g, X)
     residuals = np.where(active, np.inf, 0.0)
     passes = np.zeros(B, dtype=int)
@@ -513,9 +599,10 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
         if not active.any() or passes.max() >= max_iter:
             break
         lengths = _extrapolate_batch(g, X, active, lengths, X - before)
-        for i in np.flatnonzero(active & (attempts < 6)):
-            attempts[i] += 1
+        for i in np.flatnonzero(active):
             polished = _newton_polish(g, X[i])
+            if polished is None:
+                polished = _energy_descent(g, X[i])
             if polished is not None:
                 X[i] = polished
         lengths, done = _run_passes(g, X, active, collapsed, residuals, 1, tol)
@@ -811,8 +898,14 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
     X = circle_points(seed_axes, 0.0, n)
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
-        # a curve still sliding is neither a geodesic nor a certified bound
-        if collapsed[k] or not residuals[k] < 1e-6:
+        if collapsed[k]:
+            continue
+        if not residuals[k] < 1e-6:
+            # a curve still sliding is neither a geodesic nor a certified bound
+            warnings_log.append(
+                f"{tag} dropped: still sliding after {passes[k]} passes "
+                f"(residual {residuals[k]:.2e})"
+            )
             continue
         out = DiscreteClosedCurve(X[k])
         result = GeodesicResult(

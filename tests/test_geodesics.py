@@ -24,6 +24,7 @@ from systolab.experiments import write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     MONOTONE_SLACK,
+    SEED_PASSES,
     GeodesicResult,
     Sweepout,
     SystoleReport,
@@ -35,6 +36,7 @@ from systolab.geodesics import (
     length_increase_violations,
     tighten_sweepout,
     _batch_metric_lengths,
+    _energy_descent,
     _energy_gradient,
     _half_pass,
     _local_lengths,
@@ -44,7 +46,7 @@ from systolab.geodesics import (
     _shorten_batch,
     _vertex_newton_step,
 )
-from systolab.metric import _arc_lengths
+from systolab.metric import _arc_lengths, _polygon_edges
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,20 +221,33 @@ class TestBatchedShortening:
         np.testing.assert_array_equal(lengths, _batch_metric_lengths(ZONAL, X))
 
     def test_early_frozen_curve_keeps_its_residual(self):
-        # seed circles of MIXED: the first freezes in the first chunk of
-        # passes, the second needs two more chunks
+        # seed circles of MIXED at n = 32: the first freezes in the first
+        # chunk of passes, the second needs one more chunk
         rng = np.random.default_rng(0)
         axes = rng.normal(size=(20, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-        alone = circle_points(axes[5:6], 0.0, 64)
+        alone = circle_points(axes[5:6], 0.0, 32)
         _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400)
-        pair = circle_points(axes[[5, 12]], 0.0, 64)
+        pair = circle_points(axes[[5, 12]], 0.0, 32)
         _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400)
         assert pair_passes[1] > solo_passes[0] > 0
         # each curve counts the passes it moved in, the count it gets alone
         assert pair_passes[0] == solo_passes[0]
         assert 0.0 < solo[0] < 1e-10
         assert both[0] == solo[0]
+
+    @pytest.mark.parametrize("t", [0.1, -0.1])
+    def test_straggler_becomes_a_witness(self, t):
+        # from this seed circle Newton climbs toward a higher critical point
+        # and gives up; the energy descent takes the curve to the systole
+        g = make_variation(MIXED.f, t)
+        axis = np.random.default_rng(0).normal(size=(20, 3))[10]
+        X = circle_points(axis[None] / np.linalg.norm(axis), 0.0, 128)
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, 1e-10, SEED_PASSES)
+        assert not collapsed[0]
+        assert residuals[0] < 1e-10
+        assert passes[0] <= 122
+        assert lengths[0] == pytest.approx(estimate_systole(g).systole, rel=0.0, abs=1e-12)
 
 
 class TestArcLengths:
@@ -321,6 +336,69 @@ class TestNewtonPolish:
         assert out is not None
         assert grad_norm(MIXED, out) < 1e-11
         assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
+
+
+def perturbed_equator(shrink):
+    """The equator at n = 128 plus 1e-3 noise, with or without its mean z shift."""
+    noise = 1e-3 * np.random.default_rng(34).standard_normal((128, 3))
+    if not shrink:
+        noise[:, 2] -= noise[:, 2].mean()
+    start = great_circle_points(POLE, 128) + noise
+    return start / np.linalg.norm(start, axis=-1, keepdims=True)
+
+
+class TestEnergyDescent:
+    def test_perturbed_equator_under_zonal_metric(self):
+        # the equator is a saddle of the energy: shifting it toward a pole
+        # shrinks it.  Without that shift the descent returns to it; with
+        # it, the descent slides toward a point and gives up
+        assert _energy_descent(ZONAL, perturbed_equator(shrink=True)) is None
+        start = perturbed_equator(shrink=False)
+        out = _energy_descent(ZONAL, start)
+        assert out is not None
+        assert grad_norm(ZONAL, out) < 1e-11
+        assert _polygon_energy(ZONAL, out) <= _polygon_energy(ZONAL, start)
+        np.testing.assert_allclose(out[:, 2], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.05, 0.1])
+    def test_odd_direction_seed_circles(self, t):
+        # at n = 32 every seed circle of Y30 collapses under Birkhoff passes;
+        # from the circle itself the descent may find a geodesic, but it
+        # never hands back a curve heading to a point or one that rose
+        g = make_variation(SphericalFunction.harmonic(3, 0), t)
+        axes = np.random.default_rng(0).normal(size=(20, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        for start in circle_points(axes, 0.0, 32):
+            out = _energy_descent(g, start)
+            if out is None:
+                continue
+            assert _polygon_edges(out)[1].sum() >= COLLAPSE_THRESHOLD
+            assert grad_norm(g, out) < 1e-11
+            assert _polygon_energy(g, out) <= _polygon_energy(g, start)
+
+    def test_harmonic_call_budget(self, monkeypatch):
+        # one Jacobian call and one gradient call per iteration, one energy
+        # call per trial step, and one of each for the start
+        import systolab.geodesics as geodesics
+        import systolab.metric as metric
+
+        grad_calls, energy_calls, solves = [], [], []
+        original_grad, original_sum = metric.sh_sum_grad, metric.sh_sum
+        original_solve = geodesics.spsolve
+
+        def counted(calls, original):
+            def call(*args):
+                calls.append(1)
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(metric, "sh_sum_grad", counted(grad_calls, original_grad))
+        monkeypatch.setattr(metric, "sh_sum", counted(energy_calls, original_sum))
+        monkeypatch.setattr(geodesics, "spsolve", counted(solves, original_solve))
+        assert _energy_descent(ZONAL, perturbed_equator(shrink=False)) is not None
+        assert len(solves) > 0
+        assert len(grad_calls) <= 1 + 2 * len(solves)
+        assert len(energy_calls) <= 1 + len(solves)
 
 
 class TestSweepoutConstruction:
@@ -611,6 +689,20 @@ class TestEstimateSystole:
                if tag.startswith("geodesic-") and length == rep.witness.length}
         assert won and all(tag.startswith("geodesic-seed") for tag in won)
         assert rep.witness.passes > 0
+
+    def test_dropped_seeds_are_reported(self, monkeypatch):
+        import systolab.geodesics as geodesics
+
+        monkeypatch.setattr(geodesics, "SEED_PASSES", 3)
+        report = estimate_systole(ZONAL, N=17, n=32)
+        dropped = [line for line in report.warnings if "still sliding" in line]
+        assert dropped
+        kept = {tag for tag, _ in report.candidates}
+        for line in dropped:
+            tag = line.split()[0]
+            assert tag.startswith(("seed", "funk-circle"))
+            assert f"geodesic-{tag}" not in kept
+            assert "after 3 passes" in line and "residual" in line
 
     def test_report_shape(self):
         rep = estimate_systole(ROUND)
