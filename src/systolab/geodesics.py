@@ -22,11 +22,13 @@ sweepout shortens the members that can still reach the family maximum; that
 maximum is a certified upper bound for the minimax level, and the member
 attaining it is shortened to a discrete closed geodesic to serve as witness.
 
-Between chunks of passes every curve still moving is polished: Newton on
-the stationarity system of the discrete energy first, and where Newton
-gives up, a Levenberg-Marquardt descent on the same Jacobian that never
-raises the energy.  A curve the passes alone would drag through a shallow
-valley for a thousand passes becomes a geodesic in a chunk or two.
+After every POLISH_EVERY passes every curve still moving is polished:
+Newton on the stationarity system of the discrete energy first, and where
+Newton gives up, a Levenberg-Marquardt descent on the same Jacobian that
+never raises the energy.  A curve the passes alone would drag through a
+shallow valley for a thousand passes becomes a geodesic in a chunk or two,
+and a curve the passes would shrink to a point is often caught at a
+geodesic first.
 """
 
 from __future__ import annotations
@@ -68,10 +70,12 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
 #: Fixed shape of the systole estimate: Birkhoff passes per G family, random
-#: seed circles, and the pass budget of the seed pool.
+#: seed circles, the pass budget of the seed pool, and the Birkhoff passes
+#: between two polishes of every curve still moving.
 FAMILY_PASSES = 40
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
+POLISH_EVERY = 10
 
 #: Slack allowed on the per-pass length monotonicity assertion.
 MONOTONE_SLACK = 1e-13
@@ -374,8 +378,12 @@ def _jacobian_pattern(n):
     The Jacobian of grad E = 0 in the 2n tangent coordinates is
     block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
     >= 3 apart are independent and are shifted together: the c classes of
-    a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
-    (delta, shifts, touched, rows, cols), or None when n has no such divisor.
+    a cyclic coloring, c the smallest divisor of n that is >= 3.  The band
+    entries and the damping mu on the diagonal are laid out once in
+    compressed-column form: entry k of (bands, mu...) adds into data slot
+    slot[k] of the matrix with row indices `indices` and column pointers
+    `indptr`.  Returns (delta, shifts, touched, slot, indices, indptr), or
+    None when n has no such divisor.
     """
     c = next((k for k in range(3, n + 1) if n % k == 0), None)
     if c is None:
@@ -394,7 +402,11 @@ def _jacobian_pattern(n):
     )
     # row cls of shifts moves the vertices of class cls by delta, the rest by 0
     shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
-    return delta, shifts, touched, rows, cols
+    # entries sorted by column, then row; a diagonal band entry and its mu
+    # share one slot
+    keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, 2 * n * np.arange(2 * n + 1))
+    return delta, shifts, touched, slot, keys % (2 * n), indptr
 
 
 def _linearize(g, V, grad, pattern):
@@ -403,12 +415,13 @@ def _linearize(g, V, grad, pattern):
     F holds the components of grad (the gradient at V) in the tangent frame
     (e1, e2) of each vertex.  The Jacobian J is finite differenced: the 2c
     shifted polygons of the coloring go through one batched gradient call,
-    and the three block bands go straight into a sparse matrix.  Returns
-    (jmax, solve, move): jmax is max|J| over the bands, solve(mu, cap) the
-    step s of (J + mu I) s = -F, scaled down so that no vertex moves farther
-    than cap, and move(s) the polygon V moved by s, back on the sphere.
+    and the three block bands go straight into the pattern's compressed
+    columns.  Returns (jmax, solve, move): jmax is max|J| over the bands,
+    solve(mu, cap) the step s of (J + mu I) s = -F, scaled down so that no
+    vertex moves farther than cap, and move(s) the polygon V moved by s,
+    back on the sphere.
     """
-    delta, shifts, touched, rows, cols = pattern
+    delta, shifts, touched, slot, indices, indptr = pattern
     c, n = shifts.shape[:2]
     e1, e2 = circle_frame(V)
     F = np.empty(2 * n)
@@ -425,10 +438,8 @@ def _linearize(g, V, grad, pattern):
     values = bands.ravel()
 
     def solve(mu, cap):
-        # the coordinate format sums the repeated diagonal entries into J + mu I
-        damped = sparse.csc_matrix(
-            (np.concatenate([values, np.full(2 * n, mu)]), (rows, cols)), shape=(2 * n, 2 * n)
-        )
+        data = np.bincount(slot, np.concatenate([values, np.full(2 * n, mu)]))
+        damped = sparse.csc_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
         step = spsolve(damped, -F)
         worst = float(np.hypot(step[0::2], step[1::2]).max())
         if worst > cap:
@@ -570,12 +581,14 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
     return lengths
 
 
-def _shorten_batch(g, X, tol, max_iter, polish_every=60):
+def _shorten_batch(g, X, tol, max_iter):
     """Shorten a batch of closed polygons in place until stationary.
 
-    Alternates chunks of Birkhoff passes with drift extrapolation and a
-    polish of every curve that has not yet frozen, after every chunk: Newton
-    first, and the energy descent where Newton gives up.  Each polish is
+    Alternates chunks of POLISH_EVERY Birkhoff passes with drift
+    extrapolation and a polish of every curve that has not yet frozen, after
+    every chunk: Newton first, and the energy descent where Newton gives up.
+    Newton lands from a few passes, so a short chunk spares the passes a
+    curve would otherwise slide through before its polish.  Each polish is
     followed by a measuring pass so the reported residual is an honest
     per-pass vertex displacement.  Returns (lengths, residuals, collapsed,
     passes), passes counting per curve the passes it moved in: a curve
@@ -592,7 +605,7 @@ def _shorten_batch(g, X, tol, max_iter, polish_every=60):
     # the curve active longest moved in every pass, so passes.max() is the
     # number of passes the batch ran
     while active.any() and passes.max() < max_iter:
-        chunk = min(polish_every, max_iter - passes.max())
+        chunk = min(POLISH_EVERY, max_iter - passes.max())
         before = X.copy()
         lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk, tol)
         passes += done
@@ -915,10 +928,10 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         record(f"geodesic-{tag}", lengths[k], result)
 
     if not candidates:
-        # no family was built and every seed collapsed or kept sliding (odd
-        # directions at coarse n do this).  The Funk transform vanishes, so
-        # every great circle has the round length and no axis stands out:
-        # the loop F of great circles bounds the systole.
+        # no family was built and every seed collapsed or kept sliding (an
+        # odd direction can do this when it has only a few seeds).  The Funk
+        # transform vanishes, so every great circle has the round length and
+        # no axis stands out: the loop F of great circles bounds the systole.
         tighten("F", build_sweepout("F", N, n))
 
     valid = [(tag, length) for tag, length in candidates if length > COLLAPSE_THRESHOLD]
