@@ -22,13 +22,13 @@ sweepout shortens the members that can still reach the family maximum; that
 maximum is a certified upper bound for the minimax level, and the member
 attaining it is shortened to a discrete closed geodesic to serve as witness.
 
-After every POLISH_EVERY passes every curve still moving is polished:
-Newton on the stationarity system of the discrete energy first, and where
-Newton gives up, a Levenberg-Marquardt descent on the same Jacobian that
-never raises the energy.  A curve the passes alone would drag through a
-shallow valley for a thousand passes becomes a geodesic in a chunk or two,
-and a curve the passes would shrink to a point is often caught at a
-geodesic first.
+Between chunks of passes every curve still moving is polished: Newton on
+the stationarity system of the discrete energy first, and where Newton
+gives up, a Levenberg-Marquardt descent on the same Jacobian that never
+raises the energy.  A curve the passes alone would drag through a shallow
+valley for a thousand passes becomes a geodesic in a chunk or two.  How
+many passes a chunk holds depends on the sign of the curvature (see
+_polish_every).
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
 #: Fixed shape of the systole estimate: Birkhoff passes per G family, random
-#: seed circles, the pass budget of the seed pool, and the Birkhoff passes
-#: between two polishes of every curve still moving.
+#: seed circles, and the pass budget of the seed pool.
 FAMILY_PASSES = 40
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
+
+#: Birkhoff passes between two polishes of every curve still moving, on a
+#: metric of positive curvature and on one whose curvature is somewhere <= 0.
 POLISH_EVERY = 10
+POLISH_EVERY_NONPOSITIVE = 60
 
 #: Slack allowed on the per-pass length monotonicity assertion.
 MONOTONE_SLACK = 1e-13
@@ -378,12 +381,8 @@ def _jacobian_pattern(n):
     The Jacobian of grad E = 0 in the 2n tangent coordinates is
     block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
     >= 3 apart are independent and are shifted together: the c classes of
-    a cyclic coloring, c the smallest divisor of n that is >= 3.  The band
-    entries and the damping mu on the diagonal are laid out once in
-    compressed-column form: entry k of (bands, mu...) adds into data slot
-    slot[k] of the matrix with row indices `indices` and column pointers
-    `indptr`.  Returns (delta, shifts, touched, slot, indices, indptr), or
-    None when n has no such divisor.
+    a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
+    (delta, shifts, touched, rows, cols), or None when n has no such divisor.
     """
     c = next((k for k in range(3, n + 1) if n % k == 0), None)
     if c is None:
@@ -402,11 +401,7 @@ def _jacobian_pattern(n):
     )
     # row cls of shifts moves the vertices of class cls by delta, the rest by 0
     shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
-    # entries sorted by column, then row; a diagonal band entry and its mu
-    # share one slot
-    keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
-    indptr = np.searchsorted(keys, 2 * n * np.arange(2 * n + 1))
-    return delta, shifts, touched, slot, keys % (2 * n), indptr
+    return delta, shifts, touched, rows, cols
 
 
 def _linearize(g, V, grad, pattern):
@@ -415,13 +410,12 @@ def _linearize(g, V, grad, pattern):
     F holds the components of grad (the gradient at V) in the tangent frame
     (e1, e2) of each vertex.  The Jacobian J is finite differenced: the 2c
     shifted polygons of the coloring go through one batched gradient call,
-    and the three block bands go straight into the pattern's compressed
-    columns.  Returns (jmax, solve, move): jmax is max|J| over the bands,
-    solve(mu, cap) the step s of (J + mu I) s = -F, scaled down so that no
-    vertex moves farther than cap, and move(s) the polygon V moved by s,
-    back on the sphere.
+    and the three block bands go straight into a sparse matrix.  Returns
+    (jmax, solve, move): jmax is max|J| over the bands, solve(mu, cap) the
+    step s of (J + mu I) s = -F, scaled down so that no vertex moves farther
+    than cap, and move(s) the polygon V moved by s, back on the sphere.
     """
-    delta, shifts, touched, slot, indices, indptr = pattern
+    delta, shifts, touched, rows, cols = pattern
     c, n = shifts.shape[:2]
     e1, e2 = circle_frame(V)
     F = np.empty(2 * n)
@@ -438,8 +432,10 @@ def _linearize(g, V, grad, pattern):
     values = bands.ravel()
 
     def solve(mu, cap):
-        data = np.bincount(slot, np.concatenate([values, np.full(2 * n, mu)]))
-        damped = sparse.csc_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+        # the coordinate format sums the repeated diagonal entries into J + mu I
+        damped = sparse.csc_matrix(
+            (np.concatenate([values, np.full(2 * n, mu)]), (rows, cols)), shape=(2 * n, 2 * n)
+        )
         step = spsolve(damped, -F)
         worst = float(np.hypot(step[0::2], step[1::2]).max())
         if worst > cap:
@@ -581,21 +577,40 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
     return lengths
 
 
+def _polish_every(g):
+    """Birkhoff passes between two polishes of the curves shortened on g.
+
+    A polish lands on the geodesic nearest the curve.  Where the curvature
+    K is positive everywhere, every closed geodesic is unstable (a constant
+    normal variation lowers its length at second order by the integral of
+    K), so the passes drift away from every geodesic, toward a point: the
+    sooner the polish, the fewer passes are spent and the fewer curves
+    collapse.  Where K <= 0 somewhere, the passes can carry a curve down to
+    a shorter geodesic than the one nearest it after a few passes, so the
+    curve slides longer first.  A metric whose curvature cannot be computed
+    is treated as the second kind.
+    """
+    try:
+        positive = min_curvature(g) > 0.0
+    except ProjectionResidualTooLarge:
+        positive = False
+    return POLISH_EVERY if positive else POLISH_EVERY_NONPOSITIVE
+
+
 def _shorten_batch(g, X, tol, max_iter):
     """Shorten a batch of closed polygons in place until stationary.
 
-    Alternates chunks of POLISH_EVERY Birkhoff passes with drift
+    Alternates chunks of _polish_every(g) Birkhoff passes with drift
     extrapolation and a polish of every curve that has not yet frozen, after
     every chunk: Newton first, and the energy descent where Newton gives up.
-    Newton lands from a few passes, so a short chunk spares the passes a
-    curve would otherwise slide through before its polish.  Each polish is
-    followed by a measuring pass so the reported residual is an honest
-    per-pass vertex displacement.  Returns (lengths, residuals, collapsed,
-    passes), passes counting per curve the passes it moved in: a curve
-    moves in every pass until it freezes, so its count is the one it gets
-    alone.
+    Each polish is followed by a measuring pass so the reported residual is
+    an honest per-pass vertex displacement.  Returns (lengths, residuals,
+    collapsed, passes), passes counting per curve the passes it moved in: a
+    curve moves in every pass until it freezes, so its count is the one it
+    gets alone.
     """
     B = X.shape[0]
+    polish_every = _polish_every(g)
     spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
     active = spread >= 1e-12
     collapsed = np.zeros(B, dtype=bool)
@@ -605,7 +620,7 @@ def _shorten_batch(g, X, tol, max_iter):
     # the curve active longest moved in every pass, so passes.max() is the
     # number of passes the batch ran
     while active.any() and passes.max() < max_iter:
-        chunk = min(POLISH_EVERY, max_iter - passes.max())
+        chunk = min(polish_every, max_iter - passes.max())
         before = X.copy()
         lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk, tol)
         passes += done
@@ -928,10 +943,11 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         record(f"geodesic-{tag}", lengths[k], result)
 
     if not candidates:
-        # no family was built and every seed collapsed or kept sliding (an
-        # odd direction can do this when it has only a few seeds).  The Funk
-        # transform vanishes, so every great circle has the round length and
-        # no axis stands out: the loop F of great circles bounds the systole.
+        # no family was built and every seed collapsed or kept sliding (odd
+        # directions of curvature somewhere negative at coarse n do this).
+        # The Funk transform vanishes, so every great circle has the round
+        # length and no axis stands out: the loop F of great circles bounds
+        # the systole.
         tighten("F", build_sweepout("F", N, n))
 
     valid = [(tag, length) for tag, length in candidates if length > COLLAPSE_THRESHOLD]

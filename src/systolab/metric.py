@@ -295,6 +295,15 @@ class ConformalMetric:
             )
         return rho, laplacian(rho), q_check
 
+    @cached_property
+    def _min_curvature(self):
+        """Check-grid minimum of K, or the projection failure, found once."""
+        try:
+            _, _, q_check = self._curvature_data
+        except ProjectionResidualTooLarge as exc:
+            return exc
+        return float(np.min(gauss_curvature(self, q_check.nodes)))
+
     def to_json(self):
         return {
             "f": self.f.to_json(),
@@ -503,8 +512,10 @@ def gauss_curvature(g, p):
 
 def min_curvature(g):
     """Minimum of the Gauss curvature over a dense spectral check grid."""
-    _, _, q_check = g._curvature_data
-    return float(np.min(gauss_curvature(g, q_check.nodes)))
+    value = g._min_curvature
+    if isinstance(value, ProjectionResidualTooLarge):
+        raise ProjectionResidualTooLarge(*value.args)
+    return value
 
 
 def gauss_bonnet_integral(g):

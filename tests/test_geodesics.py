@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
-from systolab.errors import StepTooLarge
+from systolab.errors import CurvatureNotPositive, ProjectionResidualTooLarge, StepTooLarge
 from systolab.harmonics import SphericalFunction
 from systolab.metric import (
     DiscreteClosedCurve,
@@ -26,6 +25,7 @@ from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     MONOTONE_SLACK,
     POLISH_EVERY,
+    POLISH_EVERY_NONPOSITIVE,
     SEED_PASSES,
     GeodesicResult,
     Sweepout,
@@ -41,9 +41,9 @@ from systolab.geodesics import (
     _energy_descent,
     _energy_gradient,
     _half_pass,
-    _jacobian_pattern,
     _local_lengths,
     _newton_polish,
+    _polish_every,
     _polygon_energy,
     _run_passes,
     _shorten_batch,
@@ -239,6 +239,19 @@ class TestBatchedShortening:
         assert 0.0 < solo[0] < 1e-10
         assert both[0] == solo[0]
 
+    def test_polish_every_follows_the_sign_of_the_curvature(self, monkeypatch):
+        import systolab.geodesics as geodesics
+
+        steep_odd = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
+        assert _polish_every(MIXED) == POLISH_EVERY
+        assert _polish_every(steep_odd) == POLISH_EVERY_NONPOSITIVE
+
+        def unreliable(g):
+            raise ProjectionResidualTooLarge("residual too large")
+
+        monkeypatch.setattr(geodesics, "min_curvature", unreliable)
+        assert _polish_every(MIXED) == POLISH_EVERY_NONPOSITIVE
+
     @pytest.mark.parametrize("t", [0.1, -0.1])
     def test_straggler_becomes_a_witness(self, t):
         # from this seed circle Newton climbs toward a higher critical point
@@ -333,31 +346,6 @@ class TestNewtonPolish:
         assert _newton_polish(ZONAL, start) is not None
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + len(solves) * (1 + 5)
-
-    @pytest.mark.parametrize("n", [32, 34, 128])
-    def test_compressed_layout_matches_coordinate_assembly(self, n):
-        # the band entries (x then y shifts, class by class, in the order of
-        # touched) and mu on the diagonal, summed by scipy's coordinate format
-        _, shifts, touched, slot, indices, indptr = _jacobian_pattern(n)
-        c = shifts.shape[0]
-        classes = np.arange(n).reshape(-1, c).T
-        diagonal = np.arange(2 * n)
-        rows = np.concatenate([touched.ravel()] * 2 + [diagonal])
-        cols = np.concatenate(
-            [np.broadcast_to(2 * classes[:, None] + j, (c, 6, n // c)).ravel() for j in (0, 1)]
-            + [diagonal]
-        )
-        rng = np.random.default_rng(n)
-        for _ in range(5):
-            entries = np.concatenate([rng.standard_normal(rows.size - 2 * n),
-                                      np.full(2 * n, 10.0 ** rng.uniform(-12, 0))])
-            expected = sparse.csc_matrix((entries, (rows, cols)), shape=(2 * n, 2 * n))
-            laid_out = sparse.csc_matrix(
-                (np.bincount(slot, entries), indices, indptr), shape=(2 * n, 2 * n)
-            )
-            np.testing.assert_array_equal(laid_out.indptr, expected.indptr)
-            np.testing.assert_array_equal(laid_out.indices, expected.indices)
-            np.testing.assert_array_equal(laid_out.data, expected.data)
 
     def test_non_symmetric_direction(self):
         start = great_circle_points(find_signed_funk_axes(MIXED.f)[0], 128)
@@ -645,13 +633,13 @@ class TestFamilyPool:
                 np.testing.assert_allclose(axis, u, rtol=0.0, atol=1e-15)
 
     def test_great_circle_loop_when_no_candidate_survives(self, monkeypatch):
-        # the odd direction has no Funk axis to give a family, and at n = 32
-        # its only seed circle (seed 0) collapses
-        import systolab.geodesics as geodesics
-
-        monkeypatch.setattr(geodesics, "SEED_CIRCLES", 1)
+        # the odd direction at t = 0.15 has curvature min -0.6, so its seed
+        # circles slide POLISH_EVERY_NONPOSITIVE passes before a polish, and
+        # at n = 32 all of them collapse; no Funk axis gives a family
+        g = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
         built = count_builds(monkeypatch)
-        report = estimate_systole(ODD, N=17, n=32)
+        with pytest.warns(CurvatureNotPositive):
+            report = estimate_systole(g, N=17, n=32)
         assert built == [("F", None)]
         tags = [tag for tag, _ in report.candidates]
         assert tags[0] == "family-F"
@@ -660,10 +648,11 @@ class TestFamilyPool:
         assert report.systole == pytest.approx(TWO_PI, abs=1e-3)
 
     def test_odd_direction_seeds_survive_at_coarse_resolution(self, monkeypatch):
-        # short chunks of passes between polishes keep the seed circles of
-        # the odd direction from collapsing at n = 32: they find a geodesic
-        # below the great-circle level 6.283130449237229 that the loop F
-        # reaches here, at the value estimate_systole(ODD, N=17, n=64) gives
+        # ODD has positive curvature, so its seed circles are polished after
+        # POLISH_EVERY passes, before most of them collapse at n = 32: they
+        # find a geodesic below the great-circle level 6.283130449237229
+        # that the loop F reaches here, at the value that
+        # estimate_systole(ODD, N=17, n=64) gives
         built = count_builds(monkeypatch)
         report = estimate_systole(ODD, N=17, n=32)
         assert built == []
@@ -728,6 +717,26 @@ class TestEstimateSystole:
         rep = estimate_systole(g)
         assert rep.systole <= TWO_PI + 1e-10
         assert rep.systole == pytest.approx(TWO_PI, abs=5e-3)
+
+    def test_dense_direction_keeps_its_shortest_seed_geodesic(self):
+        # the second degree-6 draw of default_rng(12345), scaled to
+        # sup|f| = 0.5, at t = +0.2 (curvature min about -2.5).  Seed circles
+        # 18 and 19 reach the shortest geodesic only by sliding before their
+        # first polish: a polish after 10 passes catches them at the longer
+        # geodesics 6.2378 and 6.2577, and the row reports 6.1710.
+        from systolab.harmonics import sh_size
+        from systolab.metric import sup_norm
+
+        rng = np.random.default_rng(12345)
+        for degree in (3, 3, 4, 4, 5, 5, 6, 6):
+            coeffs = rng.standard_normal(sh_size(degree))
+        coeffs[0] = 0.0
+        f = SphericalFunction(coeffs)
+        with pytest.warns(CurvatureNotPositive):
+            rep = estimate_systole(make_variation(f * (0.5 / sup_norm(f)), 0.2))
+        assert rep.systole == pytest.approx(6.158670885175349, rel=0.0, abs=1e-12)
+        won = {tag for tag, length in rep.candidates if length == rep.systole}
+        assert won and all(tag.startswith("geodesic-seed") for tag in won)
 
     def test_seed_witness_reports_its_passes(self):
         g = make_variation(SphericalFunction.harmonic(2, 0), -0.1)

@@ -427,6 +427,28 @@ class TestGaussCurvature:
         with pytest.raises(ProjectionResidualTooLarge):
             gauss_curvature(g, np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("t", [0.05, -0.99 / Y20_MAX], ids=["certified", "near-boundary"])
+    def test_min_curvature_projects_once(self, monkeypatch, t):
+        # the shortening asks for the minimum on every batch, so neither a
+        # certified projection nor a failed one is repeated
+        degrees = []
+        project = ConformalMetric._log_factor_projection
+
+        def counting(self, degree):
+            degrees.append(degree)
+            return project(self, degree)
+
+        monkeypatch.setattr(ConformalMetric, "_log_factor_projection", counting)
+        g = make_variation(SphericalFunction.harmonic(2, 0), t)
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(min_curvature(g))
+            except ProjectionResidualTooLarge as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert degrees and len(degrees) == len(set(degrees))
+
 
 class TestSystolicRatio:
     def test_round_value(self):
