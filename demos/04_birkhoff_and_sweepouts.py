@@ -8,10 +8,11 @@ Two engines produce closed geodesics here:
     increasing by construction, so whatever it converges to certifies an
     upper bound for the length of some closed geodesic.
   * tighten_sweepout tightens a whole one-parameter family, shortening
-    the members that can still reach its maximum length.  That maximum
-    (the family's width) can only decrease, and the
-    minimax principle says the width of a sweepout bounds the shortest
-    closed geodesic from above — on positively curved spheres, the systole.
+    every member.  Its maximum length (the family's width) can only
+    decrease, and the minimax principle says the width of a sweepout bounds
+    the shortest closed geodesic from above — on positively curved spheres,
+    the systole.  estimate_systole tightens the loop F only when none of
+    its seed circles survives.
 
 The round sphere makes the expected answers exact: great circles are
 geodesics of length 2*pi, a zonal metric (1 + t*Y20)^2 * g0 keeps the

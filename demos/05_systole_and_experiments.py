@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """The full pipeline: systole estimation and the experiment driver.
 
-estimate_systole combines everything upstream: it tightens the
-point-to-point families G(u) at promising axes (where the Funk transform is
-extremal), shortens a pool of seed great circles, polishes the shortest
-members into genuine discrete geodesics, and reports the minimum over all
-certified candidates together with the curvature floor and any warnings.
+estimate_systole combines everything upstream: it shortens a pool of seed
+great circles — one at each axis where the Funk transform is extremal, the
+rest random — polishes them into genuine discrete geodesics, and reports
+the shortest of them together with the curvature floor and any warnings.
 
 run_experiment wraps that into reproducible sweeps with a pass/fail bound
 per row — the same table the command line prints:

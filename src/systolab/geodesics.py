@@ -18,9 +18,9 @@ collapsed: it is converging to a point, which the systole must exclude.
 Sweepouts realize the two families the minimax argument uses — the
 half-turn loop of great circles, and for a fixed axis the stack of parallel
 circles closed up by point curves along a half great circle.  Tightening a
-sweepout shortens the members that can still reach the family maximum; that
-maximum is a certified upper bound for the minimax level, and the member
-attaining it is shortened to a discrete closed geodesic to serve as witness.
+sweepout shortens every member; the family maximum is a certified upper
+bound for the minimax level, and the member attaining it is shortened to a
+discrete closed geodesic to serve as witness.
 
 Between chunks of passes every curve still moving is polished: Newton on
 the stationarity system of the discrete energy first, and where Newton
@@ -69,8 +69,8 @@ DEFAULT_VERTICES = 128
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
-#: Fixed shape of the systole estimate: Birkhoff passes per G family, random
-#: seed circles, and the pass budget of the seed pool.
+#: Fixed shape of the systole estimate: Birkhoff passes of the fallback loop
+#: F, random seed circles, and the pass budget of the seed pool.
 FAMILY_PASSES = 40
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
@@ -756,77 +756,47 @@ class TightenResult:
     width is the family maximum after the passes (an upper bound for the
     minimax level); witness is the maximal member shortened all the way to a
     discrete closed geodesic (None if it collapsed); trace records
-    (iteration, max_length, argmax_index) per pass; lengths and collapsed
-    give the final per-member state, in which a member never shortened (a
-    point curve, or one that could not reach the maximum) keeps its initial
-    length and is not collapsed.
+    (iteration, max_length, argmax_index) per pass.
     """
 
-    __slots__ = ("width", "witness", "trace", "lengths", "collapsed")
+    __slots__ = ("width", "witness", "trace")
 
-    def __init__(self, width, witness, trace, lengths, collapsed):
+    def __init__(self, width, witness, trace):
         self.width = width
         self.witness = witness
         self.trace = trace
-        self.lengths = lengths
-        self.collapsed = collapsed
 
 
 def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
-    """Shorten the members of a sweepout that can set its width, and report it.
+    """Shorten every member of a sweepout and report the family maximum.
 
-    A pass lengthens no curve by more than MONOTONE_SLACK, so a member of
-    initial length L0 can reach a maximum M only if L0 + passes *
-    MONOTONE_SLACK >= M, and only those contenders are shortened.  The
-    moving members of largest L0 run up to `passes` Birkhoff passes,
-    stopping once all of them froze; every member that can still reach
-    their maximum then joins and runs the same passes from its own initial
-    state (curves shorten independently, so its lengths are those of a run
-    of the whole family), until no member has to join.  Trace row k is
-    (k, max_length, argmax_index) after pass k, the other members counted
-    at L0, strictly below the maximum; the trace ends when every contender
-    froze.  The member attaining the width is then polished into a witness
-    geodesic.  The width after any number of length-non-increasing passes
-    is a certified upper bound for the minimax level of the family.
+    Every member that is not a point curve runs up to `passes` Birkhoff
+    passes, stopping once all of them froze.  Trace row k is (k, max_length,
+    argmax_index) after pass k.  The member attaining the width is then
+    polished into a witness geodesic.  The width after any number of
+    length-non-increasing passes is a certified upper bound for the minimax
+    level of the family.
     """
     counts = {c.vertices.shape[0] for c in sw.curves}
     if len(counts) != 1:
         raise ValueError("sweepout members must share one vertex count")
     X = np.stack([c.vertices for c in sw.curves]).astype(float)
-    moving = np.array([not c.is_point for c in sw.curves])
-    lengths0 = _batch_metric_lengths(g, X)
-    lengths = lengths0.copy()
+    active = np.array([not c.is_point for c in sw.curves])
     collapsed = np.zeros(len(sw.curves), dtype=bool)
-    contenders = np.zeros(len(sw.curves), dtype=bool)
-    runs = []  # (rows, lengths of those rows after pass 0, 1, ...)
-    reach = lengths0[moving].max() if moving.any() else math.inf
-    while True:
-        joining = moving & ~contenders & (lengths0 + passes * MONOTONE_SLACK >= reach)
-        if not joining.any():
-            break
-        rows = np.flatnonzero(joining)
-        sub, sub_collapsed = X[rows], np.zeros(rows.size, dtype=bool)
-        history = [lengths0[rows]]
-        lengths[rows], _ = _run_passes(
-            g, sub, np.ones(rows.size, dtype=bool), sub_collapsed, np.full(rows.size, np.inf),
-            passes, tol, on_pass=lambda k, lens: history.append(lens.copy()),
-        )
-        X[rows], collapsed[rows] = sub, sub_collapsed
-        runs.append((rows, history))
-        contenders |= joining
-        reach = lengths[contenders].max()
-    trace = []
-    current = lengths0.copy()
-    for k in range(max((len(history) for _, history in runs), default=1)):
-        for rows, history in runs:
-            current[rows] = history[min(k, len(history) - 1)]
-        trace.append((k, float(current.max()), int(np.argmax(current))))
+    lengths0 = _batch_metric_lengths(g, X)
+    trace = [(0, float(lengths0.max()), int(np.argmax(lengths0)))]
+
+    def on_pass(k, lengths):
+        trace.append((k, float(lengths.max()), int(np.argmax(lengths))))
+
+    lengths, _ = _run_passes(g, X, active, collapsed, np.where(active, np.inf, 0.0),
+                             passes, tol, on_pass=on_pass)
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
     witness = None
     if not collapsed[arg] and lengths[arg] > COLLAPSE_THRESHOLD:
         witness = birkhoff_shorten(g, DiscreteClosedCurve(X[arg]), tol=tol)
-    return TightenResult(width, witness, trace, lengths, collapsed)
+    return TightenResult(width, witness, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +808,9 @@ class SystoleReport:
     """Everything the systole estimate produced.
 
     systole is the minimum over all candidate lengths; witness is the
-    shortest candidate that comes with an actual discrete geodesic;
-    candidates lists (source_tag, length) pairs in the order examined;
+    shortest candidate that comes with an actual discrete geodesic, of
+    length systole whenever the seed pool gave the candidates; candidates
+    lists (source_tag, length) pairs in the order examined;
     curvature_min is NaN when the curvature projection was not trustworthy.
     """
 
@@ -869,19 +840,18 @@ class SystoleReport:
 
 
 def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
-    """Estimate the systole of g as the minimum over two candidate pools.
+    """Estimate the systole of g as the shortest seed circle's geodesic.
 
-    (a) the parallel-circle families G(u) at the two signed extreme axes of
-        the Funk transform of the direction, where the short geodesics live
-        at first order (none for the round metric or an odd direction),
-    (b) seeded great circles shortened to closed geodesics directly: one at
-        each signed Funk axis and SEED_CIRCLES random ones.
-
-    When neither pool yields a candidate, the loop F of great circles is
-    tightened instead.  Collapsed curves are excluded.  N and n are checked
-    as build_sweepout checks them, whether or not a family is built.
-    Returns a SystoleReport whose witness is the shortest candidate realized
-    by an actual discrete geodesic.
+    Great circles are shortened to closed geodesics directly: one at each
+    signed extreme axis of the Funk transform of the direction, where the
+    short geodesics live at first order (none for the round metric or an odd
+    direction), and SEED_CIRCLES random ones.  Collapsed curves are excluded,
+    and so is a curve still sliding at SEED_PASSES passes (with a warning).
+    When no seed survives, the loop F of N great circles is tightened
+    instead; N shapes only that loop, and N and n are checked as
+    build_sweepout checks them, whether or not it is built.  Returns a
+    SystoleReport whose witness is the shortest candidate realized by an
+    actual discrete geodesic.
     """
     _check_shape(N, n)
     warnings_log = []
@@ -900,29 +870,17 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
 
     def record(tag, length, result=None):
         candidates.append((tag, float(length)))
-        if result is not None and not result.collapsed:
-            witnesses.append((tag, result))
+        if result is not None:
+            witnesses.append(result)
 
-    def tighten(tag, sw):
-        res = tighten_sweepout(g, sw, FAMILY_PASSES, tol)
-        record(f"family-{tag}", res.width)
-        if res.witness is not None and not res.witness.collapsed:
-            record(f"geodesic-{tag}", res.witness.length, res.witness)
-
-    # (a) the parallel-circle families at the signed Funk axes
-    signed = None if g.is_round else find_signed_funk_axes(g.f)
-    axes = [] if signed is None else [("funk-min", signed[0]), ("funk-max", signed[1])]
-    for tag, u in axes:
-        tighten(f"G-{tag}", build_sweepout("G", N, n, axis=u))
-
-    # (b) seeded great circles shortened to geodesics
     rng = np.random.default_rng(seed)
     seed_axes = rng.normal(size=(SEED_CIRCLES, 3))
     seed_axes /= np.linalg.norm(seed_axes, axis=-1, keepdims=True)
     tags = [f"seed{k}" for k in range(SEED_CIRCLES)]
-    if axes:
-        seed_axes = np.concatenate([np.asarray([u for _, u in axes]), seed_axes], axis=0)
-        tags = [f"funk-circle{k}" for k in range(len(axes))] + tags
+    signed = None if g.is_round else find_signed_funk_axes(g.f)
+    if signed is not None:
+        seed_axes = np.concatenate([np.asarray(signed), seed_axes], axis=0)
+        tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
     X = circle_points(seed_axes, 0.0, n)
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
     for k, tag in enumerate(tags):
@@ -943,19 +901,21 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         record(f"geodesic-{tag}", lengths[k], result)
 
     if not candidates:
-        # no family was built and every seed collapsed or kept sliding (odd
-        # directions of curvature somewhere negative at coarse n do this).
-        # The Funk transform vanishes, so every great circle has the round
-        # length and no axis stands out: the loop F of great circles bounds
-        # the systole.
-        tighten("F", build_sweepout("F", N, n))
+        # every seed collapsed or kept sliding (odd directions of curvature
+        # somewhere negative at coarse n do this).  The Funk transform
+        # vanishes, so every great circle has the round length and no axis
+        # stands out: the loop F of great circles bounds the systole.
+        res = tighten_sweepout(g, build_sweepout("F", N, n), FAMILY_PASSES, tol)
+        record("family-F", res.width)
+        if res.witness is not None and not res.witness.collapsed:
+            record("geodesic-F", res.witness.length, res.witness)
 
     valid = [(tag, length) for tag, length in candidates if length > COLLAPSE_THRESHOLD]
     if not valid:
         raise SystolabError("every candidate collapsed; no systole estimate")
     systole = min(length for _, length in valid)
     witness = None
-    live = [(res.length, res) for _, res in witnesses if res.length > COLLAPSE_THRESHOLD]
+    live = [(res.length, res) for res in witnesses if res.length > COLLAPSE_THRESHOLD]
     if live:
         witness = min(live, key=lambda pair: pair[0])[1]
     return SystoleReport(systole, witness, candidates, curvature_min, warnings_log)

@@ -28,7 +28,7 @@ def write_config(tmp_path, **overrides):
 def fake_estimate(curvature_min):
     """A stand-in for estimate_systole that returns a fixed report at once."""
     def estimate(g, **knobs):
-        return SystoleReport(6.2, None, [("family-G-funk-min", 6.2)], curvature_min, [])
+        return SystoleReport(6.2, None, [("geodesic-funk-circle0", 6.2)], curvature_min, [])
     return estimate
 
 
@@ -153,7 +153,9 @@ class TestSystoleCommand:
         assert rec["t"] == 0.05
         assert 6.0 < rec["systole"] < 6.3
         assert rec["witness_length"] is not None
-        assert any(tag.startswith("family-G-") for tag, _ in rec["candidates"])
+        won = [tag for tag, length in rec["candidates"] if length == rec["systole"]]
+        assert won and all(tag.startswith("geodesic-") for tag in won)
+        assert rec["systole"] == rec["witness_length"]
         assert "systole=" in capsys.readouterr().out
 
     def test_csv_report(self, tmp_path):
