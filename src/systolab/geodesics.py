@@ -29,6 +29,14 @@ raises the energy.  A curve the passes alone would drag through a shallow
 valley for a thousand passes becomes a geodesic in a chunk or two.  How
 many passes a chunk holds depends on the sign of the curvature (see
 _polish_every).
+
+The systole estimate shortens its seed circles at 64 vertices (for the
+default 128) and keeps one curve per distinct length, because the seeds
+end on a handful of geodesics.  Each is refined by inserting its chord
+midpoints and polishing, one doubling at a time: one polish per geodesic
+instead of every pass of every seed at full resolution.  The discrete bias
+is O(n^-2), so a coarse geodesic lies well inside the Newton basin of its
+refinement.
 """
 
 from __future__ import annotations
@@ -70,10 +78,15 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
 #: Fixed shape of the systole estimate: Birkhoff passes of the fallback loop
-#: F, random seed circles, and the pass budget of the seed pool.
+#: F, random seed circles, the pass budget of the seed pool at each level,
+#: the fewest vertices the seeds are shortened at before refinement (see
+#: _coarse_vertices), and the length gap above which two seed geodesics
+#: count as distinct.
 FAMILY_PASSES = 40
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
+COARSE_VERTICES = 64
+SAME_LENGTH = 1e-9
 
 #: Birkhoff passes between two polishes of every curve still moving, on a
 #: metric of positive curvature and on one whose curvature is somewhere <= 0.
@@ -597,6 +610,15 @@ def _polish_every(g):
     return POLISH_EVERY if positive else POLISH_EVERY_NONPOSITIVE
 
 
+def _polish(g, V):
+    """V polished by Newton, or by the energy descent where Newton gives up.
+
+    Returns None when both give up.
+    """
+    polished = _newton_polish(g, V)
+    return _energy_descent(g, V) if polished is None else polished
+
+
 def _shorten_batch(g, X, tol, max_iter):
     """Shorten a batch of closed polygons in place until stationary.
 
@@ -628,9 +650,7 @@ def _shorten_batch(g, X, tol, max_iter):
             break
         lengths = _extrapolate_batch(g, X, active, lengths, X - before)
         for i in np.flatnonzero(active):
-            polished = _newton_polish(g, X[i])
-            if polished is None:
-                polished = _energy_descent(g, X[i])
+            polished = _polish(g, X[i])
             if polished is not None:
                 X[i] = polished
         lengths, done = _run_passes(g, X, active, collapsed, residuals, 1, tol)
@@ -810,7 +830,8 @@ class SystoleReport:
     systole is the minimum over all candidate lengths; witness is the
     shortest candidate that comes with an actual discrete geodesic, of
     length systole whenever the seed pool gave the candidates; candidates
-    lists (source_tag, length) pairs in the order examined;
+    lists (source_tag, length) pairs in seed order, one per distinct seed
+    geodesic when the seeds were refined (see estimate_systole);
     curvature_min is NaN when the curvature projection was not trustworthy.
     """
 
@@ -839,6 +860,81 @@ class SystoleReport:
         )
 
 
+def _coarse_vertices(n):
+    """The vertex count the seeds are shortened at before refinement to n.
+
+    The smallest n / 2^k that is even and >= COARSE_VERTICES, so n = 128
+    gives 64, and every n <= 96 (or n / 2 odd) gives n itself: a single
+    resolution.  Where the curvature is somewhere negative, 32 vertices
+    are too coarse: seeds collapse or slide to longer geodesics.
+    """
+    while n % 4 == 0 and n // 2 >= COARSE_VERTICES:
+        n //= 2
+    return n
+
+
+def _prolong(V):
+    """The closed polygon V with its normalized chord midpoints inserted."""
+    mids = V + np.roll(V, -1, axis=0)
+    out = np.empty((2 * V.shape[0], 3))
+    out[0::2] = V
+    out[1::2] = mids / _norms(mids)[:, None]
+    return out
+
+
+def _refine(g, V, n):
+    """Prolong a discrete geodesic to n vertices, polishing after each doubling.
+
+    Where a polish gives up, the prolonged shape goes on unpolished, and
+    the passes at n shorten it from there.
+    """
+    while V.shape[0] < n:
+        V = _prolong(V)
+        polished = _polish(g, V)
+        if polished is not None:
+            V = polished
+    return V
+
+
+def _landed(tags, residuals, collapsed, passes, warnings_log):
+    """Indices of the shortened seeds that froze as discrete geodesics.
+
+    Collapsed curves are left out silently; a curve still sliding is left
+    out with a line in warnings_log, because it is neither a geodesic nor a
+    certified bound.
+    """
+    kept = []
+    for k, tag in enumerate(tags):
+        if collapsed[k]:
+            continue
+        if not residuals[k] < 1e-6:
+            warnings_log.append(
+                f"{tag} dropped: still sliding after {passes[k]} passes "
+                f"(residual {residuals[k]:.2e})"
+            )
+            continue
+        kept.append(k)
+    return kept
+
+
+def _distinct(lengths, rows):
+    """One row per distinct geodesic among rows, in index order.
+
+    Sorted by length, a row whose length exceeds the previous one by more
+    than SAME_LENGTH opens a new geodesic; each geodesic keeps its member
+    of lowest index.
+    """
+    kept = []
+    previous = -math.inf
+    for k in sorted(rows, key=lambda k: lengths[k]):
+        if lengths[k] - previous > SAME_LENGTH:
+            kept.append(k)
+        else:
+            kept[-1] = min(kept[-1], k)
+        previous = lengths[k]
+    return sorted(kept)
+
+
 def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
     """Estimate the systole of g as the shortest seed circle's geodesic.
 
@@ -847,6 +943,18 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
     short geodesics live at first order (none for the round metric or an odd
     direction), and SEED_CIRCLES random ones.  Collapsed curves are excluded,
     and so is a curve still sliding at SEED_PASSES passes (with a warning).
+
+    The seeds are shortened at _coarse_vertices(n) vertices.  When that is
+    less than n (n = 128 shortens at 64), the seeds that landed are cut to
+    one per distinct geodesic (_distinct), each is refined to n vertices
+    (_refine), and the refined batch is shortened once more at n: a curve
+    whose refinement landed freezes after one measuring pass, and one whose
+    polish gave up is shortened from its prolonged shape.  The candidates
+    are then one per distinct geodesic, each tagged by its first seed, and
+    a witness's passes count its coarse and its fine passes.  At a single
+    resolution (n <= 96, or n / 2 odd) every seed that landed is a
+    candidate.
+
     When no seed survives, the loop F of N great circles is tightened
     instead; N shapes only that loop, and N and n are checked as
     build_sweepout checks them, whether or not it is built.  Returns a
@@ -881,24 +989,24 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
     if signed is not None:
         seed_axes = np.concatenate([np.asarray(signed), seed_axes], axis=0)
         tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
-    X = circle_points(seed_axes, 0.0, n)
+    X = circle_points(seed_axes, 0.0, _coarse_vertices(n))
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
-    for k, tag in enumerate(tags):
-        if collapsed[k]:
-            continue
-        if not residuals[k] < 1e-6:
-            # a curve still sliding is neither a geodesic nor a certified bound
-            warnings_log.append(
-                f"{tag} dropped: still sliding after {passes[k]} passes "
-                f"(residual {residuals[k]:.2e})"
-            )
-            continue
+    kept = _landed(tags, residuals, collapsed, passes, warnings_log)
+    if kept and X.shape[1] < n:
+        kept = _distinct(lengths, kept)
+        coarse_passes = passes[kept]
+        tags = [tags[k] for k in kept]
+        X = np.stack([_refine(g, X[k], n) for k in kept])
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
+        passes += coarse_passes
+        kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
+    for k in kept:
         out = DiscreteClosedCurve(X[k])
         result = GeodesicResult(
             out, float(lengths[k]), curve_energy(g, out),
             float(residuals[k]), False, int(passes[k]),
         )
-        record(f"geodesic-{tag}", lengths[k], result)
+        record(f"geodesic-{tags[k]}", lengths[k], result)
 
     if not candidates:
         # every seed collapsed or kept sliding (odd directions of curvature

@@ -25,6 +25,8 @@ from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     POLISH_EVERY,
     POLISH_EVERY_NONPOSITIVE,
+    SAME_LENGTH,
+    SEED_CIRCLES,
     SEED_PASSES,
     GeodesicResult,
     Sweepout,
@@ -37,12 +39,16 @@ from systolab.geodesics import (
     length_increase_violations,
     tighten_sweepout,
     _batch_metric_lengths,
+    _coarse_vertices,
+    _distinct,
     _energy_descent,
     _energy_gradient,
     _local_lengths,
     _newton_polish,
     _polish_every,
     _polygon_energy,
+    _prolong,
+    _refine,
     _run_passes,
     _shorten_batch,
     _vertex_newton_step,
@@ -718,6 +724,106 @@ class TestEstimateSystole:
             assert any(tag.startswith(kept) for tag in tags), kept
         for dropped in ("family-", "geodesic-F", "geodesic-G", "grid"):
             assert not any(dropped in tag for tag in tags), dropped
+
+
+Y30 = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
+
+
+def single_resolution_candidates(g, n):
+    """The seed pool shortened at n alone: (tag, length) of every seed that landed."""
+    axes = np.random.default_rng(0).normal(size=(SEED_CIRCLES, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    tags = [f"seed{k}" for k in range(SEED_CIRCLES)]
+    signed = None if g.is_round else find_signed_funk_axes(g.f)
+    if signed is not None:
+        axes = np.concatenate([np.asarray(signed), axes])
+        tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
+    lengths, residuals, collapsed, _ = _shorten_batch(
+        g, circle_points(axes, 0.0, n), 1e-10, SEED_PASSES
+    )
+    return [(f"geodesic-{tag}", float(length))
+            for tag, length, residual, gone in zip(tags, lengths, residuals, collapsed)
+            if not gone and residual < 1e-6]
+
+
+class TestNestedResolutions:
+    @pytest.mark.parametrize("n, coarse", [
+        (32, 32), (64, 64), (96, 96), (128, 64), (130, 130), (192, 96), (256, 64),
+    ])
+    def test_coarse_vertex_count(self, n, coarse):
+        assert _coarse_vertices(n) == coarse
+
+    def test_one_row_per_length_cluster(self):
+        # sorted: 1.0 (row 3), 1.0 + 5e-10 (row 1), 1.0 + 1.2e-9 (row 4) chain
+        # into one cluster; 2.0 (row 0) and 2.0 + 2e-9 (row 2) are two more
+        lengths = np.array([2.0, 1.0 + 5e-10, 2.0 + 2e-9, 1.0, 1.0 + 1.2e-9])
+        assert _distinct(lengths, [0, 1, 2, 3, 4]) == [0, 1, 2]
+        assert _distinct(lengths, [4, 1, 3]) == [1]
+        # without row 1 the link is gone: 1.2e-9 apart is two geodesics
+        assert _distinct(lengths, [4, 3]) == [3, 4]
+        assert _distinct(lengths, []) == []
+
+    @pytest.mark.parametrize("g", [ZONAL, MIXED, Y30], ids=["zonal", "mixed", "y30"])
+    def test_nested_systole_equals_the_single_resolution_one(self, g):
+        single = single_resolution_candidates(g, 128)
+        report = estimate_systole(g)
+        assert report.systole == pytest.approx(
+            min(length for _, length in single), rel=0.0, abs=1e-12
+        )
+        assert report.systole == report.witness.length
+        # one candidate per distinct geodesic, each tagged by a seed that landed
+        lengths = sorted(length for _, length in report.candidates)
+        assert all(b - a > SAME_LENGTH for a, b in zip(lengths, lengths[1:]))
+        assert {tag for tag, _ in report.candidates} <= {tag for tag, _ in single}
+        assert len(report.candidates) < len(single)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("g", [ZONAL, MIXED, Y30], ids=["zonal", "mixed", "y30"])
+    def test_single_resolution_below_the_coarse_level(self, g, n):
+        assert estimate_systole(g, N=17, n=n).candidates == single_resolution_candidates(g, n)
+
+    def test_prolonged_equator_is_a_discrete_geodesic(self):
+        refined = _refine(ZONAL, great_circle_points(POLE, 64), 128)
+        assert refined.shape == (128, 3)
+        assert grad_norm(ZONAL, refined) < 1e-11
+        assert _batch_metric_lengths(ZONAL, refined[None])[0] == pytest.approx(
+            TWO_PI + 0.1 * FUNK_Y20_POLE, rel=0.0, abs=1e-12
+        )
+
+    def test_prolonged_seed_geodesic_lands_under_newton(self):
+        X = circle_points(find_signed_funk_axes(MIXED.f)[:1], 0.0, 64)
+        _, residuals, collapsed, _ = _shorten_batch(MIXED, X, 1e-10, SEED_PASSES)
+        assert not collapsed[0] and residuals[0] < 1e-10
+        prolonged = _prolong(X[0])
+        np.testing.assert_array_equal(prolonged[0::2], X[0])
+        assert grad_norm(MIXED, prolonged) > 1e-6
+        landed = _newton_polish(MIXED, prolonged)
+        assert landed is not None
+        assert grad_norm(MIXED, landed) < 1e-11
+        assert _polygon_energy(MIXED, landed) <= _polygon_energy(MIXED, prolonged)
+
+    def test_dropped_seeds_are_reported_at_both_levels(self, monkeypatch):
+        # with 3 passes a level, every seed but the funk-circle0 equator (a
+        # geodesic of ZONAL at any n) is still sliding at 64 vertices.  The
+        # equator is then refined to a tilted circle, which is still sliding
+        # at 128 vertices after 3 more passes
+        import systolab.geodesics as geodesics
+
+        monkeypatch.setattr(geodesics, "SEED_PASSES", 3)
+        tilt = np.array([math.sin(0.3), 0.0, math.cos(0.3)])
+        monkeypatch.setattr(geodesics, "_refine",
+                            lambda g, V, n: great_circle_points(tilt, n))
+        report = estimate_systole(ZONAL, N=17, n=128)
+        dropped = {line.split()[0]: line for line in report.warnings
+                   if "still sliding" in line}
+        seeds = [f"seed{k}" for k in range(SEED_CIRCLES)]
+        assert set(seeds) <= set(dropped)
+        assert all("after 3 passes" in dropped[tag] for tag in seeds)
+        # one pass froze the equator at 64 vertices, 3 more slid it at 128
+        assert "after 4 passes" in dropped["funk-circle0"]
+        assert all("residual" in line for line in dropped.values())
+        kept = {tag for tag, _ in report.candidates}
+        assert not any(f"geodesic-{tag}" in kept for tag in dropped)
 
 
 @st.composite
