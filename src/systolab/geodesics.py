@@ -382,10 +382,13 @@ def _energy_gradient(g, V):
 
 
 def _polygon_energy(g, V):
-    """Discrete energy of one closed polygon (n, 3)."""
+    """Discrete energy of each closed polygon of a stack (..., n, 3).
+
+    One harmonic call; each polygon's energy is the one it gets alone.
+    """
     mids, arcs = _polygon_edges(V)
-    seg = g.w_flat(mids) * arcs
-    return float(np.sum(seg * seg) / (2.0 * TWO_PI / V.shape[0]))
+    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
+    return np.sum(seg * seg, axis=-1) / (2.0 * TWO_PI / V.shape[-2])
 
 
 def _jacobian_pattern(n):
@@ -418,52 +421,63 @@ def _jacobian_pattern(n):
 
 
 def _linearize(g, V, grad, pattern):
-    """Linearize the stationarity system grad E = 0 at the polygon V.
+    """Linearize the stationarity system grad E = 0 at each polygon of V.
 
-    F holds the components of grad (the gradient at V) in the tangent frame
-    (e1, e2) of each vertex.  The Jacobian J is finite differenced: the 2c
-    shifted polygons of the coloring go through one batched gradient call,
-    and the three block bands go straight into a sparse matrix.  Returns
-    (jmax, solve, move): jmax is max|J| over the bands, solve(mu, cap) the
-    step s of (J + mu I) s = -F, scaled down so that no vertex moves farther
-    than cap, and move(s) the polygon V moved by s, back on the sphere.
+    V is a stack (B, n, 3) and grad its energy gradient.  F holds the
+    components of grad in the tangent frame (e1, e2) of each vertex.  The
+    Jacobian J is finite differenced: the 2c shifted copies of every
+    polygon, one per color class and direction, go through one gradient
+    call, and the three block bands go straight into a sparse matrix.
+    Returns (jmax, solve, move): jmax (B,) is max|J| over each polygon's
+    bands; solve(mu, cap, which) the steps s of (J + mu I) s = -F of the
+    polygons which (indices into V, mu one value each), each scaled down so
+    that no vertex moves farther than cap; and move(step, which) those
+    polygons moved by their steps, back on the sphere.
     """
     delta, shifts, touched, rows, cols = pattern
     c, n = shifts.shape[:2]
+    B = V.shape[0]
     e1, e2 = circle_frame(V)
-    F = np.empty(2 * n)
-    F[0::2] = _dots(grad, e1)
-    F[1::2] = _dots(grad, e2)
-    # the 2c shifted polygons, along e1 then e2, in one gradient call
-    Vp = (V + shifts * np.stack([e1, e2])[:, None]).reshape(2 * c, n, 3)
+    F = np.empty((B, 2 * n))
+    F[:, 0::2] = _dots(grad, e1)
+    F[:, 1::2] = _dots(grad, e2)
+    # the 2c shifted copies of each polygon, along e1 then e2, in one call
+    Vp = (V[:, None, None] + shifts * np.stack([e1, e2], axis=1)[:, :, None]).reshape(
+        B, 2 * c, n, 3
+    )
     Vp /= _norms(Vp)[..., None]
     gp = _energy_gradient(g, Vp)
-    Fp = np.empty((2 * c, 2 * n))
-    Fp[:, 0::2] = _dots(gp, e1)
-    Fp[:, 1::2] = _dots(gp, e2)
-    bands = np.take_along_axis(((Fp - F) / delta).reshape(2, c, -1), touched[None], axis=-1)
-    values = bands.ravel()
+    Fp = np.empty((B, 2 * c, 2 * n))
+    Fp[..., 0::2] = _dots(gp, e1[:, None])
+    Fp[..., 1::2] = _dots(gp, e2[:, None])
+    bands = np.take_along_axis(
+        ((Fp - F[:, None]) / delta).reshape(B, 2, c, -1), touched[None, None], axis=-1
+    )
+    values = bands.reshape(B, -1)
 
-    def solve(mu, cap):
-        # the coordinate format sums the repeated diagonal entries into J + mu I
-        damped = sparse.csc_matrix(
-            (np.concatenate([values, np.full(2 * n, mu)]), (rows, cols)), shape=(2 * n, 2 * n)
-        )
-        step = spsolve(damped, -F)
-        worst = float(np.hypot(step[0::2], step[1::2]).max())
-        if worst > cap:
-            step *= cap / worst
-        return step
+    def solve(mu, cap, which):
+        steps = np.empty((which.size, 2 * n))
+        for k, b in enumerate(which):
+            # the coordinate format sums the repeated diagonal entries into J + mu I
+            damped = sparse.csc_matrix(
+                (np.concatenate([values[b], np.full(2 * n, mu[k])]), (rows, cols)),
+                shape=(2 * n, 2 * n),
+            )
+            steps[k] = spsolve(damped, -F[b])
+        worst = np.hypot(steps[:, 0::2], steps[:, 1::2]).max(axis=1)
+        big = worst > cap
+        steps[big] *= (cap / worst[big])[:, None]
+        return steps
 
-    def move(step):
-        Vt = V + (step[0::2, None] * e1 + step[1::2, None] * e2)
-        return Vt / _norms(Vt)[:, None]
+    def move(step, which):
+        Vt = V[which] + (step[:, 0::2, None] * e1[which] + step[:, 1::2, None] * e2[which])
+        return Vt / _norms(Vt)[..., None]
 
-    return float(np.max(np.abs(values))), solve, move
+    return np.max(np.abs(values), axis=1), solve, move
 
 
 def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
-    """Jump a near-geodesic to stationarity with Newton's method.
+    """Jump a stack of near-geodesics (B, n, 3) to stationarity by Newton.
 
     Solves grad E = 0 in the 2n tangent coordinates of the current vertices,
     on the Jacobian of _linearize.  The gradient the line search computed at
@@ -480,43 +494,57 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     the energy is the Lyapunov function here, because re-parameterizing
     vertices along the same support wiggles the midpoint-rule length at
     O(1/n^2) in either sign while uphill jumps to saddle geodesics raise the
-    energy.  Returns polished vertices or None.
+    energy.
+
+    The curves run in lockstep: an iteration linearizes every curve still
+    running in one call, and each line-search trial evaluates the curves
+    still searching in one call, so each curve takes the steps it takes
+    alone.  Returns (V, landed): landed marks the curves polished, and V
+    holds them polished and every other curve as it came.
     """
-    pattern = _jacobian_pattern(V0.shape[0])
+    B = V0.shape[0]
+    landed = np.zeros(B, dtype=bool)
+    pattern = _jacobian_pattern(V0.shape[1])
     if pattern is None:
-        return None
-    base_energy = _polygon_energy(g, V0)
+        return V0.copy(), landed
     V = V0.copy()
     grad = _energy_gradient(g, V)
+    fnorm = np.max(_norms(grad), axis=-1)
+    running = np.ones(B, dtype=bool)
     for _ in range(max_newton):
-        fnorm = float(np.max(_norms(grad)))
-        if fnorm < grad_tol:
+        landed |= running & (fnorm < grad_tol)
+        running &= ~landed
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
             break
-        jmax, solve, move = _linearize(g, V, grad, pattern)
-        step = solve(1e-10 * jmax, cap)
-        if not np.all(np.isfinite(step)):
-            return None
-        moved = False
+        jmax, solve, move = _linearize(g, V[rows], grad[rows], pattern)
+        step = solve(1e-10 * jmax, cap, np.arange(rows.size))
+        finite = np.all(np.isfinite(step), axis=1)
+        moved = np.zeros(rows.size, dtype=bool)
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            Vt = move(scale * step)
+            trial = np.flatnonzero(finite & ~moved)
+            if trial.size == 0:
+                break
+            Vt = move(scale * step[trial], trial)
             # the accepted trial's gradient starts the next iteration
             gt = _energy_gradient(g, Vt)
-            ft = float(np.max(_norms(gt)))
-            if ft < fnorm * (1.0 - 1e-3) or ft < grad_tol:
-                V, grad = Vt, gt
-                moved = True
-                break
-        if not moved:
-            return None
-    else:
-        return None
-    if _polygon_energy(g, V) > base_energy * (1.0 + 1e-11):
-        return None
-    return V
+            ft = np.max(_norms(gt), axis=-1)
+            ok = (ft < fnorm[rows[trial]] * (1.0 - 1e-3)) | (ft < grad_tol)
+            accepted = rows[trial[ok]]
+            V[accepted], grad[accepted], fnorm[accepted] = Vt[ok], gt[ok], ft[ok]
+            moved[trial[ok]] = True
+        # a non-finite step or a line search that never lowered |grad E|
+        running[rows[~moved]] = False
+    rows = np.flatnonzero(landed)
+    if rows.size:
+        after, before = _polygon_energy(g, np.stack([V[rows], V0[rows]]))
+        landed[rows[after > before * (1.0 + 1e-11)]] = False
+    V[~landed] = V0[~landed]
+    return V, landed
 
 
 def _energy_descent(g, V0):
-    """Slide a near-geodesic downhill to stationarity, or give up.
+    """Slide a stack of near-geodesics (B, n, 3) downhill to stationarity.
 
     Newton's line search accepts any drop of |grad E|, so near a saddle it
     can climb to a higher critical point, and the energy check then rejects
@@ -526,39 +554,60 @@ def _energy_descent(g, V0):
     tenfold on a rejected trial (at most 12 per iteration) and shrinks
     tenfold on an accepted one, so the step moves between a short gradient
     step and a Newton step.  Steps are capped at 0.25 per vertex, and the
-    iteration budget is Newton's 40.  Returns the polygon once max|grad E|
-    < 1e-11 with round length >= COLLAPSE_THRESHOLD, and None when the
+    iteration budget is Newton's 40.  A curve lands once max|grad E| <
+    1e-11 with round length >= COLLAPSE_THRESHOLD, and gives up when the
     budget runs out, a trial never lowers the energy, or the round length
     falls below the threshold (the curve is heading to a point).
+
+    The curves run in lockstep, each with its own mu: an iteration
+    linearizes every curve still running in one call, and a trial round
+    solves and measures the curves still searching together, so each curve
+    takes the steps it takes alone.  Returns (V, landed): landed marks the
+    curves polished, and V holds them polished and every other curve as it
+    came.
     """
-    pattern = _jacobian_pattern(V0.shape[0])
+    B = V0.shape[0]
+    landed = np.zeros(B, dtype=bool)
+    pattern = _jacobian_pattern(V0.shape[1])
     if pattern is None:
-        return None
+        return V0.copy(), landed
     V = V0.copy()
     energy = _polygon_energy(g, V)
     grad = _energy_gradient(g, V)
-    mu = None
-    for _ in range(40):
-        if _polygon_edges(V)[1].sum() < COLLAPSE_THRESHOLD:
-            return None
-        if float(np.max(_norms(grad))) < 1e-11:
-            return V
-        jmax, solve, move = _linearize(g, V, grad, pattern)
-        if mu is None:
-            mu = 1e-3 * jmax
+    mu = np.empty(B)
+    running = np.ones(B, dtype=bool)
+    for it in range(40):
+        running &= _polygon_edges(V)[1].sum(axis=-1) >= COLLAPSE_THRESHOLD
+        landed |= running & (np.max(_norms(grad), axis=-1) < 1e-11)
+        running &= ~landed
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
+            break
+        jmax, solve, move = _linearize(g, V[rows], grad[rows], pattern)
+        if it == 0:
+            mu[rows] = 1e-3 * jmax
+        searching = np.ones(rows.size, dtype=bool)
         for _ in range(12):
-            step = solve(mu, 0.25)
-            if np.all(np.isfinite(step)):
-                Vt = move(step)
-                trial = _polygon_energy(g, Vt)
-                if trial <= energy:
-                    break
-            mu *= 10.0
-        else:
-            return None
-        V, energy, mu = Vt, trial, mu / 10.0
-        grad = _energy_gradient(g, V)
-    return None
+            trial = np.flatnonzero(searching)
+            if trial.size == 0:
+                break
+            step = solve(mu[rows[trial]], 0.25, trial)
+            finite = np.all(np.isfinite(step), axis=1)
+            trial, step = trial[finite], step[finite]
+            if trial.size:
+                Vt = move(step, trial)
+                energies = _polygon_energy(g, Vt)
+                ok = energies <= energy[rows[trial]]
+                V[rows[trial[ok]]], energy[rows[trial[ok]]] = Vt[ok], energies[ok]
+                searching[trial[ok]] = False
+            mu[rows[searching]] *= 10.0
+        running[rows[searching]] = False
+        moved = rows[~searching]
+        if moved.size:
+            mu[moved] /= 10.0
+            grad[moved] = _energy_gradient(g, V[moved])
+    V[~landed] = V0[~landed]
+    return V, landed
 
 
 def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4.0, 2.0)):
@@ -610,13 +659,18 @@ def _polish_every(g):
     return POLISH_EVERY if positive else POLISH_EVERY_NONPOSITIVE
 
 
-def _polish(g, V):
-    """V polished by Newton, or by the energy descent where Newton gives up.
+def _polish(g, X):
+    """A stack X (B, n, 3) polished by Newton, or by the energy descent where
+    Newton gives up, from the curve's original shape.
 
-    Returns None when both give up.
+    Returns (V, landed) as the two polishes do: a curve both give up on
+    comes back as it came.
     """
-    polished = _newton_polish(g, V)
-    return _energy_descent(g, V) if polished is None else polished
+    V, landed = _newton_polish(g, X)
+    rest = np.flatnonzero(~landed)
+    if rest.size:
+        V[rest], landed[rest] = _energy_descent(g, X[rest])
+    return V, landed
 
 
 def _shorten_batch(g, X, tol, max_iter):
@@ -649,10 +703,7 @@ def _shorten_batch(g, X, tol, max_iter):
         if not active.any() or passes.max() >= max_iter:
             break
         lengths = _extrapolate_batch(g, X, active, lengths, X - before)
-        for i in np.flatnonzero(active):
-            polished = _polish(g, X[i])
-            if polished is not None:
-                X[i] = polished
+        X[active] = _polish(g, X[active])[0]
         lengths, done = _run_passes(g, X, active, collapsed, residuals, 1, tol)
         passes += done
     return lengths, residuals, collapsed, passes
@@ -874,25 +925,22 @@ def _coarse_vertices(n):
 
 
 def _prolong(V):
-    """The closed polygon V with its normalized chord midpoints inserted."""
-    mids = V + np.roll(V, -1, axis=0)
-    out = np.empty((2 * V.shape[0], 3))
-    out[0::2] = V
-    out[1::2] = mids / _norms(mids)[:, None]
+    """The closed polygons V (B, n, 3) with their normalized chord midpoints inserted."""
+    mids = V + np.roll(V, -1, axis=-2)
+    out = np.empty((V.shape[0], 2 * V.shape[1], 3))
+    out[:, 0::2] = V
+    out[:, 1::2] = mids / _norms(mids)[..., None]
     return out
 
 
 def _refine(g, V, n):
-    """Prolong a discrete geodesic to n vertices, polishing after each doubling.
+    """Prolong discrete geodesics (B, m, 3) to n vertices, polishing after each doubling.
 
     Where a polish gives up, the prolonged shape goes on unpolished, and
     the passes at n shorten it from there.
     """
-    while V.shape[0] < n:
-        V = _prolong(V)
-        polished = _polish(g, V)
-        if polished is not None:
-            V = polished
+    while V.shape[1] < n:
+        V = _polish(g, _prolong(V))[0]
     return V
 
 
@@ -996,7 +1044,7 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         kept = _distinct(lengths, kept)
         coarse_passes = passes[kept]
         tags = [tags[k] for k in kept]
-        X = np.stack([_refine(g, X[k], n) for k in kept])
+        X = _refine(g, X[kept], n)
         lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
         passes += coarse_passes
         kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))

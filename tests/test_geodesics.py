@@ -304,8 +304,9 @@ class TestNewtonPolish:
         rng = np.random.default_rng(34)
         start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
         start /= np.linalg.norm(start, axis=-1, keepdims=True)
-        out = _newton_polish(ZONAL, start)
-        assert out is not None
+        V, landed = _newton_polish(ZONAL, start[None])
+        assert landed[0]
+        out = V[0]
         assert np.all(np.isfinite(out))
         assert grad_norm(ZONAL, out) < 1e-11
         assert _polygon_energy(ZONAL, out) <= _polygon_energy(ZONAL, start)
@@ -346,14 +347,15 @@ class TestNewtonPolish:
         rng = np.random.default_rng(34)
         start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
         start /= np.linalg.norm(start, axis=-1, keepdims=True)
-        assert _newton_polish(ZONAL, start) is not None
+        assert _newton_polish(ZONAL, start[None])[1][0]
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + len(solves) * (1 + 5)
 
     def test_non_symmetric_direction(self):
         start = great_circle_points(find_signed_funk_axes(MIXED.f)[0], 128)
-        out = _newton_polish(MIXED, start)
-        assert out is not None
+        V, landed = _newton_polish(MIXED, start[None])
+        assert landed[0]
+        out = V[0]
         assert grad_norm(MIXED, out) < 1e-11
         assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
 
@@ -372,10 +374,11 @@ class TestEnergyDescent:
         # the equator is a saddle of the energy: shifting it toward a pole
         # shrinks it.  Without that shift the descent returns to it; with
         # it, the descent slides toward a point and gives up
-        assert _energy_descent(ZONAL, perturbed_equator(shrink=True)) is None
+        assert not _energy_descent(ZONAL, perturbed_equator(shrink=True)[None])[1][0]
         start = perturbed_equator(shrink=False)
-        out = _energy_descent(ZONAL, start)
-        assert out is not None
+        V, landed = _energy_descent(ZONAL, start[None])
+        assert landed[0]
+        out = V[0]
         assert grad_norm(ZONAL, out) < 1e-11
         assert _polygon_energy(ZONAL, out) <= _polygon_energy(ZONAL, start)
         np.testing.assert_allclose(out[:, 2], 0.0, atol=1e-9)
@@ -389,9 +392,10 @@ class TestEnergyDescent:
         axes = np.random.default_rng(0).normal(size=(20, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         for start in circle_points(axes, 0.0, 32):
-            out = _energy_descent(g, start)
-            if out is None:
+            V, landed = _energy_descent(g, start[None])
+            if not landed[0]:
                 continue
+            out = V[0]
             assert _polygon_edges(out)[1].sum() >= COLLAPSE_THRESHOLD
             assert grad_norm(g, out) < 1e-11
             assert _polygon_energy(g, out) <= _polygon_energy(g, start)
@@ -415,7 +419,7 @@ class TestEnergyDescent:
         monkeypatch.setattr(metric, "sh_sum_grad", counted(grad_calls, original_grad))
         monkeypatch.setattr(metric, "sh_sum", counted(energy_calls, original_sum))
         monkeypatch.setattr(geodesics, "spsolve", counted(solves, original_solve))
-        assert _energy_descent(ZONAL, perturbed_equator(shrink=False)) is not None
+        assert _energy_descent(ZONAL, perturbed_equator(shrink=False)[None])[1][0]
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + 2 * len(solves)
         assert len(energy_calls) <= 1 + len(solves)
@@ -783,7 +787,7 @@ class TestNestedResolutions:
         assert estimate_systole(g, N=17, n=n).candidates == single_resolution_candidates(g, n)
 
     def test_prolonged_equator_is_a_discrete_geodesic(self):
-        refined = _refine(ZONAL, great_circle_points(POLE, 64), 128)
+        refined = _refine(ZONAL, great_circle_points(POLE, 64)[None], 128)[0]
         assert refined.shape == (128, 3)
         assert grad_norm(ZONAL, refined) < 1e-11
         assert _batch_metric_lengths(ZONAL, refined[None])[0] == pytest.approx(
@@ -794,13 +798,13 @@ class TestNestedResolutions:
         X = circle_points(find_signed_funk_axes(MIXED.f)[:1], 0.0, 64)
         _, residuals, collapsed, _ = _shorten_batch(MIXED, X, 1e-10, SEED_PASSES)
         assert not collapsed[0] and residuals[0] < 1e-10
-        prolonged = _prolong(X[0])
+        prolonged = _prolong(X[:1])[0]
         np.testing.assert_array_equal(prolonged[0::2], X[0])
         assert grad_norm(MIXED, prolonged) > 1e-6
-        landed = _newton_polish(MIXED, prolonged)
-        assert landed is not None
-        assert grad_norm(MIXED, landed) < 1e-11
-        assert _polygon_energy(MIXED, landed) <= _polygon_energy(MIXED, prolonged)
+        V, landed = _newton_polish(MIXED, prolonged[None])
+        assert landed[0]
+        assert grad_norm(MIXED, V[0]) < 1e-11
+        assert _polygon_energy(MIXED, V[0]) <= _polygon_energy(MIXED, prolonged)
 
     def test_dropped_seeds_are_reported_at_both_levels(self, monkeypatch):
         # with 3 passes a level, every seed but the funk-circle0 equator (a
@@ -812,7 +816,7 @@ class TestNestedResolutions:
         monkeypatch.setattr(geodesics, "SEED_PASSES", 3)
         tilt = np.array([math.sin(0.3), 0.0, math.cos(0.3)])
         monkeypatch.setattr(geodesics, "_refine",
-                            lambda g, V, n: great_circle_points(tilt, n))
+                            lambda g, V, n: np.stack([great_circle_points(tilt, n)] * len(V)))
         report = estimate_systole(ZONAL, N=17, n=128)
         dropped = {line.split()[0]: line for line in report.warnings
                    if "still sliding" in line}
