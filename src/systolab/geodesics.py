@@ -28,7 +28,10 @@ gives up, a Levenberg-Marquardt descent on the same Jacobian that never
 raises the energy.  A curve the passes alone would drag through a shallow
 valley for a thousand passes becomes a geodesic in a chunk or two.  How
 many passes a chunk holds depends on the sign of the curvature (see
-_polish_every).
+_polish_every).  The moving curves are polished together, in lockstep: one
+gradient call for all their Jacobians, one per trial step, and one sparse
+solve per iteration, of the block-diagonal matrix of their systems.  Each
+curve's polish is, bit for bit, the one it gets alone.
 
 The systole estimate shortens its seed circles at 64 vertices (for the
 default 128) and keeps one curve per distinct length, because the seeds
@@ -46,7 +49,7 @@ import warnings
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .errors import (
     CurvatureNotPositive,
@@ -398,7 +401,10 @@ def _jacobian_pattern(n):
     block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
     >= 3 apart are independent and are shifted together: the c classes of
     a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
-    (delta, shifts, touched, rows, cols), or None when n has no such divisor.
+    (delta, shifts, touched, perm, order, indices, diagonal), or None when
+    n has no such divisor: the bands read in order are J[:, perm] in
+    compressed-column form, six entries a column with row indices indices,
+    and diagonal indexes J's diagonal entries among them.
     """
     c = next((k for k in range(3, n + 1) if n % k == 0), None)
     if c is None:
@@ -409,15 +415,20 @@ def _jacobian_pattern(n):
     # of the member and of its two neighbors, one column per member
     near = np.stack([(classes - 1) % n, classes, (classes + 1) % n], axis=1)
     touched = np.concatenate([2 * near, 2 * near + 1], axis=1).reshape(c, -1)
-    diagonal = np.arange(2 * n)
-    rows = np.concatenate([touched.ravel()] * 2 + [diagonal])
+    rows = np.concatenate([touched.ravel()] * 2)
     cols = np.concatenate(
         [np.broadcast_to(2 * classes[:, None] + j, (c, 6, n // c)).ravel() for j in (0, 1)]
-        + [diagonal]
     )
+    # SuperLU's fill-reducing column order depends on the pattern alone, so
+    # a diagonally dominant stand-in gives the order of every J
+    dominant = sparse.csc_matrix((np.where(rows == cols, 7.0, 1.0), (rows, cols)))
+    perm = np.argsort(splu(dominant, permc_spec="COLAMD").perm_c)
+    order = np.lexsort((rows, np.argsort(perm)[cols]))
+    indices = rows[order]
+    diagonal = np.flatnonzero(indices == cols[order])
     # row cls of shifts moves the vertices of class cls by delta, the rest by 0
     shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
-    return delta, shifts, touched, rows, cols
+    return delta, shifts, touched, perm, order, indices, diagonal
 
 
 def _linearize(g, V, grad, pattern):
@@ -433,8 +444,16 @@ def _linearize(g, V, grad, pattern):
     polygons which (indices into V, mu one value each), each scaled down so
     that no vertex moves farther than cap; and move(step, which) those
     polygons moved by their steps, back on the sphere.
+
+    solve makes one sparse solve of the block-diagonal matrix of the
+    polygons which, in SuperLU's natural column order, so that each block is
+    factored on its own (a fill-reducing order of the whole matrix mixes the
+    blocks, and a polygon's step would depend on its batch-mates).  Each
+    block's columns come in the fill-reducing order of one J, so a step is
+    bit for bit the one spsolve's default order gives that polygon alone,
+    except where two pivot candidates tie in magnitude.
     """
-    delta, shifts, touched, rows, cols = pattern
+    delta, shifts, touched, perm, order, indices, diagonal = pattern
     c, n = shifts.shape[:2]
     B = V.shape[0]
     e1, e2 = circle_frame(V)
@@ -453,17 +472,19 @@ def _linearize(g, V, grad, pattern):
     bands = np.take_along_axis(
         ((Fp - F[:, None]) / delta).reshape(B, 2, c, -1), touched[None, None], axis=-1
     )
-    values = bands.reshape(B, -1)
+    values = bands.reshape(B, -1)[:, order]
 
     def solve(mu, cap, which):
-        steps = np.empty((which.size, 2 * n))
-        for k, b in enumerate(which):
-            # the coordinate format sums the repeated diagonal entries into J + mu I
-            damped = sparse.csc_matrix(
-                (np.concatenate([values[b], np.full(2 * n, mu[k])]), (rows, cols)),
-                shape=(2 * n, 2 * n),
-            )
-            steps[k] = spsolve(damped, -F[b])
+        k = which.size
+        data = values[which]
+        data[:, diagonal] += mu[:, None]
+        damped = sparse.csc_matrix(
+            (data.ravel(), (indices + 2 * n * np.arange(k)[:, None]).ravel(),
+             np.arange(0, data.size + 1, 6)),
+            shape=(2 * n * k, 2 * n * k),
+        )
+        steps = np.empty((k, 2 * n))
+        steps[:, perm] = spsolve(damped, -F[which].ravel(), permc_spec="NATURAL").reshape(k, -1)
         worst = np.hypot(steps[:, 0::2], steps[:, 1::2]).max(axis=1)
         big = worst > cap
         steps[big] *= (cap / worst[big])[:, None]
@@ -660,11 +681,10 @@ def _polish_every(g):
 
 
 def _polish(g, X):
-    """A stack X (B, n, 3) polished by Newton, or by the energy descent where
-    Newton gives up, from the curve's original shape.
+    """Polish a stack X (B, n, 3): Newton, and the descent where Newton gives up.
 
-    Returns (V, landed) as the two polishes do: a curve both give up on
-    comes back as it came.
+    The descent starts from the curve's original shape.  Returns (V, landed)
+    as the two polishes do: a curve both give up on comes back as it came.
     """
     V, landed = _newton_polish(g, X)
     rest = np.flatnonzero(~landed)
@@ -679,8 +699,10 @@ def _shorten_batch(g, X, tol, max_iter):
     Alternates chunks of _polish_every(g) Birkhoff passes with drift
     extrapolation and a polish of every curve that has not yet frozen, after
     every chunk: Newton first, and the energy descent where Newton gives up.
-    Each polish is followed by a measuring pass so the reported residual is
-    an honest per-pass vertex displacement.  Returns (lengths, residuals,
+    The curves are polished together by one _polish call, with one linear
+    solve per iteration for all of them, and each curve's polish is the one
+    it gets alone.  Each polish is followed by a measuring pass so the
+    reported residual is an honest per-pass vertex displacement.  Returns (lengths, residuals,
     collapsed, passes), passes counting per curve the passes it moved in: a
     curve moves in every pass until it freezes, so its count is the one it
     gets alone.

@@ -43,8 +43,10 @@ from systolab.geodesics import (
     _distinct,
     _energy_descent,
     _energy_gradient,
+    _jacobian_pattern,
     _local_lengths,
     _newton_polish,
+    _polish,
     _polish_every,
     _polygon_energy,
     _prolong,
@@ -61,6 +63,7 @@ ROUND = make_variation(SphericalFunction.zeros(4), 0.0)
 ZONAL = make_variation(SphericalFunction.harmonic(2, 0), 0.1)
 MIXED = make_variation(SphericalFunction.from_pairs([(2, 1, 1.0), (4, 3, 0.5)]), 0.1)
 ODD = make_variation(SphericalFunction.harmonic(3, 0), 0.05)
+Y30 = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
 POLE = np.array([0.0, 0.0, 1.0])
 
 # the Funk transform of Y20 at the pole axis and at an equatorial axis
@@ -338,9 +341,9 @@ class TestNewtonPolish:
             grad_calls.append(1)
             return original_grad(*args)
 
-        def counted_solve(*args):
+        def counted_solve(*args, **kwargs):
             solves.append(1)
-            return original_solve(*args)
+            return original_solve(*args, **kwargs)
 
         monkeypatch.setattr(metric, "sh_sum_grad", counted_grad)
         monkeypatch.setattr(geodesics, "spsolve", counted_solve)
@@ -360,9 +363,9 @@ class TestNewtonPolish:
         assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
 
 
-def perturbed_equator(shrink):
+def perturbed_equator(shrink, seed=34):
     """The equator at n = 128 plus 1e-3 noise, with or without its mean z shift."""
-    noise = 1e-3 * np.random.default_rng(34).standard_normal((128, 3))
+    noise = 1e-3 * np.random.default_rng(seed).standard_normal((128, 3))
     if not shrink:
         noise[:, 2] -= noise[:, 2].mean()
     start = great_circle_points(POLE, 128) + noise
@@ -411,9 +414,9 @@ class TestEnergyDescent:
         original_solve = geodesics.spsolve
 
         def counted(calls, original):
-            def call(*args):
+            def call(*args, **kwargs):
                 calls.append(1)
-                return original(*args)
+                return original(*args, **kwargs)
             return call
 
         monkeypatch.setattr(metric, "sh_sum_grad", counted(grad_calls, original_grad))
@@ -423,6 +426,93 @@ class TestEnergyDescent:
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + 2 * len(solves)
         assert len(energy_calls) <= 1 + len(solves)
+
+
+def count_calls(monkeypatch):
+    """Counts of the sh_sum, sh_sum_grad and spsolve calls made from now on."""
+    import systolab.geodesics as geodesics
+    import systolab.metric as metric
+
+    counts = {}
+    for module, name in ((metric, "sh_sum"), (metric, "sh_sum_grad"), (geodesics, "spsolve")):
+        def call(*args, _original=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, call)
+    return counts
+
+
+class TestBatchPolish:
+    @pytest.mark.parametrize("case", ["mixed-64", "y30-32"])
+    def test_each_curve_is_polished_as_alone(self, case):
+        # Y21+0.5*Y43 seeds after 10 passes at 64 vertices all land under
+        # Newton.  Of the Y30 seed circles at n = 32, Newton lands on 17,
+        # only the descent lands on seeds 5 and 18, and both give up on seed
+        # 2, so that batch holds all three cases
+        axes = np.random.default_rng(0).normal(size=(20, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        if case == "mixed-64":
+            g, X = MIXED, circle_points(axes, 0.0, 64)
+            _run_passes(g, X, np.ones(20, dtype=bool), np.zeros(20, dtype=bool),
+                        np.full(20, np.inf), 10, 1e-10)
+        else:
+            g, X = Y30, circle_points(axes, 0.0, 32)
+            assert list(np.flatnonzero(~_newton_polish(g, X)[1])) == [2, 5, 18]
+        V, landed = _polish(g, X)
+        if case == "y30-32":
+            assert list(np.flatnonzero(~landed)) == [2]
+            np.testing.assert_array_equal(V[2], X[2])
+        for k in range(X.shape[0]):
+            alone, landed_alone = _polish(g, X[k:k + 1])
+            assert np.array_equal(V[k], alone[0])
+            assert landed[k] == landed_alone[0]
+
+    @pytest.mark.parametrize("n", [32, 64, 130])
+    def test_block_solve_in_natural_order_equals_the_default_solve(self, n):
+        # J[:, perm] in natural order factors as J does in spsolve's default
+        # (fill-reducing) order, and three such blocks factor one by one
+        from scipy import sparse
+        from scipy.sparse.linalg import spsolve
+
+        _, _, _, perm, _, indices, _ = _jacobian_pattern(n)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((3, indices.size))
+        rhs = rng.standard_normal((3, 2 * n))
+        steps = np.empty((3, 2 * n))
+        block = sparse.csc_matrix(
+            (data.ravel(), (indices + 2 * n * np.arange(3)[:, None]).ravel(),
+             np.arange(0, data.size + 1, 6)),
+            shape=(6 * n, 6 * n),
+        )
+        steps[:, perm] = spsolve(block, rhs.ravel(), permc_spec="NATURAL").reshape(3, -1)
+        for k in range(3):
+            J = sparse.csc_matrix((data[k], indices, np.arange(0, indices.size + 1, 6)))
+            J = J[:, np.argsort(perm)]
+            np.testing.assert_array_equal(steps[k], spsolve(J, rhs[k]))
+
+    @pytest.mark.parametrize("polish", [_newton_polish, _energy_descent],
+                             ids=["newton", "descent"])
+    def test_batch_call_budget(self, monkeypatch, polish):
+        # the batch solves once per iteration (per trial round in the
+        # descent), so it makes as many solves as its slowest member alone,
+        # and its harmonic calls keep the per-curve budget of those solves
+        X = np.stack([perturbed_equator(shrink=False, seed=seed) for seed in range(30, 35)])
+        counts = count_calls(monkeypatch)
+        alone = []
+        for k in range(X.shape[0]):
+            counts.update(sh_sum=0, sh_sum_grad=0, spsolve=0)
+            assert polish(ZONAL, X[k:k + 1])[1][0]
+            alone.append(counts["spsolve"])
+        counts.update(sh_sum=0, sh_sum_grad=0, spsolve=0)
+        assert polish(ZONAL, X)[1].all()
+        assert counts["spsolve"] == max(alone)
+        if polish is _newton_polish:
+            assert counts["sh_sum_grad"] <= 1 + 6 * counts["spsolve"]
+        else:
+            assert counts["sh_sum_grad"] <= 1 + 2 * counts["spsolve"]
+            assert counts["sh_sum"] <= 1 + counts["spsolve"]
 
 
 class TestSweepoutConstruction:
@@ -728,9 +818,6 @@ class TestEstimateSystole:
             assert any(tag.startswith(kept) for tag in tags), kept
         for dropped in ("family-", "geodesic-F", "geodesic-G", "grid"):
             assert not any(dropped in tag for tag in tags), dropped
-
-
-Y30 = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
 
 
 def single_resolution_candidates(g, n):
