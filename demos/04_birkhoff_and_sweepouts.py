@@ -11,8 +11,8 @@ Two engines produce closed geodesics here:
     every member.  Its maximum length (the family's width) can only
     decrease, and the minimax principle says the width of a sweepout bounds
     the shortest closed geodesic from above — on positively curved spheres,
-    the systole.  estimate_systole tightens the loop F only when none of
-    its seed circles survives.
+    the systole.  estimate_systole does not use sweepouts: its systole is
+    the shortest of its seed circles' geodesics.
 
 The round sphere makes the expected answers exact: great circles are
 geodesics of length 2*pi, a zonal metric (1 + t*Y20)^2 * g0 keeps the

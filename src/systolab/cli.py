@@ -76,7 +76,6 @@ def _merged_settings(command, args):
     settings = {
         "f": default_f,
         "t_values": default_t,
-        "N": ExperimentConfig.N,
         "n": ExperimentConfig.n,
         "tol": ExperimentConfig.tol,
         "seed": ExperimentConfig.seed,
@@ -114,7 +113,6 @@ def _experiment_config(kind, settings):
         kind=kind,
         f=f,
         t_values=tuple(settings["t_values"]),
-        N=int(settings["N"]),
         n=int(settings["n"]),
         tol=float(settings["tol"]),
         seed=int(settings["seed"]),
@@ -176,13 +174,8 @@ def _run_systole(args):
     records = []
     for t in settings["t_values"]:
         g = normalized_variation(f, t)
-        report = estimate_systole(
-            g,
-            N=int(settings["N"]),
-            n=int(settings["n"]),
-            tol=float(settings["tol"]),
-            seed=int(settings["seed"]),
-        )
+        report = estimate_systole(g, n=int(settings["n"]), tol=float(settings["tol"]),
+                                  seed=int(settings["seed"]))
         ratio = systolic_ratio(area(g), report.systole)
         print(
             f"t={t:+.6f}  systole={report.systole:.12f}  ratio={ratio:.9f}"

@@ -41,7 +41,6 @@ import numpy as np
 from .circles import TWO_PI, circle_points, default_circle_samples, funk_scan
 from .errors import IOFailure, NonAdmissibleT
 from .geodesics import (
-    DEFAULT_CURVES,
     DEFAULT_TOL,
     DEFAULT_VERTICES,
     GeodesicResult,
@@ -149,7 +148,6 @@ class ExperimentConfig:
     kind: str
     f: SphericalFunction = None
     t_values: tuple = (0.0,)
-    N: int = DEFAULT_CURVES
     n: int = DEFAULT_VERTICES
     tol: float = DEFAULT_TOL
     seed: int = 0
@@ -206,7 +204,6 @@ class ExperimentConfig:
             "kind": self.kind,
             "f": self.f.to_json(),
             "t_values": list(self.t_values),
-            "N": self.N,
             "n": self.n,
             "tol": self.tol,
             "seed": self.seed,
@@ -221,7 +218,6 @@ class ExperimentConfig:
             kind=obj["kind"],
             f=f,
             t_values=tuple(obj.get("t_values", cls.t_values)),
-            N=int(obj.get("N", cls.N)),
             n=int(obj.get("n", cls.n)),
             tol=float(obj.get("tol", cls.tol)),
             seed=int(obj.get("seed", cls.seed)),
@@ -241,11 +237,6 @@ def _metric_for(cfg, t, lam=None):
         if cfg.kind == "general_direction":
             lam, _ = mean_zero_decompose(cfg.f)
     return make_variation(cfg.direction(), t, lam=lam)
-
-
-def _estimate(cfg, g):
-    report = estimate_systole(g, N=cfg.N, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
-    return report
 
 
 def _zoll_deviations(f_odd, t, axes, m):
@@ -321,7 +312,7 @@ def _bound_check(cfg, t, a, systole, ratio):
                 g_mu = make_variation(
                     SphericalFunction.zeros(0), 1.0, lam=mu - 1.0
                 )
-            report_mu = _estimate(cfg, g_mu)
+            report_mu = estimate_systole(g_mu, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
             ratio_mu = systolic_ratio(area(g_mu), report_mu.systole)
             deviations.append(abs(ratio_mu - ratio))
         extras["scale_ratio_dev"] = max(deviations)
@@ -341,7 +332,7 @@ def run_experiment(cfg):
     for t in cfg.t_values:
         g = _metric_for(cfg, t)
         a = area(g)
-        report = _estimate(cfg, g)
+        report = estimate_systole(g, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
         systole = report.systole
         ratio = systolic_ratio(a, systole)
         ok, extras = _bound_check(cfg, t, a, systole, ratio)

@@ -20,7 +20,8 @@ half-turn loop of great circles, and for a fixed axis the stack of parallel
 circles closed up by point curves along a half great circle.  Tightening a
 sweepout shortens every member; the family maximum is a certified upper
 bound for the minimax level, and the member attaining it is shortened to a
-discrete closed geodesic to serve as witness.
+discrete closed geodesic to serve as witness.  The systole estimate does
+not use them.
 
 Between chunks of passes every curve still moving is polished: Newton on
 the stationarity system of the discrete energy first, and where Newton
@@ -39,7 +40,8 @@ end on a handful of geodesics.  Each is refined by inserting its chord
 midpoints and polishing, one doubling at a time: one polish per geodesic
 instead of every pass of every seed at full resolution.  The discrete bias
 is O(n^-2), so a coarse geodesic lies well inside the Newton basin of its
-refinement.
+refinement.  Where every seed collapses after the long chunks of passes
+(see _polish_every), the seeds are shortened again with short ones.
 """
 
 from __future__ import annotations
@@ -80,12 +82,10 @@ DEFAULT_VERTICES = 128
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
 
-#: Fixed shape of the systole estimate: Birkhoff passes of the fallback loop
-#: F, random seed circles, the pass budget of the seed pool at each level,
-#: the fewest vertices the seeds are shortened at before refinement (see
-#: _coarse_vertices), and the length gap above which two seed geodesics
-#: count as distinct.
-FAMILY_PASSES = 40
+#: Fixed shape of the systole estimate: random seed circles, the pass budget
+#: of the seed pool at each level, the fewest vertices the seeds are
+#: shortened at before refinement (see _coarse_vertices), and the length gap
+#: above which two seed geodesics count as distinct.
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
 COARSE_VERTICES = 64
@@ -693,10 +693,11 @@ def _polish(g, X):
     return V, landed
 
 
-def _shorten_batch(g, X, tol, max_iter):
+def _shorten_batch(g, X, tol, max_iter, polish_every):
     """Shorten a batch of closed polygons in place until stationary.
 
-    Alternates chunks of _polish_every(g) Birkhoff passes with drift
+    Alternates chunks of polish_every Birkhoff passes (callers pass
+    _polish_every(g), or POLISH_EVERY to polish sooner) with drift
     extrapolation and a polish of every curve that has not yet frozen, after
     every chunk: Newton first, and the energy descent where Newton gives up.
     The curves are polished together by one _polish call, with one linear
@@ -708,7 +709,6 @@ def _shorten_batch(g, X, tol, max_iter):
     gets alone.
     """
     B = X.shape[0]
-    polish_every = _polish_every(g)
     spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
     active = spread >= 1e-12
     collapsed = np.zeros(B, dtype=bool)
@@ -768,7 +768,7 @@ def birkhoff_shorten(g, curve, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if n % 2 != 0:
         raise ValueError("Birkhoff passes need an even number of vertices")
     X = curve.vertices[None].copy()
-    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, max_iter)
+    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, max_iter, _polish_every(g))
     out = DiscreteClosedCurve(X[0])
     energy = 0.0 if out.is_point else curve_energy(g, out)
     return GeodesicResult(
@@ -900,12 +900,11 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
 class SystoleReport:
     """Everything the systole estimate produced.
 
-    systole is the minimum over all candidate lengths; witness is the
-    shortest candidate that comes with an actual discrete geodesic, of
-    length systole whenever the seed pool gave the candidates; candidates
-    lists (source_tag, length) pairs in seed order, one per distinct seed
-    geodesic when the seeds were refined (see estimate_systole);
-    curvature_min is NaN when the curvature projection was not trustworthy.
+    witness is the shortest seed geodesic, and systole is its length;
+    candidates lists (source_tag, length) pairs in seed order, one per
+    distinct seed geodesic when the seeds were refined (see
+    estimate_systole); curvature_min is NaN when the curvature projection
+    was not trustworthy.
     """
 
     __slots__ = ("systole", "witness", "candidates", "curvature_min", "warnings")
@@ -1005,33 +1004,58 @@ def _distinct(lengths, rows):
     return sorted(kept)
 
 
-def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
+def _seed_geodesics(g, axes, tags, n, tol, polish_every, warnings_log):
+    """Shorten the great circles of axes to closed geodesics of g at n vertices.
+
+    The circles are shortened at _coarse_vertices(n) vertices, polished
+    after every polish_every passes.  When that is less than n, one seed per
+    distinct geodesic (_distinct) is refined to n vertices (_refine) and
+    shortened once more at n, where a refinement that landed freezes after
+    one pass.  Returns (tag, GeodesicResult) pairs in seed order, whose
+    passes count the coarse and the fine passes; _landed logs the seeds
+    still sliding in warnings_log.
+    """
+    X = circle_points(axes, 0.0, _coarse_vertices(n))
+    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES, polish_every)
+    kept = _landed(tags, residuals, collapsed, passes, warnings_log)
+    if kept and X.shape[1] < n:
+        kept = _distinct(lengths, kept)
+        coarse_passes = passes[kept]
+        tags = [tags[k] for k in kept]
+        X = _refine(g, X[kept], n)
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES,
+                                                               polish_every)
+        passes += coarse_passes
+        kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
+    found = []
+    for k in kept:
+        out = DiscreteClosedCurve(X[k])
+        found.append((tags[k], GeodesicResult(out, float(lengths[k]), curve_energy(g, out),
+                                              float(residuals[k]), False, int(passes[k]))))
+    return found
+
+
+def estimate_systole(g, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
     """Estimate the systole of g as the shortest seed circle's geodesic.
 
-    Great circles are shortened to closed geodesics directly: one at each
-    signed extreme axis of the Funk transform of the direction, where the
-    short geodesics live at first order (none for the round metric or an odd
-    direction), and SEED_CIRCLES random ones.  Collapsed curves are excluded,
-    and so is a curve still sliding at SEED_PASSES passes (with a warning).
+    Great circles are shortened to closed geodesics by _seed_geodesics: one
+    at each signed extreme axis of the Funk transform of the direction,
+    where the short geodesics live at first order (none for the round metric
+    or an odd direction), and SEED_CIRCLES random ones.  Collapsed curves
+    are excluded, and so is a curve still sliding at SEED_PASSES passes
+    (with a warning).  n must be even and >= 32, so that the two parity
+    classes of the passes tile the edges.
 
-    The seeds are shortened at _coarse_vertices(n) vertices.  When that is
-    less than n (n = 128 shortens at 64), the seeds that landed are cut to
-    one per distinct geodesic (_distinct), each is refined to n vertices
-    (_refine), and the refined batch is shortened once more at n: a curve
-    whose refinement landed freezes after one measuring pass, and one whose
-    polish gave up is shortened from its prolonged shape.  The candidates
-    are then one per distinct geodesic, each tagged by its first seed, and
-    a witness's passes count its coarse and its fine passes.  At a single
-    resolution (n <= 96, or n / 2 odd) every seed that landed is a
-    candidate.
-
-    When no seed survives, the loop F of N great circles is tightened
-    instead; N shapes only that loop, and N and n are checked as
-    build_sweepout checks them, whether or not it is built.  Returns a
-    SystoleReport whose witness is the shortest candidate realized by an
-    actual discrete geodesic.
+    Where the seeds slid POLISH_EVERY_NONPOSITIVE passes before each polish
+    (see _polish_every) and every one collapsed or kept sliding, the same
+    circles are shortened again with a polish every POLISH_EVERY passes,
+    and the report carries the dropped-seed warnings of that attempt.  When
+    no attempt leaves a geodesic, SystolabError is raised with every
+    warning line.  Returns a SystoleReport whose witness is the shortest
+    seed geodesic and whose systole is its length.
     """
-    _check_shape(N, n)
+    if n < 32 or n % 2 != 0:
+        raise ValueError("n must be an even integer >= 32")
     warnings_log = []
     try:
         curvature_min = float(min_curvature(g))
@@ -1043,14 +1067,6 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
         warnings.warn(message, CurvatureNotPositive)
         warnings_log.append(message)
 
-    candidates = []
-    witnesses = []
-
-    def record(tag, length, result=None):
-        candidates.append((tag, float(length)))
-        if result is not None:
-            witnesses.append(result)
-
     rng = np.random.default_rng(seed)
     seed_axes = rng.normal(size=(SEED_CIRCLES, 3))
     seed_axes /= np.linalg.norm(seed_axes, axis=-1, keepdims=True)
@@ -1059,41 +1075,21 @@ def estimate_systole(g, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, s
     if signed is not None:
         seed_axes = np.concatenate([np.asarray(signed), seed_axes], axis=0)
         tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
-    X = circle_points(seed_axes, 0.0, _coarse_vertices(n))
-    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
-    kept = _landed(tags, residuals, collapsed, passes, warnings_log)
-    if kept and X.shape[1] < n:
-        kept = _distinct(lengths, kept)
-        coarse_passes = passes[kept]
-        tags = [tags[k] for k in kept]
-        X = _refine(g, X[kept], n)
-        lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES)
-        passes += coarse_passes
-        kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
-    for k in kept:
-        out = DiscreteClosedCurve(X[k])
-        result = GeodesicResult(
-            out, float(lengths[k]), curve_energy(g, out),
-            float(residuals[k]), False, int(passes[k]),
-        )
-        record(f"geodesic-{tags[k]}", lengths[k], result)
 
-    if not candidates:
-        # every seed collapsed or kept sliding (odd directions of curvature
-        # somewhere negative at coarse n do this).  The Funk transform
-        # vanishes, so every great circle has the round length and no axis
-        # stands out: the loop F of great circles bounds the systole.
-        res = tighten_sweepout(g, build_sweepout("F", N, n), FAMILY_PASSES, tol)
-        record("family-F", res.width)
-        if res.witness is not None and not res.witness.collapsed:
-            record("geodesic-F", res.witness.length, res.witness)
-
-    valid = [(tag, length) for tag, length in candidates if length > COLLAPSE_THRESHOLD]
-    if not valid:
-        raise SystolabError("every candidate collapsed; no systole estimate")
-    systole = min(length for _, length in valid)
-    witness = None
-    live = [(res.length, res) for res in witnesses if res.length > COLLAPSE_THRESHOLD]
-    if live:
-        witness = min(live, key=lambda pair: pair[0])[1]
-    return SystoleReport(systole, witness, candidates, curvature_min, warnings_log)
+    chunks = [_polish_every(g)]
+    if chunks[0] == POLISH_EVERY_NONPOSITIVE:
+        chunks.append(POLISH_EVERY)
+    dropped = []
+    for polish_every in chunks:
+        attempt = []
+        found = _seed_geodesics(g, seed_axes, tags, n, tol, polish_every, attempt)
+        if found:
+            break
+        dropped += attempt
+    else:
+        lines = ["no seed circle shortened to a closed geodesic", *warnings_log, *dropped]
+        raise SystolabError("\n".join(lines))
+    warnings_log += attempt
+    candidates = [(f"geodesic-{tag}", result.length) for tag, result in found]
+    witness = min((result for _, result in found), key=lambda result: result.length)
+    return SystoleReport(witness.length, witness, candidates, curvature_min, warnings_log)

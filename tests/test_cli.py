@@ -14,7 +14,6 @@ def write_config(tmp_path, **overrides):
     settings = {
         "f": {"L": 2, "coeffs": [[2, 0, 1.0]]},
         "t_values": [0.05],
-        "N": 17,
         "n": 32,
         "tol": 1e-9,
         "seed": 3,
@@ -157,6 +156,18 @@ class TestSystoleCommand:
         assert won and all(tag.startswith("geodesic-") for tag in won)
         assert rec["systole"] == rec["witness_length"]
         assert "systole=" in capsys.readouterr().out
+
+    def test_config_key_n_of_the_old_loop_is_ignored(self, tmp_path):
+        # the CLI reads no "N"; a config that carries one, as older configs
+        # do, gives the same report
+        plain = write_config(tmp_path)
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**json.loads(open(plain).read()), "N": 17}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for cfg, out in ((plain, a), (str(legacy), b)):
+            assert cli.main(["systole", "--config", cfg, "--out", str(out),
+                             "--format", "json"]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_csv_report(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systolab.errors import CurvatureNotPositive, ProjectionResidualTooLarge, StepTooLarge
+from systolab.errors import (
+    CurvatureNotPositive,
+    ProjectionResidualTooLarge,
+    StepTooLarge,
+    SystolabError,
+)
 from systolab.harmonics import SphericalFunction
 from systolab.metric import (
     DiscreteClosedCurve,
@@ -236,9 +241,9 @@ class TestBatchedShortening:
         axes = rng.normal(size=(20, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         alone = circle_points(axes[5:6], 0.0, 32)
-        _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400)
+        _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400, POLISH_EVERY)
         pair = circle_points(axes[[5, 12]], 0.0, 32)
-        _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400)
+        _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400, POLISH_EVERY)
         assert pair_passes[1] > solo_passes[0] > 0
         # each curve counts the passes it moved in, the count it gets alone
         assert pair_passes[0] == solo_passes[0]
@@ -265,7 +270,8 @@ class TestBatchedShortening:
         g = make_variation(MIXED.f, t)
         axis = np.random.default_rng(0).normal(size=(20, 3))[10]
         X = circle_points(axis[None] / np.linalg.norm(axis), 0.0, 128)
-        lengths, residuals, collapsed, passes = _shorten_batch(g, X, 1e-10, SEED_PASSES)
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, 1e-10, SEED_PASSES,
+                                                               _polish_every(g))
         assert not collapsed[0]
         assert residuals[0] < 1e-10
         # at most two chunks of passes, each closed by its measuring pass
@@ -632,7 +638,7 @@ class TestFamilyPool:
     ], ids=["zonal", "round", "odd"])
     def test_no_family_while_a_seed_survives(self, monkeypatch, g, n):
         built = count_builds(monkeypatch)
-        report = estimate_systole(g, N=17, n=n)
+        report = estimate_systole(g, n=n)
         assert built == []
         tags = [tag for tag, _ in report.candidates]
         assert tags and all(tag.startswith("geodesic-") for tag in tags)
@@ -649,7 +655,7 @@ class TestFamilyPool:
             return _shorten_batch(g, X, *args)
 
         monkeypatch.setattr(geodesics, "_shorten_batch", capturing)
-        report = estimate_systole(g, N=17, n=32)
+        report = estimate_systole(g, n=32)
         assert len(batches) == 1
         np.testing.assert_array_equal(
             batches[0][:2], circle_points(find_signed_funk_axes(g.f), 0.0, 32)
@@ -659,29 +665,81 @@ class TestFamilyPool:
             "geodesic-funk-circle0", "geodesic-funk-circle1",
         ]
 
-    def test_great_circle_loop_when_no_candidate_survives(self, monkeypatch):
+    def test_collapsed_seeds_are_shortened_again_with_short_chunks(self, monkeypatch):
         # the odd direction at t = 0.15 has curvature min -0.6, so its seed
         # circles slide POLISH_EVERY_NONPOSITIVE passes before a polish, and
-        # at n = 32 all of them collapse; no Funk axis gives a family
-        g = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
+        # at n = 32 all of them collapse (no Funk axis gives a seed).  With a
+        # polish every POLISH_EVERY passes, seeds 12 and 15 land on the
+        # geodesic 6.2738144164, which Newton also reaches from the great
+        # circle at the argmin axis of the second-order length
+        import systolab.geodesics as geodesics
+
+        chunks = []
+
+        def capturing(g, X, tol, max_iter, polish_every):
+            chunks.append(polish_every)
+            return _shorten_batch(g, X, tol, max_iter, polish_every)
+
+        monkeypatch.setattr(geodesics, "_shorten_batch", capturing)
         built = count_builds(monkeypatch)
+        g = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
         with pytest.warns(CurvatureNotPositive):
-            report = estimate_systole(g, N=17, n=32)
-        assert built == [("F", None)]
+            report = estimate_systole(g, n=32)
+        assert built == []
+        assert chunks == [POLISH_EVERY_NONPOSITIVE, POLISH_EVERY]
+        assert report.systole == pytest.approx(6.273814416397727, rel=0.0, abs=1e-12)
+        assert report.systole == report.witness.length
         tags = [tag for tag, _ in report.candidates]
-        assert tags[0] == "family-F"
-        assert not any(tag.startswith("geodesic-seed") for tag in tags)
-        assert report.systole <= TWO_PI + 1e-12
-        assert report.systole == pytest.approx(TWO_PI, abs=1e-3)
+        assert tags and all(tag.startswith("geodesic-seed") for tag in tags)
+        # the first attempt's seeds all collapsed, which adds no line
+        assert report.warnings == [f"metric has curvature min {report.curvature_min:.4e} <= 0"]
+
+    def test_steep_y50_row_reports_a_seed_geodesic(self):
+        # curvature min -2.43: every seed collapses in the long chunks, and
+        # the retry lands 2.7e-3 below 2 pi, the length of every great circle
+        g = make_variation(SphericalFunction.harmonic(5, 0), 0.1)
+        with pytest.warns(CurvatureNotPositive):
+            report = estimate_systole(g, n=32)
+        assert report.systole <= 6.2805
+        assert report.systole == report.witness.length
+        assert all(tag.startswith("geodesic-seed") for tag, _ in report.candidates)
+
+    @pytest.mark.parametrize("first, tried", [
+        (POLISH_EVERY_NONPOSITIVE, [POLISH_EVERY_NONPOSITIVE, POLISH_EVERY]),
+        (POLISH_EVERY, [POLISH_EVERY]),
+    ], ids=["long-chunks", "short-chunks"])
+    def test_report_warnings_come_from_the_attempt_that_landed(self, monkeypatch, first, tried):
+        # a retry follows only the long chunks, and its report drops the
+        # lines of the attempt that left nothing; a raise carries them all
+        import systolab.geodesics as geodesics
+
+        real = geodesics._seed_geodesics
+        landing = {POLISH_EVERY}
+
+        def attempt(g, axes, tags, n, tol, polish_every, warnings_log):
+            warnings_log.append(f"attempt with chunks of {polish_every}")
+            if polish_every not in landing:
+                return []
+            return real(g, axes, tags, n, tol, polish_every, warnings_log)
+
+        monkeypatch.setattr(geodesics, "_seed_geodesics", attempt)
+        monkeypatch.setattr(geodesics, "_polish_every", lambda g: first)
+        report = estimate_systole(ZONAL, n=32)
+        assert report.warnings == [f"attempt with chunks of {POLISH_EVERY}"]
+        assert report.systole == report.witness.length
+        landing.clear()
+        with pytest.raises(SystolabError) as raised:
+            estimate_systole(ZONAL, n=32)
+        lines = str(raised.value).splitlines()
+        assert lines[1:] == [f"attempt with chunks of {chunk}" for chunk in tried]
 
     def test_odd_direction_seeds_survive_at_coarse_resolution(self, monkeypatch):
         # ODD has positive curvature, so its seed circles are polished after
         # POLISH_EVERY passes, before most of them collapse at n = 32: they
-        # find a geodesic below the great-circle level 6.283130449237229
-        # that the loop F reaches here, at the value that
-        # estimate_systole(ODD, N=17, n=64) gives
+        # find a geodesic below the great-circle level 6.283130449237229,
+        # at the value that estimate_systole(ODD, n=64) gives
         built = count_builds(monkeypatch)
-        report = estimate_systole(ODD, N=17, n=32)
+        report = estimate_systole(ODD, n=32)
         assert built == []
         assert report.witness is not None
         assert report.witness.length == report.systole
@@ -691,8 +749,7 @@ class TestFamilyPool:
         assert report.systole == pytest.approx(6.282131423534837, rel=0.0, abs=5e-5)
 
     @pytest.mark.parametrize("g", [ROUND, ODD], ids=["round", "odd"])
-    @pytest.mark.parametrize("shape", [dict(n=33), dict(n=30), dict(N=8)],
-                             ids=["n33", "n30", "N8"])
+    @pytest.mark.parametrize("shape", [dict(n=33), dict(n=30)], ids=["n33", "n30"])
     def test_shape_is_checked_without_a_family(self, g, shape):
         with pytest.raises(ValueError):
             estimate_systole(g, **shape)
@@ -782,7 +839,7 @@ class TestEstimateSystole:
 
     def test_seed_witness_reports_its_passes(self):
         g = make_variation(SphericalFunction.harmonic(2, 0), -0.1)
-        rep = estimate_systole(g, N=17, n=32)
+        rep = estimate_systole(g, n=32)
         won = {tag for tag, length in rep.candidates
                if tag.startswith("geodesic-") and length == rep.witness.length}
         assert won and all(tag.startswith("geodesic-seed") for tag in won)
@@ -792,7 +849,7 @@ class TestEstimateSystole:
         import systolab.geodesics as geodesics
 
         monkeypatch.setattr(geodesics, "SEED_PASSES", 3)
-        report = estimate_systole(ZONAL, N=17, n=32)
+        report = estimate_systole(ZONAL, n=32)
         dropped = [line for line in report.warnings if "still sliding" in line]
         assert dropped
         kept = {tag for tag, _ in report.candidates}
@@ -813,7 +870,7 @@ class TestEstimateSystole:
         # the round metric has no signed Funk axes, so only seeds compete
         tags = [tag for tag, _ in rep.candidates]
         assert tags and all(tag.startswith("geodesic-seed") for tag in tags)
-        tags = [tag for tag, _ in estimate_systole(ZONAL, N=17, n=32).candidates]
+        tags = [tag for tag, _ in estimate_systole(ZONAL, n=32).candidates]
         for kept in ("geodesic-funk-circle", "geodesic-seed"):
             assert any(tag.startswith(kept) for tag in tags), kept
         for dropped in ("family-", "geodesic-F", "geodesic-G", "grid"):
@@ -830,7 +887,7 @@ def single_resolution_candidates(g, n):
         axes = np.concatenate([np.asarray(signed), axes])
         tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
     lengths, residuals, collapsed, _ = _shorten_batch(
-        g, circle_points(axes, 0.0, n), 1e-10, SEED_PASSES
+        g, circle_points(axes, 0.0, n), 1e-10, SEED_PASSES, _polish_every(g)
     )
     return [(f"geodesic-{tag}", float(length))
             for tag, length, residual, gone in zip(tags, lengths, residuals, collapsed)
@@ -871,7 +928,7 @@ class TestNestedResolutions:
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("g", [ZONAL, MIXED, Y30], ids=["zonal", "mixed", "y30"])
     def test_single_resolution_below_the_coarse_level(self, g, n):
-        assert estimate_systole(g, N=17, n=n).candidates == single_resolution_candidates(g, n)
+        assert estimate_systole(g, n=n).candidates == single_resolution_candidates(g, n)
 
     def test_prolonged_equator_is_a_discrete_geodesic(self):
         refined = _refine(ZONAL, great_circle_points(POLE, 64)[None], 128)[0]
@@ -883,7 +940,7 @@ class TestNestedResolutions:
 
     def test_prolonged_seed_geodesic_lands_under_newton(self):
         X = circle_points(find_signed_funk_axes(MIXED.f)[:1], 0.0, 64)
-        _, residuals, collapsed, _ = _shorten_batch(MIXED, X, 1e-10, SEED_PASSES)
+        _, residuals, collapsed, _ = _shorten_batch(MIXED, X, 1e-10, SEED_PASSES, POLISH_EVERY)
         assert not collapsed[0] and residuals[0] < 1e-10
         prolonged = _prolong(X[:1])[0]
         np.testing.assert_array_equal(prolonged[0::2], X[0])
@@ -904,8 +961,12 @@ class TestNestedResolutions:
         tilt = np.array([math.sin(0.3), 0.0, math.cos(0.3)])
         monkeypatch.setattr(geodesics, "_refine",
                             lambda g, V, n: np.stack([great_circle_points(tilt, n)] * len(V)))
-        report = estimate_systole(ZONAL, N=17, n=128)
-        dropped = {line.split()[0]: line for line in report.warnings
+        # no seed is left, and ZONAL's curvature is positive, so there is no
+        # retry: the error carries the warning lines
+        with pytest.raises(SystolabError) as raised:
+            estimate_systole(ZONAL, n=128)
+        message = str(raised.value)
+        dropped = {line.split()[0]: line for line in message.splitlines()
                    if "still sliding" in line}
         seeds = [f"seed{k}" for k in range(SEED_CIRCLES)]
         assert set(seeds) <= set(dropped)
@@ -913,8 +974,7 @@ class TestNestedResolutions:
         # one pass froze the equator at 64 vertices, 3 more slid it at 128
         assert "after 4 passes" in dropped["funk-circle0"]
         assert all("residual" in line for line in dropped.values())
-        kept = {tag for tag, _ in report.candidates}
-        assert not any(f"geodesic-{tag}" in kept for tag in dropped)
+        assert not any(f"geodesic-{tag}" in message for tag in dropped)
 
 
 @st.composite
