@@ -30,9 +30,9 @@ raises the energy.  A curve the passes alone would drag through a shallow
 valley for a thousand passes becomes a geodesic in a chunk or two.  How
 many passes a chunk holds depends on the sign of the curvature (see
 _polish_every).  The moving curves are polished together, in lockstep: one
-gradient call for all their Jacobians, one per trial step, and one sparse
-solve per iteration, of the block-diagonal matrix of their systems.  Each
-curve's polish is, bit for bit, the one it gets alone.
+gradient call for all their Jacobians, one per trial step, and one banded
+LAPACK solve per iteration, of the block-diagonal matrix of their systems.
+Each curve's polish is, bit for bit, the one it gets alone.
 
 The systole estimate shortens its seed circles at 64 vertices (for the
 default 128) and keeps one curve per distinct length, because the seeds
@@ -50,8 +50,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu, spsolve
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     CurvatureNotPositive,
@@ -395,40 +394,58 @@ def _polygon_energy(g, V):
 
 
 def _jacobian_pattern(n):
-    """Coloring and sparsity pattern of the stationarity Jacobian at n vertices.
+    """Coloring and band layout of the stationarity Jacobian at n >= 3 vertices.
 
     The Jacobian of grad E = 0 in the 2n tangent coordinates is
     block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
     >= 3 apart are independent and are shifted together: the c classes of
     a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
-    (delta, shifts, touched, perm, order, indices, diagonal), or None when
-    n has no such divisor: the bands read in order are J[:, perm] in
-    compressed-column form, six entries a column with row indices indices,
-    and diagonal indexes J's diagonal entries among them.
+    (delta, shifts, gather, slots, place).  J is solved in the zig-zag
+    vertex order 0, n-1, 1, n-2, ..., where tangent coordinate x sits at
+    place[x]: every vertex sits at most two places from its neighbors, so J
+    is banded with kl = ku = 5, corners included.  gather picks the six
+    entries of each column from the flattened (2, c, 2n) differences of
+    _linearize, and slots places them in LAPACK band storage: entry (i, j)
+    of the zig-zag J at [j, 10 + i - j] of a (2n, 16) array.
     """
-    c = next((k for k in range(3, n + 1) if n % k == 0), None)
-    if c is None:
-        return None
+    c = next(k for k in range(3, n + 1) if n % k == 0)
     delta = 1e-7
-    classes = np.arange(n).reshape(-1, c).T
-    # rows of F that a shift of each class member moves: the x/y coordinates
-    # of the member and of its two neighbors, one column per member
-    near = np.stack([(classes - 1) % n, classes, (classes + 1) % n], axis=1)
-    touched = np.concatenate([2 * near, 2 * near + 1], axis=1).reshape(c, -1)
-    rows = np.concatenate([touched.ravel()] * 2)
-    cols = np.concatenate(
-        [np.broadcast_to(2 * classes[:, None] + j, (c, 6, n // c)).ravel() for j in (0, 1)]
-    )
-    # SuperLU's fill-reducing column order depends on the pattern alone, so
-    # a diagonally dominant stand-in gives the order of every J
-    dominant = sparse.csc_matrix((np.where(rows == cols, 7.0, 1.0), (rows, cols)))
-    perm = np.argsort(splu(dominant, permc_spec="COLAMD").perm_c)
-    order = np.lexsort((rows, np.argsort(perm)[cols]))
-    indices = rows[order]
-    diagonal = np.flatnonzero(indices == cols[order])
+    # column 2v + j (vertex v along e1 or e2) holds the rows 2u + d of v and
+    # its two neighbors u, differenced from the shift of v's class along j
+    v = np.arange(n)[:, None, None, None]
+    j = np.arange(2)[:, None, None]
+    u = (v + np.arange(-1, 2)[:, None]) % n
+    d = np.arange(2)
+    gather = ((j * c + v % c) * 2 * n + 2 * u + d).ravel()
+    place = (2 * np.minimum(2 * v, 2 * n - 1 - 2 * v) + np.arange(2)).ravel()
+    col, row = place[2 * v + j], place[2 * u + d]
+    slots = (16 * col + 10 + row - col).ravel()
     # row cls of shifts moves the vertices of class cls by delta, the rest by 0
     shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
-    return delta, shifts, touched, perm, order, indices, diagonal
+    return delta, shifts, gather, slots, place
+
+
+def _band_solve(ab, rhs):
+    """Solve the systems ab (k, m, 16) x = rhs (k, m) in one LAPACK call.
+
+    ab holds each system in the band storage of _jacobian_pattern.  The k
+    systems are the blocks of one block-diagonal band matrix, whose partial
+    pivoting never leaves a block, so each is solved, bit for bit, as alone.
+    A system that is not finite, or exactly singular (dgbsv's info names
+    its zero pivot), gets NaN, and the others are solved again without it.
+    """
+    k, m = rhs.shape
+    x = np.full((k, m), np.nan)
+    rows = np.flatnonzero(np.isfinite(ab).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))
+    while rows.size:
+        # the (k m, 16) C-order array is the (16, k m) band array in Fortran order
+        _, _, solution, info = dgbsv(5, 5, ab[rows].reshape(-1, 16).T, rhs[rows].ravel(),
+                                     overwrite_ab=True, overwrite_b=True)
+        if info == 0:
+            x[rows] = solution.reshape(rows.size, m)
+            break
+        rows = np.delete(rows, (info - 1) // m)
+    return x
 
 
 def _linearize(g, V, grad, pattern):
@@ -438,22 +455,15 @@ def _linearize(g, V, grad, pattern):
     components of grad in the tangent frame (e1, e2) of each vertex.  The
     Jacobian J is finite differenced: the 2c shifted copies of every
     polygon, one per color class and direction, go through one gradient
-    call, and the three block bands go straight into a sparse matrix.
+    call, and the three block bands go straight into LAPACK band storage.
     Returns (jmax, solve, move): jmax (B,) is max|J| over each polygon's
     bands; solve(mu, cap, which) the steps s of (J + mu I) s = -F of the
     polygons which (indices into V, mu one value each), each scaled down so
-    that no vertex moves farther than cap; and move(step, which) those
-    polygons moved by their steps, back on the sphere.
-
-    solve makes one sparse solve of the block-diagonal matrix of the
-    polygons which, in SuperLU's natural column order, so that each block is
-    factored on its own (a fill-reducing order of the whole matrix mixes the
-    blocks, and a polygon's step would depend on its batch-mates).  Each
-    block's columns come in the fill-reducing order of one J, so a step is
-    bit for bit the one spsolve's default order gives that polygon alone,
-    except where two pivot candidates tie in magnitude.
+    that no vertex moves farther than cap, in one _band_solve (a singular
+    system's step is NaN); and move(step, which) those polygons moved by
+    their steps, back on the sphere.
     """
-    delta, shifts, touched, perm, order, indices, diagonal = pattern
+    delta, shifts, gather, slots, place = pattern
     c, n = shifts.shape[:2]
     B = V.shape[0]
     e1, e2 = circle_frame(V)
@@ -469,22 +479,14 @@ def _linearize(g, V, grad, pattern):
     Fp = np.empty((B, 2 * c, 2 * n))
     Fp[..., 0::2] = _dots(gp, e1[:, None])
     Fp[..., 1::2] = _dots(gp, e2[:, None])
-    bands = np.take_along_axis(
-        ((Fp - F[:, None]) / delta).reshape(B, 2, c, -1), touched[None, None], axis=-1
-    )
-    values = bands.reshape(B, -1)[:, order]
+    values = np.zeros((B, 2 * n, 16))
+    values.reshape(B, -1)[:, slots] = ((Fp - F[:, None]) / delta).reshape(B, -1)[:, gather]
+    rhs = -F[:, np.argsort(place)]
 
     def solve(mu, cap, which):
-        k = which.size
         data = values[which]
-        data[:, diagonal] += mu[:, None]
-        damped = sparse.csc_matrix(
-            (data.ravel(), (indices + 2 * n * np.arange(k)[:, None]).ravel(),
-             np.arange(0, data.size + 1, 6)),
-            shape=(2 * n * k, 2 * n * k),
-        )
-        steps = np.empty((k, 2 * n))
-        steps[:, perm] = spsolve(damped, -F[which].ravel(), permc_spec="NATURAL").reshape(k, -1)
+        data[..., 10] += mu[:, None]
+        steps = _band_solve(data, rhs[which])[:, place]
         worst = np.hypot(steps[:, 0::2], steps[:, 1::2]).max(axis=1)
         big = worst > cap
         steps[big] *= (cap / worst[big])[:, None]
@@ -494,7 +496,7 @@ def _linearize(g, V, grad, pattern):
         Vt = V[which] + (step[:, 0::2, None] * e1[which] + step[:, 1::2, None] * e2[which])
         return Vt / _norms(Vt)[..., None]
 
-    return np.max(np.abs(values), axis=1), solve, move
+    return np.max(np.abs(values), axis=(1, 2)), solve, move
 
 
 def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
@@ -507,10 +509,11 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     come in families (rotation along the curve, ambient isometries), which
     makes the Jacobian rank-deficient, so the step solves the
     Levenberg-Marquardt system (J + mu I) s = -F with mu = 1e-10 max|J|: mu
-    keeps the sparse LU nonsingular along those null modes while moving the
-    step elsewhere only at the 1e-10 relative level.  A non-finite step
-    gives up.  The step is trust-region capped per vertex so inflection
-    zones of the energy landscape are crossed in bounded downhill slides.
+    keeps the banded LU nonsingular along those null modes while moving the
+    step elsewhere only at the 1e-10 relative level.  A non-finite step (a
+    system still singular) gives up.  The step is trust-region capped per
+    vertex so inflection zones of the energy landscape are crossed in
+    bounded downhill slides.
     The result is accepted only when the discrete energy did not increase —
     the energy is the Lyapunov function here, because re-parameterizing
     vertices along the same support wiggles the midpoint-rule length at
@@ -526,8 +529,6 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     B = V0.shape[0]
     landed = np.zeros(B, dtype=bool)
     pattern = _jacobian_pattern(V0.shape[1])
-    if pattern is None:
-        return V0.copy(), landed
     V = V0.copy()
     grad = _energy_gradient(g, V)
     fnorm = np.max(_norms(grad), axis=-1)
@@ -590,8 +591,6 @@ def _energy_descent(g, V0):
     B = V0.shape[0]
     landed = np.zeros(B, dtype=bool)
     pattern = _jacobian_pattern(V0.shape[1])
-    if pattern is None:
-        return V0.copy(), landed
     V = V0.copy()
     energy = _polygon_energy(g, V)
     grad = _energy_gradient(g, V)

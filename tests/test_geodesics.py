@@ -49,6 +49,7 @@ from systolab.geodesics import (
     _energy_descent,
     _energy_gradient,
     _jacobian_pattern,
+    _linearize,
     _local_lengths,
     _newton_polish,
     _polish,
@@ -60,7 +61,7 @@ from systolab.geodesics import (
     _shorten_batch,
     _vertex_newton_step,
 )
-from systolab.metric import _arc_lengths, _polygon_edges
+from systolab.metric import _arc_lengths, _dots, _polygon_edges, circle_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -341,7 +342,7 @@ class TestNewtonPolish:
 
         grad_calls, solves = [], []
         original_grad = metric.sh_sum_grad
-        original_solve = geodesics.spsolve
+        original_solve = geodesics._band_solve
 
         def counted_grad(*args):
             grad_calls.append(1)
@@ -352,7 +353,7 @@ class TestNewtonPolish:
             return original_solve(*args, **kwargs)
 
         monkeypatch.setattr(metric, "sh_sum_grad", counted_grad)
-        monkeypatch.setattr(geodesics, "spsolve", counted_solve)
+        monkeypatch.setattr(geodesics, "_band_solve", counted_solve)
         rng = np.random.default_rng(34)
         start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
         start /= np.linalg.norm(start, axis=-1, keepdims=True)
@@ -417,7 +418,7 @@ class TestEnergyDescent:
 
         grad_calls, energy_calls, solves = [], [], []
         original_grad, original_sum = metric.sh_sum_grad, metric.sh_sum
-        original_solve = geodesics.spsolve
+        original_solve = geodesics._band_solve
 
         def counted(calls, original):
             def call(*args, **kwargs):
@@ -427,7 +428,7 @@ class TestEnergyDescent:
 
         monkeypatch.setattr(metric, "sh_sum_grad", counted(grad_calls, original_grad))
         monkeypatch.setattr(metric, "sh_sum", counted(energy_calls, original_sum))
-        monkeypatch.setattr(geodesics, "spsolve", counted(solves, original_solve))
+        monkeypatch.setattr(geodesics, "_band_solve", counted(solves, original_solve))
         assert _energy_descent(ZONAL, perturbed_equator(shrink=False)[None])[1][0]
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + 2 * len(solves)
@@ -435,12 +436,12 @@ class TestEnergyDescent:
 
 
 def count_calls(monkeypatch):
-    """Counts of the sh_sum, sh_sum_grad and spsolve calls made from now on."""
+    """Counts of the sh_sum, sh_sum_grad and _band_solve calls made from now on."""
     import systolab.geodesics as geodesics
     import systolab.metric as metric
 
     counts = {}
-    for module, name in ((metric, "sh_sum"), (metric, "sh_sum_grad"), (geodesics, "spsolve")):
+    for module, name in ((metric, "sh_sum"), (metric, "sh_sum_grad"), (geodesics, "_band_solve")):
         def call(*args, _original=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
@@ -476,27 +477,113 @@ class TestBatchPolish:
             assert landed[k] == landed_alone[0]
 
     @pytest.mark.parametrize("n", [32, 64, 130])
-    def test_block_solve_in_natural_order_equals_the_default_solve(self, n):
-        # J[:, perm] in natural order factors as J does in spsolve's default
-        # (fill-reducing) order, and three such blocks factor one by one
-        from scipy import sparse
-        from scipy.sparse.linalg import spsolve
+    def test_jacobian_pattern_fills_the_band_once(self, n):
+        # 12n entries in distinct slots, each within kl = ku = 5 of the
+        # diagonal and in the 2x2 block of a vertex and itself or a cyclic
+        # neighbor: exactly the 12n entries of those blocks
+        _, _, gather, slots, place = _jacobian_pattern(n)
+        assert gather.size == slots.size == 12 * n
+        assert np.unique(slots).size == slots.size
+        assert np.all((slots % 16 >= 5) & (slots % 16 <= 15))
+        j = slots // 16
+        i = j + slots % 16 - 10
+        assert np.all((i >= 0) & (i < 2 * n))
+        assert sorted(place) == list(range(2 * n))
+        coords = np.argsort(place)
+        vertex_rows, vertex_cols = coords[i] // 2, coords[j] // 2
+        assert np.all(np.isin((vertex_rows - vertex_cols) % n, [0, 1, n - 1]))
 
-        _, _, _, perm, _, indices, _ = _jacobian_pattern(n)
-        rng = np.random.default_rng(n)
-        data = rng.standard_normal((3, indices.size))
-        rhs = rng.standard_normal((3, 2 * n))
-        steps = np.empty((3, 2 * n))
-        block = sparse.csc_matrix(
-            (data.ravel(), (indices + 2 * n * np.arange(3)[:, None]).ravel(),
-             np.arange(0, data.size + 1, 6)),
-            shape=(6 * n, 6 * n),
-        )
-        steps[:, perm] = spsolve(block, rhs.ravel(), permc_spec="NATURAL").reshape(3, -1)
+    @staticmethod
+    def polygons(n, seed):
+        """Three circles at n vertices with 1e-2 noise, and their gradients under MIXED."""
+        rng = np.random.default_rng(seed)
+        axes = rng.normal(size=(3, 3))
+        V = circle_points(axes / np.linalg.norm(axes, axis=-1, keepdims=True), 0.0, n)
+        V += 1e-2 * rng.standard_normal(V.shape)
+        V /= np.linalg.norm(V, axis=-1, keepdims=True)
+        return V, _energy_gradient(MIXED, V)
+
+    @pytest.mark.parametrize("n", [32, 64, 130])
+    def test_banded_step_equals_a_dense_solve(self, n):
+        # the reference J shifts one vertex at a time and keeps the rows of
+        # the vertex and its two neighbors
+        V, grad = self.polygons(n, n)
+        jmax, solve, _ = _linearize(MIXED, V[:1], grad[:1], _jacobian_pattern(n))
+        mu = 1e-3 * jmax
+        e1, e2 = circle_frame(V[0])
+        frame = lambda G: np.stack([_dots(G, e1), _dots(G, e2)], axis=-1).ravel()
+        F = frame(grad[0])
+        J = np.zeros((2 * n, 2 * n))
+        for v in range(n):
+            for d, e in enumerate((e1, e2)):
+                W = V[0].copy()
+                W[v] += 1e-7 * e[v]
+                W /= np.linalg.norm(W, axis=-1, keepdims=True)
+                column = (frame(_energy_gradient(MIXED, W)) - F) / 1e-7
+                for u in np.arange(v - 1, v + 2) % n:
+                    J[2 * u:2 * u + 2, 2 * v + d] = column[2 * u:2 * u + 2]
+        dense = np.linalg.solve(J + mu[0] * np.eye(2 * n), -F)
+        step = solve(mu, np.inf, np.arange(1))[0]
+        assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [32, 64, 130])
+    def test_batch_solve_equals_each_block_alone(self, n):
+        V, grad = self.polygons(n, n)
+        pattern = _jacobian_pattern(n)
+        jmax, solve, _ = _linearize(MIXED, V, grad, pattern)
+        mu = 1e-10 * jmax
+        steps = solve(mu, 0.25, np.arange(3))
         for k in range(3):
-            J = sparse.csc_matrix((data[k], indices, np.arange(0, indices.size + 1, 6)))
-            J = J[:, np.argsort(perm)]
-            np.testing.assert_array_equal(steps[k], spsolve(J, rhs[k]))
+            alone = _linearize(MIXED, V[k:k + 1], grad[k:k + 1], pattern)[1]
+            np.testing.assert_array_equal(steps[k], alone(mu[k:k + 1], 0.25, np.arange(1))[0])
+
+    @pytest.mark.parametrize("broken", ["zero-column", "nan-entry"])
+    def test_singular_block_gives_up_alone(self, monkeypatch, broken):
+        # the middle curve's first system loses a column, so dgbsv meets an
+        # exact zero pivot in its block, or gets a NaN entry: that curve
+        # gets a non-finite step, the other two the steps they get alone,
+        # and Newton hands the middle curve back as it came
+        import systolab.geodesics as geodesics
+
+        X = np.stack([perturbed_equator(shrink=False, seed=seed) for seed in (30, 31, 32)])
+        grad = _energy_gradient(ZONAL, X)
+        pattern = _jacobian_pattern(128)
+        jmax, solve, _ = _linearize(ZONAL, X, grad, pattern)
+        mu = 1e-10 * jmax
+        alone = []
+        for k in range(3):
+            solve_alone = _linearize(ZONAL, X[k:k + 1], grad[k:k + 1], pattern)[1]
+            alone.append(solve_alone(mu[k:k + 1], 0.25, np.arange(1))[0])
+        polished_alone = [_newton_polish(ZONAL, X[k:k + 1]) for k in range(3)]
+        original = geodesics._band_solve
+
+        def singular_middle():
+            calls = []
+
+            def band_solve(ab, rhs):
+                if not calls:
+                    ab = ab.copy()
+                    if broken == "zero-column":
+                        ab[1, 7] = 0.0
+                    else:
+                        ab[1, 7, 10] = np.nan
+                calls.append(1)
+                return original(ab, rhs)
+
+            return band_solve
+
+        monkeypatch.setattr(geodesics, "_band_solve", singular_middle())
+        steps = solve(mu, 0.25, np.arange(3))
+        assert not np.any(np.isfinite(steps[1]))
+        for k in (0, 2):
+            np.testing.assert_array_equal(steps[k], alone[k])
+        monkeypatch.setattr(geodesics, "_band_solve", singular_middle())
+        V, landed = _newton_polish(ZONAL, X)
+        assert list(landed) == [True, False, True]
+        np.testing.assert_array_equal(V[1], X[1])
+        for k in (0, 2):
+            np.testing.assert_array_equal(V[k], polished_alone[k][0][0])
+            assert polished_alone[k][1][0]
 
     @pytest.mark.parametrize("polish", [_newton_polish, _energy_descent],
                              ids=["newton", "descent"])
@@ -508,17 +595,17 @@ class TestBatchPolish:
         counts = count_calls(monkeypatch)
         alone = []
         for k in range(X.shape[0]):
-            counts.update(sh_sum=0, sh_sum_grad=0, spsolve=0)
+            counts.update(sh_sum=0, sh_sum_grad=0, _band_solve=0)
             assert polish(ZONAL, X[k:k + 1])[1][0]
-            alone.append(counts["spsolve"])
-        counts.update(sh_sum=0, sh_sum_grad=0, spsolve=0)
+            alone.append(counts["_band_solve"])
+        counts.update(sh_sum=0, sh_sum_grad=0, _band_solve=0)
         assert polish(ZONAL, X)[1].all()
-        assert counts["spsolve"] == max(alone)
+        assert counts["_band_solve"] == max(alone)
         if polish is _newton_polish:
-            assert counts["sh_sum_grad"] <= 1 + 6 * counts["spsolve"]
+            assert counts["sh_sum_grad"] <= 1 + 6 * counts["_band_solve"]
         else:
-            assert counts["sh_sum_grad"] <= 1 + 2 * counts["spsolve"]
-            assert counts["sh_sum"] <= 1 + counts["spsolve"]
+            assert counts["sh_sum_grad"] <= 1 + 2 * counts["_band_solve"]
+            assert counts["sh_sum"] <= 1 + counts["_band_solve"]
 
 
 class TestSweepoutConstruction:
