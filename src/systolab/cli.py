@@ -10,7 +10,10 @@
 Each experiment prints one line per row and exits nonzero when any row
 fails its bound, so a run doubles as a shell-scriptable check.  --config
 points at a JSON file with ExperimentConfig fields (f in the coefficient
-format of SphericalFunction.to_json); flags override the file.
+format of SphericalFunction.to_json, a list of (l, m, value) triples, or
+null for the round sphere); flags override the file.  Every subcommand
+parses its settings with ExperimentConfig.from_json, so an invalid config
+ends every one of them with "error: ..." and exit status 2.
 """
 
 import argparse
@@ -29,30 +32,22 @@ from .experiments import (
     write_funk_scan,
 )
 from .geodesics import estimate_systole
-from .harmonics import SphericalFunction
 from .metric import area, normalized_variation, systolic_ratio
 
-COMMAND_KINDS = {
-    "baseline": "baseline",
-    "proposition": "proposition",
-    "general": "general_direction",
-    "zoll": "zoll_first_order",
-    "pu": "pu_even",
-    "scale": "scale_invariance",
-    "conjecture": "conjecture_probe",
-}
-
+#: Experiment kind, default direction and default t values of each
+#: subcommand.  funk-scan and systole read the direction of
+#: general_direction, whose metric is normalized_variation.
 _Y20 = [[2, 0, 1.0]]
-_DEFAULTS = {
-    "baseline": (None, (0.0,)),
-    "proposition": (_Y20, (-0.1, -0.05, 0.05, 0.1)),
-    "general_direction": ([[0, 0, 1.0], [2, 0, 1.0]], (-0.1, -0.05, 0.05, 0.1)),
-    "zoll_first_order": ([[3, 0, 1.0]], (0.1, 0.05)),
-    "pu_even": (_Y20, (-0.1, -0.05, 0.05, 0.1)),
-    "scale_invariance": (_Y20, (0.1,)),
-    "conjecture_probe": ([[1, 0, 1.0], [2, 0, 1.0]], (0.02, 0.05, 0.1)),
-    "funk-scan": (_Y20, None),
-    "systole": (_Y20, (0.1,)),
+_COMMANDS = {
+    "baseline": ("baseline", None, (0.0,)),
+    "proposition": ("proposition", _Y20, (-0.1, -0.05, 0.05, 0.1)),
+    "general": ("general_direction", [[0, 0, 1.0], [2, 0, 1.0]], (-0.1, -0.05, 0.05, 0.1)),
+    "zoll": ("zoll_first_order", [[3, 0, 1.0]], (0.1, 0.05)),
+    "pu": ("pu_even", _Y20, (-0.1, -0.05, 0.05, 0.1)),
+    "scale": ("scale_invariance", _Y20, (0.1,)),
+    "conjecture": ("conjecture_probe", [[1, 0, 1.0], [2, 0, 1.0]], (0.02, 0.05, 0.1)),
+    "funk-scan": ("general_direction", _Y20, (0.0,)),
+    "systole": ("general_direction", _Y20, (0.1,)),
 }
 
 
@@ -70,55 +65,35 @@ def _parse_t_list(text):
     return values
 
 
-def _merged_settings(command, args):
-    """Defaults, then the config file, then explicit flags."""
-    default_f, default_t = _DEFAULTS[command]
-    settings = {
-        "f": default_f,
-        "t_values": default_t,
-        "n": ExperimentConfig.n,
-        "tol": ExperimentConfig.tol,
-        "seed": ExperimentConfig.seed,
-        "out": None,
-        "format": ExperimentConfig.fmt,
-    }
+def _config(args):
+    """The subcommand's ExperimentConfig: defaults, then the config file, then flags.
+
+    An invalid setting becomes a SystolabError, so every subcommand reports
+    it the same way.
+    """
+    kind, default_f, default_t = _COMMANDS[args.command]
+    settings = {"f": default_f, "t_values": default_t}
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                settings.update(json.load(fh))
+                loaded = json.load(fh)
         except OSError as exc:
             raise IOFailure(f"could not read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SystolabError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise SystolabError(f"config {args.config} is not a JSON object")
+        settings.update(loaded)
     # funk-scan registers --config and --out only
     for flag, key in (("t", "t_values"), ("seed", "seed"), ("out", "out"), ("format", "format")):
         value = getattr(args, flag, None)
         if value is not None:
             settings[key] = value
-    return settings
-
-
-def _direction(settings):
-    raw = settings.get("f")
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        return SphericalFunction.from_json(raw)
-    return SphericalFunction.from_pairs([tuple(e) for e in raw])
-
-
-def _experiment_config(kind, settings):
-    f = _direction(settings)
-    return ExperimentConfig(
-        kind=kind,
-        f=f,
-        t_values=tuple(settings["t_values"]),
-        n=int(settings["n"]),
-        tol=float(settings["tol"]),
-        seed=int(settings["seed"]),
-        out=settings.get("out"),
-        fmt=settings.get("format", "csv"),
-    )
+    settings["kind"] = kind
+    try:
+        return ExperimentConfig.from_json(settings)
+    except (TypeError, ValueError) as exc:
+        raise SystolabError(f"invalid config: {exc}") from exc
 
 
 _EXTRA_LABELS = (
@@ -146,36 +121,29 @@ def _print_rows(kind, rows):
     print(f"{kind}: {passed}/{len(rows)} rows pass")
 
 
-def _run_experiment_command(kind, args):
-    cfg = _experiment_config(kind, _merged_settings(kind, args))
+def _run_experiment_command(cfg):
     rows = run_experiment(cfg)
-    _print_rows(kind, rows)
+    _print_rows(cfg.kind, rows)
     if cfg.out:
         emit_report(rows, cfg.out, fmt=cfg.fmt)
         print(f"report written to {cfg.out}")
     return 0 if all(row.bound_check for row in rows) else 1
 
 
-def _run_funk_scan(args):
-    settings = _merged_settings("funk-scan", args)
-    f = _direction(settings)
-    out = settings.get("out")
-    if out:
-        write_funk_scan(f, out)
-        print(f"funk scan written to {out}")
+def _run_funk_scan(cfg):
+    if cfg.out:
+        write_funk_scan(cfg.f, cfg.out)
+        print(f"funk scan written to {cfg.out}")
     else:
-        print(_funk_scan_csv(f), end="")
+        print(_funk_scan_csv(cfg.f), end="")
     return 0
 
 
-def _run_systole(args):
-    settings = _merged_settings("systole", args)
-    f = _direction(settings)
+def _run_systole(cfg):
     records = []
-    for t in settings["t_values"]:
-        g = normalized_variation(f, t)
-        report = estimate_systole(g, n=int(settings["n"]), tol=float(settings["tol"]),
-                                  seed=int(settings["seed"]))
+    for t in cfg.t_values:
+        g = normalized_variation(cfg.f, t)
+        report = estimate_systole(g, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
         ratio = systolic_ratio(area(g), report.systole)
         print(
             f"t={t:+.6f}  systole={report.systole:.12f}  ratio={ratio:.9f}"
@@ -183,17 +151,16 @@ def _run_systole(args):
             + (f"  [{'; '.join(report.warnings)}]" if report.warnings else "")
         )
         records.append({"t": t, "ratio": ratio, **report.to_json()})
-    out = settings.get("out")
-    if out:
-        if settings.get("format", "csv") == "json":
+    if cfg.out:
+        if cfg.fmt == "json":
             text = _json_text(records)
         else:
             text = _csv_text(SYSTOLE_COLUMNS, (
                 [r[c] for c in SYSTOLE_COLUMNS[:-1]] + ["; ".join(r["warnings"])]
                 for r in records
             ))
-        _write_text(out, text, "systole report")
-        print(f"systole report written to {out}")
+        _write_text(cfg.out, text, "systole report")
+        print(f"systole report written to {cfg.out}")
     return 0
 
 
@@ -233,11 +200,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        cfg = _config(args)
         if args.command == "funk-scan":
-            return _run_funk_scan(args)
+            return _run_funk_scan(cfg)
         if args.command == "systole":
-            return _run_systole(args)
-        return _run_experiment_command(COMMAND_KINDS[args.command], args)
+            return _run_systole(cfg)
+        return _run_experiment_command(cfg)
     except SystolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

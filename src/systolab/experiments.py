@@ -139,10 +139,10 @@ class ExperimentConfig:
     """A reproducible experiment: kind, direction, t sweep, solver knobs.
 
     f is a SphericalFunction, a list of (l, m, value) coefficient pairs,
-    or None for the round sphere.  Every t is validated against the
-    admissible range of the preprocessed direction at construction time,
-    so a config that exists can always be run.  out/fmt describe where a
-    report should go; run_experiment itself never writes.
+    or None for the round sphere.  n and every t are validated at
+    construction time (t against the admissible range of the preprocessed
+    direction), so a config that exists can always be run.  out/fmt
+    describe where a report should go; run_experiment itself never writes.
     """
 
     kind: str
@@ -161,6 +161,8 @@ class ExperimentConfig:
         if not ts:
             raise ValueError("t_values must contain at least one value")
         object.__setattr__(self, "t_values", ts)
+        if self.n < 32 or self.n % 2 != 0:
+            raise ValueError("n must be an even integer >= 32")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.f is None:
@@ -213,7 +215,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        f = None if obj.get("f") is None else SphericalFunction.from_json(obj["f"])
+        """Config from a to_json dict; f may also be (l, m, value) triples or None."""
+        f = obj.get("f")
+        if isinstance(f, dict):
+            f = SphericalFunction.from_json(f)
         return cls(
             kind=obj["kind"],
             f=f,

@@ -67,7 +67,6 @@ from .metric import (
     _polygon_edges,
     _sin_cos,
     circle_frame,
-    curve_energy,
     min_curvature,
 )
 from .circles import TWO_PI, circle_points, find_signed_funk_axes
@@ -94,6 +93,17 @@ SAME_LENGTH = 1e-9
 #: metric of positive curvature and on one whose curvature is somewhere <= 0.
 POLISH_EVERY = 10
 POLISH_EVERY_NONPOSITIVE = 60
+
+#: Both polishes (Newton and the energy descent): iteration budget, the
+#: max|grad E| below which a curve lands, and the cap on a vertex's step.
+POLISH_ITERATIONS = 40
+POLISH_GRAD_TOL = 1e-11
+POLISH_STEP_CAP = 0.25
+
+#: Newton steps per vertex in a Birkhoff half pass, and the drift multiples
+#: a stalled curve tries (largest first) in _extrapolate_batch.
+VERTEX_NEWTON_STEPS = 3
+EXTRAPOLATION_FACTORS = (32.0, 16.0, 8.0, 4.0, 2.0)
 
 #: Slack allowed on the per-pass length monotonicity assertion.
 MONOTONE_SLACK = 1e-13
@@ -267,7 +277,7 @@ def _vertex_newton_step(g, a, x, b):
     return x_new / _norms(x_new)[:, None], w1 * d1 + w2 * d2
 
 
-def _half_pass(g, X, parity, active, newton_iters=3):
+def _half_pass(g, X, parity, active):
     """Update every vertex of one parity class, in place, batch-wide.
 
     The two segments touching the vertices of one parity class tile the edge
@@ -288,7 +298,7 @@ def _half_pass(g, X, parity, active, newton_iters=3):
     b = sub[:, (idx + 1) % n].reshape(-1, 3)
     x0 = sub[:, idx].reshape(-1, 3)
     x, l0 = _vertex_newton_step(g, a, x0, b)
-    for _ in range(newton_iters - 1):
+    for _ in range(VERTEX_NEWTON_STEPS - 1):
         x, _ = _vertex_newton_step(g, a, x, b)
     chosen = x0.copy()
     accepted = np.zeros(x0.shape[0], dtype=bool)
@@ -499,7 +509,7 @@ def _linearize(g, V, grad, pattern):
     return np.max(np.abs(values), axis=(1, 2)), solve, move
 
 
-def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
+def _newton_polish(g, V0):
     """Jump a stack of near-geodesics (B, n, 3) to stationarity by Newton.
 
     Solves grad E = 0 in the 2n tangent coordinates of the current vertices,
@@ -533,14 +543,14 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
     grad = _energy_gradient(g, V)
     fnorm = np.max(_norms(grad), axis=-1)
     running = np.ones(B, dtype=bool)
-    for _ in range(max_newton):
-        landed |= running & (fnorm < grad_tol)
+    for _ in range(POLISH_ITERATIONS):
+        landed |= running & (fnorm < POLISH_GRAD_TOL)
         running &= ~landed
         rows = np.flatnonzero(running)
         if rows.size == 0:
             break
         jmax, solve, move = _linearize(g, V[rows], grad[rows], pattern)
-        step = solve(1e-10 * jmax, cap, np.arange(rows.size))
+        step = solve(1e-10 * jmax, POLISH_STEP_CAP, np.arange(rows.size))
         finite = np.all(np.isfinite(step), axis=1)
         moved = np.zeros(rows.size, dtype=bool)
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
@@ -551,7 +561,7 @@ def _newton_polish(g, V0, grad_tol=1e-11, max_newton=40, cap=0.25):
             # the accepted trial's gradient starts the next iteration
             gt = _energy_gradient(g, Vt)
             ft = np.max(_norms(gt), axis=-1)
-            ok = (ft < fnorm[rows[trial]] * (1.0 - 1e-3)) | (ft < grad_tol)
+            ok = (ft < fnorm[rows[trial]] * (1.0 - 1e-3)) | (ft < POLISH_GRAD_TOL)
             accepted = rows[trial[ok]]
             V[accepted], grad[accepted], fnorm[accepted] = Vt[ok], gt[ok], ft[ok]
             moved[trial[ok]] = True
@@ -575,11 +585,12 @@ def _energy_descent(g, V0):
     the discrete energy does not rise.  mu starts at 1e-3 max|J|, grows
     tenfold on a rejected trial (at most 12 per iteration) and shrinks
     tenfold on an accepted one, so the step moves between a short gradient
-    step and a Newton step.  Steps are capped at 0.25 per vertex, and the
-    iteration budget is Newton's 40.  A curve lands once max|grad E| <
-    1e-11 with round length >= COLLAPSE_THRESHOLD, and gives up when the
-    budget runs out, a trial never lowers the energy, or the round length
-    falls below the threshold (the curve is heading to a point).
+    step and a Newton step.  Steps are capped at POLISH_STEP_CAP per vertex,
+    and the iteration budget is Newton's POLISH_ITERATIONS.  A curve lands
+    once max|grad E| < POLISH_GRAD_TOL with round length >=
+    COLLAPSE_THRESHOLD, and gives up when the budget runs out, a trial
+    never lowers the energy, or the round length falls below the threshold
+    (the curve is heading to a point).
 
     The curves run in lockstep, each with its own mu: an iteration
     linearizes every curve still running in one call, and a trial round
@@ -596,9 +607,9 @@ def _energy_descent(g, V0):
     grad = _energy_gradient(g, V)
     mu = np.empty(B)
     running = np.ones(B, dtype=bool)
-    for it in range(40):
+    for it in range(POLISH_ITERATIONS):
         running &= _polygon_edges(V)[1].sum(axis=-1) >= COLLAPSE_THRESHOLD
-        landed |= running & (np.max(_norms(grad), axis=-1) < 1e-11)
+        landed |= running & (np.max(_norms(grad), axis=-1) < POLISH_GRAD_TOL)
         running &= ~landed
         rows = np.flatnonzero(running)
         if rows.size == 0:
@@ -611,7 +622,7 @@ def _energy_descent(g, V0):
             trial = np.flatnonzero(searching)
             if trial.size == 0:
                 break
-            step = solve(mu[rows[trial]], 0.25, trial)
+            step = solve(mu[rows[trial]], POLISH_STEP_CAP, trial)
             finite = np.all(np.isfinite(step), axis=1)
             trial, step = trial[finite], step[finite]
             if trial.size:
@@ -630,7 +641,7 @@ def _energy_descent(g, V0):
     return V, landed
 
 
-def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4.0, 2.0)):
+def _extrapolate_batch(g, X, active, lengths, drift):
     """Aitken-style acceleration of slowly sliding curves, in place.
 
     A curve drifting through near-geodesic shapes (a shallow valley of the
@@ -643,7 +654,7 @@ def _extrapolate_batch(g, X, active, lengths, drift, factors=(32.0, 16.0, 8.0, 4
     if rows.size == 0:
         return lengths
     taken = np.zeros(X.shape[0], dtype=bool)
-    for factor in factors:
+    for factor in EXTRAPOLATION_FACTORS:
         trial = np.flatnonzero(active & ~taken)
         if trial.size == 0:
             break
@@ -738,12 +749,11 @@ class GeodesicResult:
     are heading to a point, which the systole must exclude.
     """
 
-    __slots__ = ("curve", "length", "energy", "residual", "collapsed", "passes")
+    __slots__ = ("curve", "length", "residual", "collapsed", "passes")
 
-    def __init__(self, curve, length, energy, residual, collapsed, passes):
+    def __init__(self, curve, length, residual, collapsed, passes):
         self.curve = curve
         self.length = length
-        self.energy = energy
         self.residual = residual
         self.collapsed = collapsed
         self.passes = passes
@@ -768,11 +778,8 @@ def birkhoff_shorten(g, curve, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise ValueError("Birkhoff passes need an even number of vertices")
     X = curve.vertices[None].copy()
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, max_iter, _polish_every(g))
-    out = DiscreteClosedCurve(X[0])
-    energy = 0.0 if out.is_point else curve_energy(g, out)
-    return GeodesicResult(
-        out, float(lengths[0]), energy, float(residuals[0]), bool(collapsed[0]), int(passes[0])
-    )
+    return GeodesicResult(DiscreteClosedCurve(X[0]), float(lengths[0]), float(residuals[0]),
+                          bool(collapsed[0]), int(passes[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,12 +1033,9 @@ def _seed_geodesics(g, axes, tags, n, tol, polish_every, warnings_log):
                                                                polish_every)
         passes += coarse_passes
         kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
-    found = []
-    for k in kept:
-        out = DiscreteClosedCurve(X[k])
-        found.append((tags[k], GeodesicResult(out, float(lengths[k]), curve_energy(g, out),
-                                              float(residuals[k]), False, int(passes[k]))))
-    return found
+    return [(tags[k], GeodesicResult(DiscreteClosedCurve(X[k]), float(lengths[k]),
+                                     float(residuals[k]), False, int(passes[k])))
+            for k in kept]
 
 
 def estimate_systole(g, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):

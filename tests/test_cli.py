@@ -1,5 +1,6 @@
 """Tests for the command-line front end (all in-process via main(argv))."""
 
+import csv
 import json
 import math
 
@@ -197,3 +198,36 @@ class TestSystoleCommand:
 
         records = json.loads(out.read_text(), parse_constant=reject)
         assert records[0]["curvature_min"] is None
+
+
+class TestConfigParsing:
+    """Every subcommand parses its settings through ExperimentConfig.from_json."""
+
+    @pytest.mark.parametrize("command, column, expected", [
+        ("systole", "systole", 2.0 * math.pi),
+        ("funk-scan", "funk_value", 0.0),
+    ])
+    def test_null_direction_is_the_round_sphere(self, tmp_path, command, column, expected):
+        cfg = write_config(tmp_path, f=None)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            values = [float(row[column]) for row in csv.DictReader(fh)]
+        assert values
+        assert all(abs(v - expected) <= 1e-9 for v in values)
+
+    @pytest.mark.parametrize("command", ["proposition", "systole"])
+    @pytest.mark.parametrize("invalid", [
+        {"n": 33}, {"n": "abc"}, {"n": None}, {"format": "xml"}, "top-level list",
+    ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list"])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, command, invalid):
+        if invalid == "top-level list":
+            cfg = tmp_path / "list.json"
+            cfg.write_text(json.dumps([{"n": 32}]))
+        else:
+            cfg = write_config(tmp_path, **invalid)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        # main returned, so no exception escaped with a traceback
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

@@ -51,6 +51,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="format"):
             ExperimentConfig(kind="proposition", f=Y20, fmt="xml")
 
+    @pytest.mark.parametrize("n", [33, 30])
+    def test_n_must_be_even_and_at_least_32(self, n):
+        with pytest.raises(ValueError, match="n must be an even integer >= 32"):
+            ExperimentConfig(kind="proposition", f=Y20, n=n)
+
     def test_non_admissible_t_rejected(self):
         with pytest.raises(NonAdmissibleT):
             ExperimentConfig(kind="proposition", f=Y20, t_values=(0.05, 5.0))
