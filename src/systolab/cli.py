@@ -26,17 +26,18 @@ from .experiments import (
     _csv_text,
     _funk_scan_csv,
     _json_text,
+    _metric_for,
     _write_text,
     emit_report,
     run_experiment,
     write_funk_scan,
 )
 from .geodesics import estimate_systole
-from .metric import area, normalized_variation, systolic_ratio
+from .metric import area, systolic_ratio
 
 #: Experiment kind, default direction and default t values of each
 #: subcommand.  funk-scan and systole read the direction of
-#: general_direction, whose metric is normalized_variation.
+#: general_direction, whose metric is the normalized variation.
 _Y20 = [[2, 0, 1.0]]
 _COMMANDS = {
     "baseline": ("baseline", None, (0.0,)),
@@ -142,7 +143,7 @@ def _run_funk_scan(cfg):
 def _run_systole(cfg):
     records = []
     for t in cfg.t_values:
-        g = normalized_variation(cfg.f, t)
+        g = _metric_for(cfg, t)
         report = estimate_systole(g, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
         ratio = systolic_ratio(area(g), report.systole)
         print(

@@ -34,6 +34,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,15 +135,28 @@ class ResultRow:
         }
 
 
+def _integer(value, name):
+    """value as an int; a bool, a string or a non-integral number is refused,
+    not truncated."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A reproducible experiment: kind, direction, t sweep, solver knobs.
 
     f is a SphericalFunction, a list of (l, m, value) coefficient pairs,
-    or None for the round sphere.  n and every t are validated at
+    or None for the round sphere.  n, seed and every t are validated at
     construction time (t against the admissible range of the preprocessed
-    direction), so a config that exists can always be run.  out/fmt
-    describe where a report should go; run_experiment itself never writes.
+    direction), so a config that exists can always be run.  The preprocessed
+    direction is built once, there, and every metric of the run is built on
+    that one object, so they share one sup norm.  out/fmt describe where a
+    report should go; run_experiment itself never writes.
     """
 
     kind: str
@@ -153,6 +167,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = None
     fmt: str = "csv"
+    _direction: SphericalFunction = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -161,19 +176,28 @@ class ExperimentConfig:
         if not ts:
             raise ValueError("t_values must contain at least one value")
         object.__setattr__(self, "t_values", ts)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 32 or self.n % 2 != 0:
             raise ValueError("n must be an even integer >= 32")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.f is None:
             object.__setattr__(self, "f", SphericalFunction.zeros(0))
         elif not isinstance(self.f, SphericalFunction):
             object.__setattr__(self, "f", SphericalFunction.from_pairs(self.f))
+        _, direction = mean_zero_decompose(self.f)
+        if self.kind == "zoll_first_order":
+            _, direction = parity_decompose(direction)
+        elif self.kind == "pu_even":
+            direction, _ = parity_decompose(direction)
+        object.__setattr__(self, "_direction", direction)
         if self.kind == "baseline":
             if any(t != 0.0 for t in ts):
                 raise NonAdmissibleT("baseline runs only at t = 0")
             return
-        direction = self.direction()
         bound = max_admissible_t(direction)
         for t in ts:
             if abs(t) >= bound:
@@ -191,15 +215,10 @@ class ExperimentConfig:
                     )
 
     def direction(self):
-        """The mean-zero direction actually fed into the metric."""
-        _, f0 = mean_zero_decompose(self.f)
-        if self.kind == "zoll_first_order":
-            _, odd = parity_decompose(f0)
-            return odd
-        if self.kind == "pu_even":
-            even, _ = parity_decompose(f0)
-            return even
-        return f0
+        """The mean-zero direction actually fed into the metric: the odd part
+        for zoll_first_order, the even part for pu_even; the same object on
+        every call."""
+        return self._direction
 
     def to_json(self):
         return {
@@ -223,9 +242,9 @@ class ExperimentConfig:
             kind=obj["kind"],
             f=f,
             t_values=tuple(obj.get("t_values", cls.t_values)),
-            n=int(obj.get("n", cls.n)),
+            n=obj.get("n", cls.n),
             tol=float(obj.get("tol", cls.tol)),
-            seed=int(obj.get("seed", cls.seed)),
+            seed=obj.get("seed", cls.seed),
             out=obj.get("out"),
             fmt=obj.get("format", cls.fmt),
         )

@@ -281,18 +281,32 @@ def sh_sum_grad(coeffs, points):
 
 
 class SphericalFunction:
-    """Real band-limited function on S^2 as a flat coefficient vector."""
+    """Real band-limited function on S^2 as a flat coefficient vector.
 
-    __slots__ = ("coeffs",)
+    Immutable: the constructor copies its input and marks coeffs read-only,
+    so a value derived from the coefficients stays valid for the object's
+    life.  The one such value is the sup norm, which metric.max_admissible_t
+    computes on its first call and keeps in the _sup_norm slot.
+    """
+
+    __slots__ = ("coeffs", "_sup_norm")
 
     def __init__(self, coeffs):
-        c = np.ascontiguousarray(coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("coeffs must be one-dimensional")
         L = math.isqrt(c.size) - 1
         if sh_size(L) != c.size:
             raise ValueError(f"coefficient length {c.size} is not a perfect square")
+        c.flags.writeable = False
         self.coeffs = c
+        self._sup_norm = None
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor: numpy
+        # does not carry the read-only flag over, and a writable copy must
+        # not inherit a kept sup norm
+        return SphericalFunction, (self.coeffs,)
 
     @property
     def degree(self):
@@ -388,9 +402,11 @@ class SphericalFunction:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json; without "L" the band limit is the largest l given."""
+        L = obj.get("L")
         return cls.from_pairs(
             [(int(l), int(m), float(v)) for l, m, v in obj.get("coeffs", [])],
-            degree_max=int(obj["L"]),
+            degree_max=None if L is None else int(L),
         )
 
 

@@ -189,9 +189,13 @@ def max_admissible_t(f):
 
     The variation (1 + t*f)^2 * g0 is a genuine metric for every |t| < a;
     sign-asymmetric f admits a larger one-sided range, which we deliberately
-    do not chase: the bound is used two-sidedly.
+    do not chase: the bound is used two-sidedly.  The sup norm is computed
+    on the first call for f and kept on f (whose coefficients are read-only),
+    so every later bound of the same object is free.
     """
-    s = sup_norm(f)
+    s = f._sup_norm
+    if s is None:
+        s = f._sup_norm = sup_norm(f)
     return math.inf if s == 0.0 else 1.0 / s
 
 

@@ -219,7 +219,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command", ["proposition", "systole"])
     @pytest.mark.parametrize("invalid", [
         {"n": 33}, {"n": "abc"}, {"n": None}, {"format": "xml"}, "top-level list",
-    ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list"])
+        {"n": 64.5}, {"seed": 2.5}, {"seed": True}, {"seed": -1},
+    ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list",
+            "non-integral-n", "non-integral-seed", "bool-seed", "negative-seed"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, invalid):
         if invalid == "top-level list":
             cfg = tmp_path / "list.json"
@@ -231,3 +233,9 @@ class TestConfigParsing:
         # main returned, so no exception escaped with a traceback
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_direction_without_band_limit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "estimate_systole", fake_estimate(0.9))
+        cfg = write_config(tmp_path, f={"coeffs": [[2, 0, 1.0]]})
+        assert cli.main(["systole", "--config", cfg]) == 0
+        assert "systole=6.2" in capsys.readouterr().out

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import systolab.experiments
+import systolab.metric
 from systolab.errors import IOFailure, NonAdmissibleT
 from systolab.harmonics import SphericalFunction, mean_zero_decompose, sh_basis
 from systolab.experiments import (
@@ -20,6 +22,8 @@ from systolab.experiments import (
     write_funk_scan,
     write_witness_curve,
 )
+from systolab.geodesics import SystoleReport
+from systolab.metric import sup_norm
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -36,6 +40,11 @@ CONST_PLUS_Y20 = SphericalFunction.from_pairs([(0, 0, 1.0), (2, 0, 1.0)])
 
 def row_dicts(rows):
     return [row.as_record() for row in rows]
+
+
+def fixed_estimate(g, **knobs):
+    """A stand-in for estimate_systole: a fixed report, at once."""
+    return SystoleReport(6.2, None, [], 0.9, [])
 
 
 class TestExperimentConfig:
@@ -82,6 +91,60 @@ class TestExperimentConfig:
         assert prop.direction().coefficient(0, 0) == 0.0
         _, f0 = mean_zero_decompose(CONST_PLUS_Y20)
         assert prop.direction().coefficient(2, 0) == f0.coefficient(2, 0)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 64.5, "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("seed", 2.5, "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("seed", "3", "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_n_and_seed_must_be_integers(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="proposition", f=Y20, **{key: value})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json({"kind": "proposition", key: value})
+
+    def test_integral_floats_are_accepted(self):
+        cfg = ExperimentConfig.from_json({"kind": "proposition", "n": 64.0, "seed": 7.0})
+        assert (cfg.n, cfg.seed) == (64, 7)
+        assert isinstance(cfg.n, int) and isinstance(cfg.seed, int)
+
+    def test_direction_without_band_limit(self):
+        cfg = ExperimentConfig.from_json(
+            {"kind": "proposition", "f": {"coeffs": [[2, 0, 1.0]]}, "t_values": [0.1]}
+        )
+        assert cfg.f.degree == 2
+        assert cfg.f.coefficient(2, 0) == 1.0
+
+    def test_direction_is_built_once(self):
+        for kind in ("baseline", "proposition", "zoll_first_order", "pu_even"):
+            cfg = ExperimentConfig(kind=kind, f=MIXED_PARITY)
+            assert cfg.direction() is cfg.direction()
+
+    @pytest.mark.parametrize("kind, t_values", [
+        ("proposition", (0.05, 0.1)),
+        ("scale_invariance", (0.05, 0.1)),
+        ("general_direction", (-0.1, 0.1)),
+    ])
+    def test_one_sup_norm_per_run(self, monkeypatch, kind, t_values):
+        # the config's bound check, every row's metric and every rescaled
+        # metric of scale_invariance share the direction's one sup norm
+        # (scale_invariance over two t made 9 calls when each metric
+        # computed its own)
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return sup_norm(f)
+
+        monkeypatch.setattr(systolab.metric, "sup_norm", counted)
+        monkeypatch.setattr(systolab.experiments, "estimate_systole", fixed_estimate)
+        cfg = ExperimentConfig(kind=kind, f=CONST_PLUS_Y20, t_values=t_values, **KNOBS)
+        rows = run_experiment(cfg)
+        assert len(rows) == 2
+        assert calls == [cfg.direction()]
 
     def test_coefficient_pairs_are_coerced(self):
         cfg = ExperimentConfig(kind="proposition", f=[[2, 0, 1.0]], t_values=(0.1,))

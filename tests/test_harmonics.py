@@ -1,7 +1,9 @@
 """Tests for the spherical-harmonic basis, quadrature, and decompositions."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -321,6 +323,57 @@ class TestSphericalFunction:
         g = SphericalFunction.from_json(json.loads(blob))
         assert g.degree == 6
         np.testing.assert_allclose(g.coeffs, f.coeffs, atol=0.0)
+
+    def test_json_without_band_limit_infers_it(self):
+        # as from_pairs does, the band limit is the largest degree given
+        f = SphericalFunction.from_json({"coeffs": [[2, 0, 1.0], [3, -1, 0.5]]})
+        assert f.degree == 3
+        assert f.coefficient(3, -1) == 0.5
+        assert SphericalFunction.from_json({"coeffs": [[2, 0, 1.0]]}).degree == 2
+
+    def test_coefficients_are_a_read_only_copy(self):
+        source = np.zeros(sh_size(2))
+        source[sh_index(2, 0)] = 1.0
+        f = SphericalFunction(source)
+        assert not f.coeffs.flags.writeable
+        assert source.flags.writeable
+        source[sh_index(2, 0)] = 5.0
+        assert f.coefficient(2, 0) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[0] = 1.0
+        # a read-only input is copied too, and the copy is contiguous
+        g = SphericalFunction(f.coeffs[::-1])
+        assert g.coeffs.flags.c_contiguous and not g.coeffs.flags.writeable
+        # so are copies and unpickled functions, and none keeps a sup norm
+        from systolab.metric import max_admissible_t
+
+        max_admissible_t(f)
+        assert f._sup_norm is not None
+        for h in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert not h.coeffs.flags.writeable
+            assert h._sup_norm is None
+            np.testing.assert_array_equal(h.coeffs, f.coeffs)
+
+    def test_derived_functions_are_immutable_and_correct(self):
+        f = SphericalFunction.harmonic(1, 0)
+        g = SphericalFunction.harmonic(3, 2)
+        derived = {
+            "sum": (f + g, {(1, 0): 1.0, (3, 2): 1.0}),
+            "difference": (f - g, {(1, 0): 1.0, (3, 2): -1.0}),
+            "scaled": (3.0 * g, {(3, 2): 3.0}),
+            "negated": (-f, {(1, 0): -1.0}),
+            "padded": (f.padded(4), {(1, 0): 1.0}),
+            "json": (SphericalFunction.from_json((f + g).to_json()), {(1, 0): 1.0, (3, 2): 1.0}),
+        }
+        for name, (h, expected) in derived.items():
+            assert not h.coeffs.flags.writeable, name
+            assert np.count_nonzero(h.coeffs) == len(expected), name
+            for (l, m), value in expected.items():
+                assert h.coefficient(l, m) == value, name
+        assert f.padded(4).degree == 4
+        lam, f0 = mean_zero_decompose(SphericalFunction.constant(2.0, degree_max=2) + g.padded(3))
+        assert lam == pytest.approx(2.0, rel=1e-15)
+        assert f0.coefficient(0, 0) == 0.0 and not f0.coeffs.flags.writeable
 
 
 class TestLaplacian:

@@ -171,6 +171,34 @@ class TestSupNormAndAdmissibility:
         )
 
 
+    def test_bound_is_computed_once_per_function(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return sup_norm(f)
+
+        monkeypatch.setattr(systolab.metric, "sup_norm", counted)
+        f = small_direction(2, degree=6)
+        for t in (0.5, -0.9, 3.0):
+            try:
+                make_variation(f, t)
+            except NonAdmissibleT:
+                assert t == 3.0
+        assert calls == [f]
+        # an equal but distinct function computes its own bound
+        twin = SphericalFunction(f.coeffs)
+        max_admissible_t(twin)
+        assert calls == [f, twin]
+
+    def test_kept_bound_is_bit_equal_to_a_fresh_one(self):
+        f = small_direction(3, degree=8)
+        first = max_admissible_t(f)
+        assert max_admissible_t(f) == first
+        assert max_admissible_t(SphericalFunction(f.coeffs.copy())) == first
+        assert first == 1.0 / sup_norm(f)
+
+
 class TestMakeVariation:
     def test_round_metric(self):
         g = make_variation(SphericalFunction.zeros(8), 0.0)
