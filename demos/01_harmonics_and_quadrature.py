@@ -46,7 +46,7 @@ print(f"integral of f dv      = {integrate(f0, q):+.3e}   (mean-zero part: exact
 print(f"integral of Y00 dv    = {integrate(SphericalFunction.constant(1.0), q):.12f} (sphere area 4*pi = {FOUR_PI:.12f})")
 
 # Parseval: the L2 norm is the Euclidean norm of the coefficient vector.
-norm_quad = math.sqrt(q.integrate_values((q.basis(f.degree) @ f.coeffs) ** 2))
+norm_quad = math.sqrt(q.integrate_values(q.synthesize(f.coeffs) ** 2))
 norm_coeffs = f.l2_norm()
 print(f"|f|_2 by quadrature   = {norm_quad:.15f}")
 print(f"|f|_2 by coefficients = {norm_coeffs:.15f}   (Parseval, err {abs(norm_quad - norm_coeffs):.1e})")
@@ -69,6 +69,6 @@ print(f"laplacian(Y43) / Y43 at p = {laplacian(y43)(p) / y43(p):.6f}   (expect -
 
 print()
 print("== spectral projection round-trip ==")
-samples = q.basis(f.degree) @ f.coeffs
+samples = q.synthesize(f.coeffs)
 back = q.project(samples, f.degree)
 print(f"project(evaluate(f)) recovers the coefficients to {np.max(np.abs(back.coeffs - f.coeffs)):.1e}")

@@ -134,7 +134,7 @@ def verify_tangent_bundle_identity(g):
     gamma(u).  Both equal 8*pi^2 for lam = 0 and mean-zero f.
     """
     q = build_quadrature(2 * g.f.degree + 2)
-    lhs = TWO_PI * float(q.weights @ g.w(q.nodes))
+    lhs = TWO_PI * float(q.weights @ g.w_nodes(q))
     rhs = float(q.weights @ great_circle_length_many(g, q.nodes))
     return lhs, rhs
 
@@ -142,10 +142,11 @@ def verify_tangent_bundle_identity(g):
 def find_signed_funk_axes(f, q=None):
     """Axes u0, u1 with Funk(f)(u0) < 0 < Funk(f)(u1), or None.
 
-    Scans quadrature nodes for the extreme Funk values and polishes the
-    minimum and the maximum together with sup_norm's batched Newton polish
-    on the Funk image.  Returns None when the transform vanishes identically
-    (max |Funk| <= 1e-9 on the scan), the odd-direction case.
+    Scans the nodes of funk_scan (q a SphereQuadrature, as there) for the
+    extreme Funk values and polishes the minimum and the maximum together
+    with sup_norm's batched Newton polish on the Funk image.  Returns None
+    when the transform vanishes identically (max |Funk| <= 1e-9 on the
+    scan), the odd-direction case.
     """
     scan = funk_scan(f, q=q)
     nodes, vals = scan[:, :3], scan[:, 3]
@@ -161,9 +162,11 @@ def find_signed_funk_axes(f, q=None):
 
 
 def funk_scan(f, q=None):
-    """Funk values on a node grid: array of rows (ux, uy, uz, funk_value)."""
+    """Funk values on the nodes of a band quadrature: rows (ux, uy, uz, funk_value).
+
+    q is a SphereQuadrature, by default build_quadrature(max(2 deg f + 2, 18));
+    its transform evaluates the Funk image at every node.
+    """
     if q is None:
         q = build_quadrature(max(2 * f.degree + 2, 18))
-    image = funk_image(f)
-    vals = q.basis(image.degree) @ image.coeffs
-    return np.column_stack([q.nodes, vals])
+    return np.column_stack([q.nodes, q.synthesize(funk_image(f).coeffs)])

@@ -455,5 +455,5 @@ def _funk_scan_csv(f, q=None):
 
 
 def write_funk_scan(f, path, q=None):
-    """Dump a Funk scan as CSV rows (ux, uy, uz, funk_value)."""
+    """Dump a Funk scan as CSV rows (ux, uy, uz, funk_value); q as in funk_scan."""
     return _write_text(path, _funk_scan_csv(f, q=q), "Funk scan")

@@ -16,11 +16,18 @@ without pole special cases.
 One recurrence produces every Q_lm and dQ_lm/dz: the generator
 _scaled_legendre steps it upward in l, order by order, with the coefficients
 cached by _recurrence_tables, and stops each order at a caller-given top
-degree.  sh_basis runs it to the full degree and fills the basis matrix (the
-quadrature projections and sup_norm's grid scan use that).  sh_sum and
-sh_sum_grad share one accumulation loop that stops each order at its highest
-non-zero coefficient and skips empty orders; they serve every pointwise
-evaluation of a function or of a metric's length factor.
+degree.  Three consumers run it:
+
+- sh_sum and sh_sum_grad share one accumulation loop that stops each order
+  at its highest non-zero coefficient and skips empty orders; they serve
+  every evaluation at arbitrary points (curves, circles, polish steps).
+- SphereQuadrature runs it once at its Gauss-Legendre latitudes into a
+  latitude table; its synthesize and project are the product-grid transform
+  behind every evaluation on a quadrature grid (areas, the positivity check,
+  sup_norm's grid scan, the Funk scan, the log-factor projection and the
+  curvature check grid).
+- sh_basis fills the dense (points x harmonics) basis matrix.  No library
+  path uses it; it is the reference the tests hold the other two to.
 """
 
 from __future__ import annotations
@@ -427,55 +434,153 @@ def _gauss_legendre(count):
     return _GAUSS_LEGENDRE_CACHE[count]
 
 
-class SphereQuadrature:
-    """Product quadrature on S^2: Gauss-Legendre in cos(theta), uniform longitude.
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
-    Exact (to rounding) on every spherical harmonic of degree <= band, hence on
-    products of harmonics whose total degree stays <= band.
+
+_SLOT_CACHE = {}
+
+
+def _order_slots(degree_max):
+    """Position of each flat index k in an (m, l, branch) array, cached per degree.
+
+    The array has shape (L+1, L+1, 2): branch 0 holds the coefficient of the
+    cosine harmonic (l, m), branch 1 that of the sine harmonic (l, -m), and
+    the entries with m > l or (m = 0, branch 1) stay zero.
     """
+    L = degree_max
+    if L not in _SLOT_CACHE:
+        _SLOT_CACHE[L] = _read_only(np.array([(abs(m) * (L + 1) + l) * 2 + (m < 0)
+                                              for l in range(L + 1) for m in range(-l, l + 1)]))
+    return _SLOT_CACHE[L]
+
+
+class SphereQuadrature:
+    """Product grid on S^2 and its spherical-harmonic transform.
+
+    The nodes are the Gauss-Legendre cos(theta) of band // 2 + 1 latitudes
+    times band + 1 uniform longitudes, latitude-major; the quadrature is exact
+    (to rounding) on every harmonic of degree <= band, hence on products of
+    harmonics whose total degree stays <= band.
+
+    On a product grid a harmonic separates: Y_lm = P_lm(theta) * cos(m*phi)
+    (or sin(|m|*phi)), where the latitude table P_lm = sqrt(2) * Q_lm *
+    sin(theta)^m comes from _scaled_legendre at the grid's latitudes.  So
+    synthesize sums each latitude's row of that table per order, then the
+    orders' cosines and sines over longitude, and project is its adjoint
+    against the quadrature weights (Driscoll and Healy, 1994).  Both cost
+    O(ntheta * (L+1)^2 + nodes * L) and hold no (nodes x harmonics) matrix.
+
+    Immutable apart from its caches: the latitude and longitude tables are
+    built at the highest degree asked for so far, and a lower degree reads
+    their leading slices; nodes and weights are built on first use.  Every
+    array it hands out is read-only.  Use build_quadrature, which keeps one
+    quadrature per band.
+    """
+
+    __slots__ = ("band", "_z", "_wz", "_nphi", "_nodes", "_weights", "_legendre", "_trig")
 
     def __init__(self, band):
         if band < 0:
             raise ValueError("band must be >= 0")
         self.band = band
-        ntheta = band // 2 + 1
-        nphi = band + 1
-        zs, wz = _gauss_legendre(ntheta)
-        phis = 2.0 * math.pi * np.arange(nphi) / nphi
-        sin_t = np.sqrt(1.0 - zs**2)
-        x = np.outer(sin_t, np.cos(phis)).ravel()
-        y = np.outer(sin_t, np.sin(phis)).ravel()
-        z = np.outer(zs, np.ones(nphi)).ravel()
-        self.nodes = np.column_stack([x, y, z])
-        self.weights = np.repeat(wz, nphi) * (2.0 * math.pi / nphi)
-        self._basis_cache = {}
+        self._z, self._wz = _gauss_legendre(band // 2 + 1)
+        self._nphi = band + 1
+        self._nodes = self._weights = self._legendre = self._trig = None
 
     @property
     def size(self):
-        return self.weights.size
+        return self._z.size * self._nphi
 
-    def basis(self, degree_max):
-        """Cached basis matrix (nodes x harmonics) up to degree_max."""
-        if degree_max not in self._basis_cache:
-            self._basis_cache[degree_max] = sh_basis(self.nodes, degree_max)
-        return self._basis_cache[degree_max]
+    @property
+    def nodes(self):
+        """Unit node points (size, 3), latitude-major."""
+        if self._nodes is None:
+            phis = 2.0 * math.pi * np.arange(self._nphi) / self._nphi
+            sin_t = np.sqrt(1.0 - self._z**2)
+            x = np.outer(sin_t, np.cos(phis)).ravel()
+            y = np.outer(sin_t, np.sin(phis)).ravel()
+            z = np.outer(self._z, np.ones(self._nphi)).ravel()
+            self._nodes = _read_only(np.column_stack([x, y, z]))
+        return self._nodes
+
+    @property
+    def weights(self):
+        """Node weights (size,) against the surface measure."""
+        if self._weights is None:
+            weights = np.repeat(self._wz, self._nphi) * (2.0 * math.pi / self._nphi)
+            self._weights = _read_only(weights)
+        return self._weights
+
+    def _tables(self, degree_max):
+        """(latitude table [m, j, l] of shape (L+1, ntheta, L+1), trig (2L+2, nphi)).
+
+        Row 2m of trig holds cos(m*phi_k) and row 2m + 1 sin(m*phi_k); m*k
+        is reduced mod nphi before scaling, so every row is as exact as the
+        first.
+        """
+        L = degree_max
+        if self._legendre is None or self._legendre.shape[0] <= L:
+            z = self._z
+            table = np.zeros((L + 1, z.size, L + 1))
+            for l, m, q, _ in _scaled_legendre(z, L, [L] * (L + 1), False):
+                table[m, :, l] = q
+            ms = np.arange(L + 1)
+            table *= np.sqrt(1.0 - z**2)[None, :, None] ** ms[:, None, None]
+            table[1:] *= math.sqrt(2.0)
+            nphi = self._nphi
+            angles = 2.0 * math.pi * (np.outer(ms, np.arange(nphi)) % nphi) / nphi
+            trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1, nphi)
+            self._legendre = _read_only(table)
+            self._trig = _read_only(trig)
+        return self._legendre[: L + 1, :, : L + 1], self._trig[: 2 * (L + 1)]
+
+    def synthesize(self, coeffs):
+        """Values at the nodes of the sum of coeffs[k] * Y_k, shape (size,)."""
+        c = np.asarray(coeffs, dtype=float)
+        L = math.isqrt(c.size) - 1
+        table, trig = self._tables(L)
+        by_order = np.zeros(2 * (L + 1) ** 2)
+        by_order[_order_slots(L)] = c
+        # per order m, the latitude sums (ntheta, 2) of both branches
+        lat = table @ by_order.reshape(L + 1, L + 1, 2)
+        return (lat.transpose(1, 0, 2).reshape(self._z.size, -1) @ trig).ravel()
 
     def integrate_values(self, values):
         """Integral of node samples against the surface measure."""
         return float(self.weights @ np.asarray(values, dtype=float))
 
     def project(self, values, degree_max):
-        """Least-squares-free spectral projection of node samples onto degree <= L."""
-        coeffs = self.basis(degree_max).T @ (self.weights * np.asarray(values, dtype=float))
-        return SphericalFunction(coeffs)
+        """Spectral projection of node samples onto degree <= L: the adjoint of synthesize.
+
+        Coefficient k is the quadrature sum of values * Y_k, exact for samples
+        of a function of degree <= band - L.
+        """
+        L = degree_max
+        table, trig = self._tables(L)
+        v = np.asarray(values, dtype=float).reshape(self._z.size, self._nphi)
+        lon = (v @ trig.T).reshape(self._z.size, L + 1, 2)
+        lon *= (self._wz * (2.0 * math.pi / self._nphi))[:, None, None]
+        by_order = table.transpose(0, 2, 1) @ lon.transpose(1, 0, 2)
+        return SphericalFunction(by_order.ravel()[_order_slots(L)])
 
     def __repr__(self):
         return f"SphereQuadrature(band={self.band}, nodes={self.size})"
 
 
+_QUADRATURE_CACHE = {}
+
+
 def build_quadrature(band):
-    """Quadrature exact on all harmonics of degree <= band."""
-    return SphereQuadrature(band)
+    """The quadrature exact on all harmonics of degree <= band, one per band.
+
+    Cached like the Gauss-Legendre rule: every caller of a band shares one
+    SphereQuadrature and so its nodes, weights and transform tables.
+    """
+    if band not in _QUADRATURE_CACHE:
+        _QUADRATURE_CACHE[band] = SphereQuadrature(band)
+    return _QUADRATURE_CACHE[band]
 
 
 def integrate(f, quadrature):
@@ -484,7 +589,7 @@ def integrate(f, quadrature):
         raise BandTooLow(
             f"quadrature band {quadrature.band} below function degree {f.degree}"
         )
-    return quadrature.integrate_values(quadrature.basis(f.degree) @ f.coeffs)
+    return quadrature.integrate_values(quadrature.synthesize(f.coeffs))
 
 
 def mean_zero_decompose(f):

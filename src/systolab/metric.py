@@ -26,13 +26,11 @@ from .errors import (
     ProjectionResidualTooLarge,
 )
 from .harmonics import (
-    SphereQuadrature,
     SphericalFunction,
     build_quadrature,
     laplacian,
     mean_zero_decompose,
     normalize_points,
-    sh_basis,
     sh_sum,
     sh_sum_grad,
 )
@@ -65,6 +63,10 @@ _POLISH_EIGEN_FLOOR = 1e-8
 
 #: Distance under which two polished candidates count as the same point.
 _POLISH_SAME_POINT = 1e-7
+
+#: Coefficients the round metric evaluates w with: the zero direction.
+_ROUND_COEFFS = np.zeros(1)
+_ROUND_COEFFS.flags.writeable = False
 
 
 def circle_frame(u):
@@ -168,15 +170,15 @@ def sup_norm(f):
     """Max of |f| over the sphere: dense-grid scan plus a batched Newton polish.
 
     The grid is a quadrature node set several times denser than the band of
-    f; its eight largest |f| nodes and both poles (frequent extrema of zonal
-    functions) are polished together by _polish_extrema, each toward the
-    extremum of the sign f has there.
+    f, evaluated by its transform; its eight largest |f| nodes and both
+    poles (frequent extrema of zonal functions) are polished together by
+    _polish_extrema, each toward the extremum of the sign f has there.
     """
     if not np.any(f.coeffs):
         return 0.0
     band = max(6 * f.degree, 48)
     q = build_quadrature(band)
-    vals = q.basis(f.degree) @ f.coeffs
+    vals = q.synthesize(f.coeffs)
     order = np.argsort(-np.abs(vals))[:8]
     candidates = np.concatenate([q.nodes[order], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     signs = np.where(sh_sum(f.coeffs, candidates) >= 0.0, 1.0, -1.0)
@@ -214,6 +216,10 @@ class ConformalMetric:
     quadrature : SphereQuadrature
         Node set used for area integrals; band must be at least twice the
         degree of f so that w^2 integrates exactly.
+
+    The round metric (t = 0) evaluates w through the zero direction, so its
+    w = sqrt(1 + lam*t) and grad w = 0 come from the same formulas as every
+    other metric's, without evaluating f.
     """
 
     def __init__(self, f, t, lam, quadrature):
@@ -223,6 +229,7 @@ class ConformalMetric:
         self.quadrature = quadrature
         self.scale = 1.0 + self.lam * self.t
         self._sqrt_scale = math.sqrt(self.scale)
+        self._coeffs = f.coeffs if self.t != 0.0 else _ROUND_COEFFS
 
     @property
     def is_round(self):
@@ -240,9 +247,7 @@ class ConformalMetric:
 
     def w_flat(self, pts):
         """w at a flat (k, 3) array of unit points, taken as they are."""
-        if self.t == 0.0:
-            return np.full(pts.shape[0], self._sqrt_scale)
-        return self._sqrt_scale * (1.0 + self.t * sh_sum(self.f.coeffs, pts))
+        return self._sqrt_scale * (1.0 + self.t * sh_sum(self._coeffs, pts))
 
     def w_and_grad(self, pts):
         """(w, tangential grad w) at a flat (k, 3) array of unit points.
@@ -250,28 +255,24 @@ class ConformalMetric:
         grad w = sqrt(1 + lam*t) * t * grad f; the round metric has w = 1
         and grad w = 0.
         """
-        if self.t == 0.0:
-            return np.full(pts.shape[0], self._sqrt_scale), np.zeros_like(pts)
-        vals, grads = sh_sum_grad(self.f.coeffs, pts)
+        vals, grads = sh_sum_grad(self._coeffs, pts)
         return self._sqrt_scale * (1.0 + self.t * vals), (self._sqrt_scale * self.t) * grads
+
+    def w_nodes(self, q):
+        """w at the nodes of the quadrature q, by its transform."""
+        return self._sqrt_scale * (1.0 + self.t * q.synthesize(self._coeffs))
 
     @cached_property
     def _node_w(self):
-        vals = self.quadrature.basis(self.f.degree) @ self.f.coeffs
-        return self._sqrt_scale * (1.0 + self.t * vals)
+        return self.w_nodes(self.quadrature)
 
     def _log_factor_projection(self, degree):
-        """(rho, check quadrature, relative L^2 residual) at one degree.
-
-        The residual basis is not cached in the check quadrature, which the
-        metric keeps for min_curvature and gauss_bonnet_integral.
-        """
+        """(rho, check quadrature, relative L^2 residual) at one degree."""
         q_proj = build_quadrature(2 * degree + 8)
-        rho_nodes = np.log(self.w(q_proj.nodes))
-        rho = q_proj.project(rho_nodes, degree)
+        rho = q_proj.project(np.log(self.w_nodes(q_proj)), degree)
         q_check = build_quadrature(3 * degree + 8)
-        rho_exact = np.log(self.w(q_check.nodes))
-        diff = rho_exact - sh_basis(q_check.nodes, degree) @ rho.coeffs
+        rho_exact = np.log(self.w_nodes(q_check))
+        diff = rho_exact - q_check.synthesize(rho.coeffs)
         norm = math.sqrt(q_check.integrate_values(rho_exact**2))
         residual = math.sqrt(q_check.integrate_values(diff**2))
         rel = 0.0 if norm <= 1e-14 else residual / norm
@@ -299,14 +300,20 @@ class ConformalMetric:
             )
         return rho, laplacian(rho), q_check
 
+    def _check_curvature(self):
+        """(check quadrature, K at its nodes); rho and lap rho come from its transform."""
+        rho, lap_rho, q_check = self._curvature_data
+        rho_nodes = q_check.synthesize(rho.coeffs)
+        return q_check, (1.0 - q_check.synthesize(lap_rho.coeffs)) * np.exp(-2.0 * rho_nodes)
+
     @cached_property
     def _min_curvature(self):
         """Check-grid minimum of K, or the projection failure, found once."""
         try:
-            _, _, q_check = self._curvature_data
+            _, k = self._check_curvature()
         except ProjectionResidualTooLarge as exc:
             return exc
-        return float(np.min(gauss_curvature(self, q_check.nodes)))
+        return float(np.min(k))
 
     def to_json(self):
         return {
@@ -320,7 +327,7 @@ class ConformalMetric:
     def from_json(cls, obj):
         f = SphericalFunction.from_json(obj["f"])
         band = obj.get("L_quad_band")
-        quad = None if band is None else SphereQuadrature(int(band))
+        quad = None if band is None else build_quadrature(int(band))
         return make_variation(f, float(obj["t"]), float(obj.get("lambda", 0.0)),
                               quadrature=quad)
 
@@ -362,7 +369,7 @@ def make_variation(f, t, lam=0.0, quadrature=None):
     # sup-norm is itself numerical, so confirm on a much denser grid.
     if t != 0.0:
         check = build_quadrature(3 * quadrature.band + 16)
-        if np.min(g.w(check.nodes)) <= 0.0:
+        if np.min(g.w_nodes(check)) <= 0.0:
             raise NonAdmissibleT("length factor not positive on the check grid")
     return g
 
@@ -524,9 +531,8 @@ def min_curvature(g):
 
 def gauss_bonnet_integral(g):
     """Integral of K over (S^2, g); equals 4*pi up to projection residue."""
-    _, _, q_check = g._curvature_data
-    k = gauss_curvature(g, q_check.nodes)
-    return float(q_check.weights @ (k * g.w(q_check.nodes) ** 2))
+    q_check, k = g._check_curvature()
+    return float(q_check.weights @ (k * g.w_nodes(q_check) ** 2))
 
 
 def systolic_ratio(area_value, systole):

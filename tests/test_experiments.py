@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 import systolab.experiments
 import systolab.metric
 from systolab.errors import IOFailure, NonAdmissibleT
-from systolab.harmonics import SphericalFunction, mean_zero_decompose, sh_basis
+from systolab.harmonics import SphericalFunction, build_quadrature, mean_zero_decompose
 from systolab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -375,12 +374,6 @@ class TestReports:
             emit_report(sample_rows(), "/nonexistent-dir/report.csv")
 
 
-def axis_grid():
-    """A stand-in node grid on the three coordinate axes."""
-    nodes = np.eye(3)[::-1].copy()
-    return SimpleNamespace(nodes=nodes, basis=lambda degree: sh_basis(nodes, degree))
-
-
 class TestWriters:
     def test_witness_curve_bytes(self, tmp_path):
         path = tmp_path / "witness.csv"
@@ -401,12 +394,17 @@ class TestWriters:
 
     def test_funk_scan_bytes(self, tmp_path):
         path = tmp_path / "scan.csv"
-        write_funk_scan(SphericalFunction.harmonic(2, 0), path, q=axis_grid())
+        # the six nodes of the band-2 quadrature: two latitudes z = -+1/sqrt(3)
+        # times three longitudes; the Funk image of Y22 is -pi * Y22
+        write_funk_scan(SphericalFunction.harmonic(2, 2), path, q=build_quadrature(2))
         assert path.read_bytes() == (
             b"ux,uy,uz,funk_value\n"
-            b"0.0,0.0,1.0,-1.981663648803006\n"
-            b"0.0,1.0,0.0,0.990831824401503\n"
-            b"1.0,0.0,0.0,0.990831824401503\n"
+            b"0.816496580927726,0.0,-0.5773502691896257,-1.1441140410797115\n"
+            b"-0.40824829046386285,0.7071067811865476,-0.5773502691896257,0.5720570205398563\n"
+            b"-0.4082482904638634,-0.7071067811865474,-0.5773502691896257,0.5720570205398555\n"
+            b"0.816496580927726,0.0,0.5773502691896257,-1.1441140410797115\n"
+            b"-0.40824829046386285,0.7071067811865476,0.5773502691896257,0.5720570205398563\n"
+            b"-0.4082482904638634,-0.7071067811865474,0.5773502691896257,0.5720570205398555\n"
         )
 
     @pytest.mark.parametrize(

@@ -202,7 +202,7 @@ class TestQuadrature:
 
     def test_orthonormal_gram_matrix(self):
         q = build_quadrature(2 * DEFAULT_DEGREE + 2)
-        Y = q.basis(DEFAULT_DEGREE)
+        Y = sh_basis(q.nodes, DEFAULT_DEGREE)
         gram = Y.T @ (q.weights[:, None] * Y)
         np.testing.assert_allclose(gram, np.eye(sh_size(DEFAULT_DEGREE)), atol=1e-11)
 
@@ -251,6 +251,54 @@ class TestQuadrature:
         np.testing.assert_allclose(g.coeffs, f.coeffs, atol=1e-11)
 
 
+class TestTransform:
+    @pytest.mark.parametrize("band", [0, 1, 5, 18, 40, 56, 104])
+    def test_matches_the_basis_matrix(self, band):
+        # at every degree L <= band, synthesize is Y @ c and project is
+        # Y.T @ (weights * v) for the (nodes x harmonics) basis Y; the degree-L
+        # basis is the leading columns of the full-degree one, which is built
+        # in blocks of nodes to stay small
+        q = build_quadrature(band)
+        rng = np.random.default_rng(band)
+        degrees = range(band + 1)
+        coeffs = np.zeros((sh_size(band), band + 1))
+        for L in degrees:
+            coeffs[: sh_size(L), L] = rng.standard_normal(sh_size(L))
+        values = rng.standard_normal(q.size)
+        synth = np.empty((q.size, band + 1))
+        proj = np.zeros(sh_size(band))
+        for start in range(0, q.size, 256):
+            block = slice(start, start + 256)
+            Y = sh_basis(q.nodes[block], band)
+            synth[block] = Y @ coeffs
+            proj += (q.weights[block] * values[block]) @ Y
+        for L in degrees:
+            got = q.synthesize(coeffs[: sh_size(L), L])
+            assert np.max(np.abs(got - synth[:, L])) <= 1e-13 * np.max(np.abs(synth[:, L]))
+            got = q.project(values, L).coeffs
+            ref = proj[: sh_size(L)]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("band", [0, 1, 5, 18, 40, 56, 104])
+    def test_project_inverts_synthesize_up_to_half_the_band(self, band):
+        q = build_quadrature(band)
+        rng = np.random.default_rng(band)
+        # the round trip through the dense basis drifts by 1.2e-13 at band 104
+        for L in range(band // 2 + 1):
+            c = rng.standard_normal(sh_size(L))
+            back = q.project(q.synthesize(c), L).coeffs
+            assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_one_read_only_quadrature_per_band(self):
+        q = build_quadrature(18)
+        assert build_quadrature(18) is q
+        assert build_quadrature(19) is not q
+        q.synthesize(np.ones(sh_size(6)))
+        for arr in (q.nodes, q.weights, *q._tables(6)):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+
 @st.composite
 def band_limited_functions(draw, degree_max=DEFAULT_DEGREE):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -290,7 +338,7 @@ class TestSphericalFunction:
     @given(band_limited_functions())
     def test_parseval(self, f):
         q = build_quadrature(2 * f.degree)
-        vals = q.basis(f.degree) @ f.coeffs
+        vals = q.synthesize(f.coeffs)
         norm_sq = q.integrate_values(vals**2)
         assert norm_sq == pytest.approx(f.l2_norm() ** 2, rel=1e-10, abs=1e-10)
 

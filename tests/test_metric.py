@@ -84,7 +84,7 @@ def grid_and_polish_sup(f, band=120, keep=20):
     Returns (max over the grid and the polished values, max |f| on the grid).
     """
     q = build_quadrature(band)
-    vals = q.basis(f.degree) @ f.coeffs
+    vals = q.synthesize(f.coeffs)
     best = grid_max = float(np.max(np.abs(vals)))
     for k in np.argsort(-np.abs(vals))[:keep]:
         x0, sign = q.nodes[k], math.copysign(1.0, vals[k])
@@ -211,6 +211,16 @@ class TestMakeVariation:
         np.testing.assert_array_equal(w, np.ones(20))
         np.testing.assert_array_equal(gw, np.zeros((20, 3)))
         np.testing.assert_array_equal(g.w_flat(p), np.ones(20))
+        # a non-zero direction at t = 0 is round too: w = 1 and grad w = +0.0
+        # at every point, and at the quadrature nodes
+        h = make_variation(small_direction(1, degree=4), 0.0, lam=0.5)
+        assert h.is_round
+        w, gw = h.w_and_grad(p)
+        np.testing.assert_array_equal(w, np.ones(20))
+        np.testing.assert_array_equal(gw, np.zeros((20, 3)))
+        assert not np.any(np.signbit(gw))
+        np.testing.assert_array_equal(h.w_flat(p), np.ones(20))
+        np.testing.assert_array_equal(h.w_nodes(h.quadrature), np.ones(h.quadrature.size))
 
     def test_flat_evaluators_match_w(self):
         g = make_variation(small_direction(4, degree=6), 0.2, lam=0.3)
@@ -261,7 +271,7 @@ class TestMakeVariation:
         p = rng.standard_normal((15, 3))
         p /= np.linalg.norm(p, axis=1, keepdims=True)
         np.testing.assert_allclose(h.w(p), g.w(p), atol=1e-15)
-        assert h.quadrature.band == g.quadrature.band
+        assert h.quadrature is g.quadrature
 
 
 class TestArea:
@@ -413,17 +423,22 @@ class TestGaussCurvature:
         assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
 
     def test_check_grid_basis_is_not_held(self):
-        # the degree-24 residual basis of the retried projection is 16.6 MB;
-        # the check nodes and weights kept for min_curvature are about 0.1 MB
-        g = make_variation(small_direction(0, degree=8, size=1.0), 0.01)
+        # a (nodes x harmonics) basis would take 0.8 MB for sup_norm's scan
+        # and 16.6 MB for the residual of the projection retried to degree
+        # 24; the transform tables kept on the shared quadratures of the
+        # build, the projection and its check take about 0.6 MB
+        f = small_direction(0, degree=8, size=1.0)
         tracemalloc.start()
         try:
+            g = make_variation(f, 0.01)  # sup_norm and the positivity check
             min_curvature(g)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert f._sup_norm is not None
+        assert g._curvature_data[0].degree == 24
         assert held < 1e6
-        assert not g._curvature_data[2]._basis_cache
+        assert peak < 1e6
 
     def test_matches_finite_difference_oracle(self):
         g = make_variation(SphericalFunction.harmonic(2, 0), 0.05)
