@@ -50,10 +50,10 @@ tilt = 0.4
 axis = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
 start = DiscreteClosedCurve(great_circle_points(axis, 128))
 print(f"start: great circle tilted {tilt} rad, length under g = {curve_length(g, start):.9f}")
-result = birkhoff_shorten(g, start, tol=1e-10, max_iter=4000)
+result = birkhoff_shorten(g, start)
 print(f"after {result.passes} passes: length = {result.length:.12f}")
 print(f"expected equator length 2*pi + t*Funk(Y20)(pole) = {TWO_PI + t * FUNK_Y20_POLE:.12f}")
-print(f"gradient residual = {result.residual:.1e}, collapsed = {result.collapsed}")
+print(f"pass residual = {result.residual:.1e}, collapsed = {result.collapsed}")
 zmax = np.max(np.abs(result.curve.vertices[:, 2]))
 print(f"final curve is the equator: max |z| over vertices = {zmax:.1e}")
 
@@ -88,5 +88,5 @@ small = DiscreteClosedCurve(
         np.full(64, math.sqrt(1 - 0.16)),
     ])
 )
-collapsed = birkhoff_shorten(g, small, tol=1e-10, max_iter=4000)
+collapsed = birkhoff_shorten(g, small)
 print(f"collapsed = {collapsed.collapsed}, final length = {collapsed.length:.2e}")

@@ -35,7 +35,7 @@ Y20_POLE = 0.5 * math.sqrt(5.0 / math.pi)
 print("== estimate_systole on a zonal metric ==")
 t = 0.1
 g = make_variation(SphericalFunction.harmonic(2, 0), t)
-report = estimate_systole(g, n=32, tol=1e-9, seed=3)
+report = estimate_systole(g, n=32, seed=3)
 print(f"systole estimate = {report.systole:.12f}")
 print(f"exact equator length = {TWO_PI - t * math.pi * Y20_POLE:.12f}")
 print(f"curvature min = {report.curvature_min:.6f}, warnings = {list(report.warnings)}")
@@ -51,7 +51,7 @@ cfg = ExperimentConfig(
     kind="proposition",
     f=SphericalFunction.harmonic(2, 0),
     t_values=(-0.1, -0.05, 0.05, 0.1),
-    n=32, tol=1e-9, seed=3,
+    n=32, seed=3,
 )
 rows = run_experiment(cfg)
 for row in rows:
@@ -71,7 +71,7 @@ zoll = run_experiment(
         kind="zoll_first_order",
         f=SphericalFunction.harmonic(3, 0),
         t_values=(0.1,),
-        n=32, tol=1e-9, seed=3,
+        n=32, seed=3,
     )
 )[0]
 print(f"t-linear term of circle lengths: {zoll.extras['zoll_linear_max']:.1e}")

@@ -139,16 +139,15 @@ def verify_tangent_bundle_identity(g):
     return lhs, rhs
 
 
-def find_signed_funk_axes(f, q=None):
+def find_signed_funk_axes(f):
     """Axes u0, u1 with Funk(f)(u0) < 0 < Funk(f)(u1), or None.
 
-    Scans the nodes of funk_scan (q a SphereQuadrature, as there) for the
-    extreme Funk values and polishes the minimum and the maximum together
-    with sup_norm's batched Newton polish on the Funk image.  Returns None
-    when the transform vanishes identically (max |Funk| <= 1e-9 on the
-    scan), the odd-direction case.
+    Scans the nodes of funk_scan for the extreme Funk values and polishes
+    the minimum and the maximum together with sup_norm's batched Newton
+    polish on the Funk image.  Returns None when the transform vanishes
+    identically (max |Funk| <= 1e-9 on the scan), the odd-direction case.
     """
-    scan = funk_scan(f, q=q)
+    scan = funk_scan(f)
     nodes, vals = scan[:, :3], scan[:, 3]
     if float(np.max(np.abs(vals))) <= 1e-9:
         return None
@@ -161,12 +160,11 @@ def find_signed_funk_axes(f, q=None):
     return u0, u1
 
 
-def funk_scan(f, q=None):
+def funk_scan(f):
     """Funk values on the nodes of a band quadrature: rows (ux, uy, uz, funk_value).
 
-    q is a SphereQuadrature, by default build_quadrature(max(2 deg f + 2, 18));
-    its transform evaluates the Funk image at every node.
+    The quadrature is build_quadrature(max(2 deg f + 2, 18)); its transform
+    evaluates the Funk image at every node.
     """
-    if q is None:
-        q = build_quadrature(max(2 * f.degree + 2, 18))
+    q = build_quadrature(max(2 * f.degree + 2, 18))
     return np.column_stack([q.nodes, q.synthesize(funk_image(f).coeffs)])

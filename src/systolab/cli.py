@@ -35,20 +35,29 @@ from .experiments import (
 from .geodesics import estimate_systole
 from .metric import area, systolic_ratio
 
-#: Experiment kind, default direction and default t values of each
-#: subcommand.  funk-scan and systole read the direction of
+#: Experiment kind, default direction, default t values and help text of
+#: each subcommand.  funk-scan and systole read the direction of
 #: general_direction, whose metric is the normalized variation.
 _Y20 = [[2, 0, 1.0]]
 _COMMANDS = {
-    "baseline": ("baseline", None, (0.0,)),
-    "proposition": ("proposition", _Y20, (-0.1, -0.05, 0.05, 0.1)),
-    "general": ("general_direction", [[0, 0, 1.0], [2, 0, 1.0]], (-0.1, -0.05, 0.05, 0.1)),
-    "zoll": ("zoll_first_order", [[3, 0, 1.0]], (0.1, 0.05)),
-    "pu": ("pu_even", _Y20, (-0.1, -0.05, 0.05, 0.1)),
-    "scale": ("scale_invariance", _Y20, (0.1,)),
-    "conjecture": ("conjecture_probe", [[1, 0, 1.0], [2, 0, 1.0]], (0.02, 0.05, 0.1)),
-    "funk-scan": ("general_direction", _Y20, (0.0,)),
-    "systole": ("general_direction", _Y20, (0.1,)),
+    "baseline": ("baseline", None, (0.0,),
+                 "round metric: area, systole, ratio at their round values"),
+    "proposition": ("proposition", _Y20, (-0.1, -0.05, 0.05, 0.1),
+                    "ratio > 1/pi along a mean-zero conformal variation"),
+    "general": ("general_direction", [[0, 0, 1.0], [2, 0, 1.0]], (-0.1, -0.05, 0.05, 0.1),
+                "normalized variation of an arbitrary direction"),
+    "zoll": ("zoll_first_order", [[3, 0, 1.0]], (0.1, 0.05),
+             "first-order Zoll family: circle lengths 2*pi + O(t^2)"),
+    "pu": ("pu_even", _Y20, (-0.1, -0.05, 0.05, 0.1),
+           "even directions keep ratio >= 1/pi"),
+    "scale": ("scale_invariance", _Y20, (0.1,),
+              "ratio is invariant under rescaling the metric"),
+    "conjecture": ("conjecture_probe", [[1, 0, 1.0], [2, 0, 1.0]], (0.02, 0.05, 0.1),
+                   "emit the sharp-constant probe without asserting it"),
+    "funk-scan": ("general_direction", _Y20, (0.0,),
+                  "dump the Funk transform of f on an axis grid"),
+    "systole": ("general_direction", _Y20, (0.1,),
+                "estimate the systole of the variation at each t"),
 }
 
 
@@ -72,7 +81,7 @@ def _config(args):
     An invalid setting becomes a SystolabError, so every subcommand reports
     it the same way.
     """
-    kind, default_f, default_t = _COMMANDS[args.command]
+    kind, default_f, default_t, _ = _COMMANDS[args.command]
     settings = {"f": default_f, "t_values": default_t}
     if args.config is not None:
         try:
@@ -144,7 +153,7 @@ def _run_systole(cfg):
     records = []
     for t in cfg.t_values:
         g = _metric_for(cfg, t)
-        report = estimate_systole(g, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
+        report = estimate_systole(g, n=cfg.n, seed=cfg.seed)
         ratio = systolic_ratio(area(g), report.systole)
         print(
             f"t={t:+.6f}  systole={report.systole:.12f}  ratio={ratio:.9f}"
@@ -171,18 +180,7 @@ def build_parser():
         description="systolic-ratio experiments on conformal spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "baseline": "round metric: area, systole, ratio at their round values",
-        "proposition": "ratio > 1/pi along a mean-zero conformal variation",
-        "general": "normalized variation of an arbitrary direction",
-        "zoll": "first-order Zoll family: circle lengths 2*pi + O(t^2)",
-        "pu": "even directions keep ratio >= 1/pi",
-        "scale": "ratio is invariant under rescaling the metric",
-        "conjecture": "emit the sharp-constant probe without asserting it",
-        "funk-scan": "dump the Funk transform of f on an axis grid",
-        "systole": "estimate the systole of the variation at each t",
-    }
-    for name, text in descriptions.items():
+    for name, (*_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with ExperimentConfig fields")
         p.add_argument("--out", help="write the report to this path")

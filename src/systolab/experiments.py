@@ -41,12 +41,7 @@ import numpy as np
 
 from .circles import TWO_PI, circle_points, default_circle_samples, funk_scan
 from .errors import IOFailure, NonAdmissibleT
-from .geodesics import (
-    DEFAULT_TOL,
-    DEFAULT_VERTICES,
-    GeodesicResult,
-    estimate_systole,
-)
+from .geodesics import DEFAULT_VERTICES, GeodesicResult, estimate_systole
 from .harmonics import (
     FOUR_PI,
     SphericalFunction,
@@ -148,7 +143,7 @@ def _integer(value, name):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A reproducible experiment: kind, direction, t sweep, solver knobs.
+    """A reproducible experiment: kind, direction, t sweep, vertex count, seed.
 
     f is a SphericalFunction, a list of (l, m, value) coefficient pairs,
     or None for the round sphere.  n, seed and every t are validated at
@@ -163,7 +158,6 @@ class ExperimentConfig:
     f: SphericalFunction = None
     t_values: tuple = (0.0,)
     n: int = DEFAULT_VERTICES
-    tol: float = DEFAULT_TOL
     seed: int = 0
     out: str = None
     fmt: str = "csv"
@@ -226,7 +220,6 @@ class ExperimentConfig:
             "f": self.f.to_json(),
             "t_values": list(self.t_values),
             "n": self.n,
-            "tol": self.tol,
             "seed": self.seed,
             "out": self.out,
             "format": self.fmt,
@@ -234,7 +227,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        """Config from a to_json dict; f may also be (l, m, value) triples or None."""
+        """Config from a to_json dict; f may also be (l, m, value) triples or None.
+
+        Keys that are not fields are ignored, such as the "N" and "tol" of
+        older configs.
+        """
         f = obj.get("f")
         if isinstance(f, dict):
             f = SphericalFunction.from_json(f)
@@ -243,7 +240,6 @@ class ExperimentConfig:
             f=f,
             t_values=tuple(obj.get("t_values", cls.t_values)),
             n=obj.get("n", cls.n),
-            tol=float(obj.get("tol", cls.tol)),
             seed=obj.get("seed", cls.seed),
             out=obj.get("out"),
             fmt=obj.get("format", cls.fmt),
@@ -336,7 +332,7 @@ def _bound_check(cfg, t, a, systole, ratio):
                 g_mu = make_variation(
                     SphericalFunction.zeros(0), 1.0, lam=mu - 1.0
                 )
-            report_mu = estimate_systole(g_mu, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
+            report_mu = estimate_systole(g_mu, n=cfg.n, seed=cfg.seed)
             ratio_mu = systolic_ratio(area(g_mu), report_mu.systole)
             deviations.append(abs(ratio_mu - ratio))
         extras["scale_ratio_dev"] = max(deviations)
@@ -356,7 +352,7 @@ def run_experiment(cfg):
     for t in cfg.t_values:
         g = _metric_for(cfg, t)
         a = area(g)
-        report = estimate_systole(g, n=cfg.n, tol=cfg.tol, seed=cfg.seed)
+        report = estimate_systole(g, n=cfg.n, seed=cfg.seed)
         systole = report.systole
         ratio = systolic_ratio(a, systole)
         ok, extras = _bound_check(cfg, t, a, systole, ratio)
@@ -450,10 +446,10 @@ def write_witness_curve(witness, path):
     return _write_text(path, text, "witness curve")
 
 
-def _funk_scan_csv(f, q=None):
-    return _csv_text(("ux", "uy", "uz", "funk_value"), funk_scan(f, q=q))
+def _funk_scan_csv(f):
+    return _csv_text(("ux", "uy", "uz", "funk_value"), funk_scan(f))
 
 
-def write_funk_scan(f, path, q=None):
-    """Dump a Funk scan as CSV rows (ux, uy, uz, funk_value); q as in funk_scan."""
-    return _write_text(path, _funk_scan_csv(f, q=q), "Funk scan")
+def write_funk_scan(f, path):
+    """Dump the Funk scan of f as CSV rows (ux, uy, uz, funk_value)."""
+    return _write_text(path, _funk_scan_csv(f), "Funk scan")

@@ -13,7 +13,9 @@ two-segment energy and accepted only when the local length does not
 increase, which makes every pass length-non-increasing by construction (the
 two local segments of the vertices in one parity class tile the curve's edge
 set exactly once).  A curve whose round length falls below 0.1 is flagged
-collapsed: it is converging to a point, which the systole must exclude.
+collapsed: it is converging to a point, which the systole must exclude.  A
+curve freezes as a discrete closed geodesic once a pass moves no vertex by
+FROZEN_RESIDUAL or more, and only a curve that froze counts as one.
 
 Sweepouts realize the two families the minimax argument uses — the
 half-turn loop of great circles, and for a fixed axis the stack of parallel
@@ -74,16 +76,19 @@ from .circles import TWO_PI, circle_points, find_signed_funk_axes
 #: Round length below which a shortening curve counts as collapsed to a point.
 COLLAPSE_THRESHOLD = 0.1
 
-#: Default sweepout shape and solver knobs.
+#: Default sweepout shape.
 DEFAULT_CURVES = 65
 DEFAULT_VERTICES = 128
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 5000
+
+#: Per-pass vertex displacement below which a shortening curve freezes as a
+#: discrete closed geodesic; only a curve that froze is kept as one.
+FROZEN_RESIDUAL = 1e-10
 
 #: Fixed shape of the systole estimate: random seed circles, the pass budget
-#: of the seed pool at each level, the fewest vertices the seeds are
-#: shortened at before refinement (see _coarse_vertices), and the length gap
-#: above which two seed geodesics count as distinct.
+#: of every shortening (the seed pool at each level, birkhoff_shorten), the
+#: fewest vertices the seeds are shortened at before refinement (see
+#: _coarse_vertices), and the length gap above which two seed geodesics
+#: count as distinct.
 SEED_CIRCLES = 20
 SEED_PASSES = 1500
 COARSE_VERTICES = 64
@@ -317,15 +322,16 @@ def _half_pass(g, X, parity, active):
     return disp
 
 
-def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=None):
+def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
     """Drive Birkhoff passes on a batch of curves, in place.
 
     active, collapsed and residuals are per-curve state updated in place: a
     curve freezes once its per-pass displacement (its residual) falls below
-    tol (discrete geodesic) or its round length falls below the collapse
-    threshold, and a frozen curve keeps the residual it froze with.  A pass
-    measures only the curves active when it starts; a frozen curve does not
-    move, so its length carries over and its length increase is exactly 0.
+    FROZEN_RESIDUAL (discrete geodesic) or its round length falls below the
+    collapse threshold, and a frozen curve keeps the residual it froze with.
+    A pass measures only the curves active when it starts; a frozen curve
+    does not move, so its length carries over and its length increase is
+    exactly 0.
     Each pass asserts the length monotonicity the acceptance rule
     guarantees; a violation beyond MONOTONE_SLACK is counted and raised.
     The passes run until max_passes or until every curve froze, and
@@ -355,7 +361,7 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, tol, on_pass=Non
         newly_collapsed = rows[arcs.sum(axis=1) < COLLAPSE_THRESHOLD]
         collapsed[newly_collapsed] = True
         active[newly_collapsed] = False
-        active &= residuals >= tol
+        active &= residuals >= FROZEN_RESIDUAL
         if on_pass is not None:
             on_pass(k, lengths)
     return lengths, passes
@@ -703,20 +709,20 @@ def _polish(g, X):
     return V, landed
 
 
-def _shorten_batch(g, X, tol, max_iter, polish_every):
+def _shorten_batch(g, X, polish_every):
     """Shorten a batch of closed polygons in place until stationary.
 
-    Alternates chunks of polish_every Birkhoff passes (callers pass
-    _polish_every(g), or POLISH_EVERY to polish sooner) with drift
-    extrapolation and a polish of every curve that has not yet frozen, after
-    every chunk: Newton first, and the energy descent where Newton gives up.
-    The curves are polished together by one _polish call, with one linear
-    solve per iteration for all of them, and each curve's polish is the one
-    it gets alone.  Each polish is followed by a measuring pass so the
-    reported residual is an honest per-pass vertex displacement.  Returns (lengths, residuals,
-    collapsed, passes), passes counting per curve the passes it moved in: a
-    curve moves in every pass until it freezes, so its count is the one it
-    gets alone.
+    Runs at most SEED_PASSES passes, in chunks of polish_every Birkhoff
+    passes (callers pass _polish_every(g), or POLISH_EVERY to polish sooner)
+    alternating with drift extrapolation and a polish of every curve that
+    has not yet frozen, after every chunk: Newton first, and the energy
+    descent where Newton gives up.  The curves are polished together by one
+    _polish call, with one linear solve per iteration for all of them, and
+    each curve's polish is the one it gets alone.  Each polish is followed
+    by a measuring pass so the reported residual is an honest per-pass
+    vertex displacement.  Returns (lengths, residuals, collapsed, passes),
+    passes counting per curve the passes it moved in: a curve moves in every
+    pass until it freezes, so its count is the one it gets alone.
     """
     B = X.shape[0]
     spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
@@ -727,16 +733,16 @@ def _shorten_batch(g, X, tol, max_iter, polish_every):
     passes = np.zeros(B, dtype=int)
     # the curve active longest moved in every pass, so passes.max() is the
     # number of passes the batch ran
-    while active.any() and passes.max() < max_iter:
-        chunk = min(polish_every, max_iter - passes.max())
+    while active.any() and passes.max() < SEED_PASSES:
+        chunk = min(polish_every, SEED_PASSES - passes.max())
         before = X.copy()
-        lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk, tol)
+        lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk)
         passes += done
-        if not active.any() or passes.max() >= max_iter:
+        if not active.any() or passes.max() >= SEED_PASSES:
             break
         lengths = _extrapolate_batch(g, X, active, lengths, X - before)
         X[active] = _polish(g, X[active])[0]
-        lengths, done = _run_passes(g, X, active, collapsed, residuals, 1, tol)
+        lengths, done = _run_passes(g, X, active, collapsed, residuals, 1)
         passes += done
     return lengths, residuals, collapsed, passes
 
@@ -763,13 +769,13 @@ class GeodesicResult:
         return f"GeodesicResult(length={self.length:.12f}, {tag}, passes={self.passes})"
 
 
-def birkhoff_shorten(g, curve, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def birkhoff_shorten(g, curve):
     """Shorten one closed curve to a discrete closed geodesic of g.
 
     Runs alternating-parity Birkhoff passes (with Newton polish acceleration)
-    until the per-pass vertex displacement drops below tol or max_iter passes
-    are spent.  Every pass is length-non-increasing; the curve is flagged
-    collapsed when its round length falls below 0.1.
+    until the per-pass vertex displacement drops below FROZEN_RESIDUAL or
+    SEED_PASSES passes are spent.  Every pass is length-non-increasing; the
+    curve is flagged collapsed when its round length falls below 0.1.
     """
     if curve.is_point:
         raise ValueError("cannot shorten a point curve")
@@ -777,7 +783,7 @@ def birkhoff_shorten(g, curve, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if n % 2 != 0:
         raise ValueError("Birkhoff passes need an even number of vertices")
     X = curve.vertices[None].copy()
-    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, max_iter, _polish_every(g))
+    lengths, residuals, collapsed, passes = _shorten_batch(g, X, _polish_every(g))
     return GeodesicResult(DiscreteClosedCurve(X[0]), float(lengths[0]), float(residuals[0]),
                           bool(collapsed[0]), int(passes[0]))
 
@@ -866,7 +872,7 @@ class TightenResult:
         self.trace = trace
 
 
-def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
+def tighten_sweepout(g, sw, passes):
     """Shorten every member of a sweepout and report the family maximum.
 
     Every member that is not a point curve runs up to `passes` Birkhoff
@@ -889,12 +895,12 @@ def tighten_sweepout(g, sw, passes, tol=DEFAULT_TOL):
         trace.append((k, float(lengths.max()), int(np.argmax(lengths))))
 
     lengths, _ = _run_passes(g, X, active, collapsed, np.where(active, np.inf, 0.0),
-                             passes, tol, on_pass=on_pass)
+                             passes, on_pass=on_pass)
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
     witness = None
     if not collapsed[arg] and lengths[arg] > COLLAPSE_THRESHOLD:
-        witness = birkhoff_shorten(g, DiscreteClosedCurve(X[arg]), tol=tol)
+        witness = birkhoff_shorten(g, DiscreteClosedCurve(X[arg]))
     return TightenResult(width, witness, trace)
 
 
@@ -974,15 +980,16 @@ def _refine(g, V, n):
 def _landed(tags, residuals, collapsed, passes, warnings_log):
     """Indices of the shortened seeds that froze as discrete geodesics.
 
-    Collapsed curves are left out silently; a curve still sliding is left
-    out with a line in warnings_log, because it is neither a geodesic nor a
-    certified bound.
+    A seed is kept only if it froze: residual below FROZEN_RESIDUAL and not
+    collapsed.  Collapsed curves are left out silently; a curve still
+    sliding is left out with a line in warnings_log, because it is neither a
+    geodesic nor a certified bound.
     """
     kept = []
     for k, tag in enumerate(tags):
         if collapsed[k]:
             continue
-        if not residuals[k] < 1e-6:
+        if not residuals[k] < FROZEN_RESIDUAL:
             warnings_log.append(
                 f"{tag} dropped: still sliding after {passes[k]} passes "
                 f"(residual {residuals[k]:.2e})"
@@ -1010,7 +1017,7 @@ def _distinct(lengths, rows):
     return sorted(kept)
 
 
-def _seed_geodesics(g, axes, tags, n, tol, polish_every, warnings_log):
+def _seed_geodesics(g, axes, tags, n, polish_every, warnings_log):
     """Shorten the great circles of axes to closed geodesics of g at n vertices.
 
     The circles are shortened at _coarse_vertices(n) vertices, polished
@@ -1022,15 +1029,14 @@ def _seed_geodesics(g, axes, tags, n, tol, polish_every, warnings_log):
     still sliding in warnings_log.
     """
     X = circle_points(axes, 0.0, _coarse_vertices(n))
-    lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES, polish_every)
+    lengths, residuals, collapsed, passes = _shorten_batch(g, X, polish_every)
     kept = _landed(tags, residuals, collapsed, passes, warnings_log)
     if kept and X.shape[1] < n:
         kept = _distinct(lengths, kept)
         coarse_passes = passes[kept]
         tags = [tags[k] for k in kept]
         X = _refine(g, X[kept], n)
-        lengths, residuals, collapsed, passes = _shorten_batch(g, X, tol, SEED_PASSES,
-                                                               polish_every)
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, polish_every)
         passes += coarse_passes
         kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
     return [(tags[k], GeodesicResult(DiscreteClosedCurve(X[k]), float(lengths[k]),
@@ -1038,16 +1044,16 @@ def _seed_geodesics(g, axes, tags, n, tol, polish_every, warnings_log):
             for k in kept]
 
 
-def estimate_systole(g, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
+def estimate_systole(g, n=DEFAULT_VERTICES, seed=0):
     """Estimate the systole of g as the shortest seed circle's geodesic.
 
     Great circles are shortened to closed geodesics by _seed_geodesics: one
     at each signed extreme axis of the Funk transform of the direction,
     where the short geodesics live at first order (none for the round metric
     or an odd direction), and SEED_CIRCLES random ones.  Collapsed curves
-    are excluded, and so is a curve still sliding at SEED_PASSES passes
-    (with a warning).  n must be even and >= 32, so that the two parity
-    classes of the passes tile the edges.
+    are excluded, and so is a curve that did not freeze (FROZEN_RESIDUAL)
+    within SEED_PASSES passes, with a warning.  n must be even and >= 32, so
+    that the two parity classes of the passes tile the edges.
 
     Where the seeds slid POLISH_EVERY_NONPOSITIVE passes before each polish
     (see _polish_every) and every one collapsed or kept sliding, the same
@@ -1085,7 +1091,7 @@ def estimate_systole(g, n=DEFAULT_VERTICES, tol=DEFAULT_TOL, seed=0):
     dropped = []
     for polish_every in chunks:
         attempt = []
-        found = _seed_geodesics(g, seed_axes, tags, n, tol, polish_every, attempt)
+        found = _seed_geodesics(g, seed_axes, tags, n, polish_every, attempt)
         if found:
             break
         dropped += attempt

@@ -70,19 +70,20 @@ def sh_degrees(degree_max):
     return ls
 
 
-def normalize_points(points, tol=UNIT_NORM_TOL):
+def normalize_points(points):
     """Return points renormalized onto S^2.
 
-    Points whose norm drifted from 1 by more than ``tol`` are rejected: such
-    inputs signal a bug upstream rather than accumulated rounding.
+    Points whose norm drifted from 1 by more than UNIT_NORM_TOL are
+    rejected: such inputs signal a bug upstream rather than accumulated
+    rounding.
     """
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError(f"points must have trailing dimension 3, got shape {p.shape}")
     r = np.sqrt(np.sum(p * p, axis=-1))
-    if np.any(np.abs(r - 1.0) > tol):
+    if np.any(np.abs(r - 1.0) > UNIT_NORM_TOL):
         worst = float(np.max(np.abs(r - 1.0)))
-        raise ValueError(f"point drifted {worst:.3e} off the unit sphere (tol {tol:.0e})")
+        raise ValueError(f"point drifted {worst:.3e} off the unit sphere (tol {UNIT_NORM_TOL:.0e})")
     return p / r[..., np.newaxis]
 
 
@@ -331,10 +332,7 @@ class SphericalFunction:
 
     @classmethod
     def harmonic(cls, l, m, coeff=1.0, degree_max=None):
-        L = l if degree_max is None else degree_max
-        c = np.zeros(sh_size(L))
-        c[sh_index(l, m)] = coeff
-        return cls(c)
+        return cls.from_pairs([(l, m, coeff)], degree_max)
 
     @classmethod
     def from_pairs(cls, pairs, degree_max=None):

@@ -389,7 +389,7 @@ class TestSignedFunkAxes:
         q = build_quadrature(18)
         image = funk_image(f)
         grid_min = float(np.min(q.synthesize(image.coeffs)))
-        u0, _ = find_signed_funk_axes(f, q)
+        u0, _ = find_signed_funk_axes(f)
         assert funk_transform(f, u0) <= grid_min + 1e-12
 
 

@@ -16,7 +16,6 @@ def write_config(tmp_path, **overrides):
         "f": {"L": 2, "coeffs": [[2, 0, 1.0]]},
         "t_values": [0.05],
         "n": 32,
-        "tol": 1e-9,
         "seed": 3,
     }
     settings.update(overrides)
@@ -158,17 +157,19 @@ class TestSystoleCommand:
         assert rec["systole"] == rec["witness_length"]
         assert "systole=" in capsys.readouterr().out
 
-    def test_config_key_n_of_the_old_loop_is_ignored(self, tmp_path):
-        # the CLI reads no "N"; a config that carries one, as older configs
-        # do, gives the same report
-        plain = write_config(tmp_path)
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({**json.loads(open(plain).read()), "N": 17}))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for cfg, out in ((plain, a), (str(legacy), b)):
-            assert cli.main(["systole", "--config", cfg, "--out", str(out),
+    def test_config_keys_of_older_configs_are_ignored(self, tmp_path):
+        # the CLI reads no "N" (the old loop's family size) and no "tol" (the
+        # shortening has one freeze threshold); a config that carries them,
+        # as older configs do, gives the same report
+        settings = json.loads(open(write_config(tmp_path)).read())
+        reports = []
+        for k, extra in enumerate(({}, {"N": 17}, {"tol": 1e-9})):
+            cfg, out = tmp_path / f"cfg{k}.json", tmp_path / f"report{k}.json"
+            cfg.write_text(json.dumps({**settings, **extra}))
+            assert cli.main(["systole", "--config", str(cfg), "--out", str(out),
                              "--format", "json"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+            reports.append(out.read_bytes())
+        assert reports[1:] == [reports[0]] * 2
 
     def test_csv_report(self, tmp_path):
         cfg = write_config(tmp_path)

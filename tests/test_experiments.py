@@ -1,5 +1,6 @@
 """Tests for the experiment driver: configs, per-kind bounds, reports."""
 
+import hashlib
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 import systolab.experiments
 import systolab.metric
 from systolab.errors import IOFailure, NonAdmissibleT
-from systolab.harmonics import SphericalFunction, build_quadrature, mean_zero_decompose
+from systolab.harmonics import SphericalFunction, mean_zero_decompose
 from systolab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -28,8 +29,8 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 INV_PI = 1.0 / math.pi
 
-#: Solver knobs small enough for fast tests but honest end-to-end runs.
-KNOBS = dict(n=32, tol=1e-9, seed=3)
+#: Estimate settings small enough for fast tests but honest end-to-end runs.
+KNOBS = dict(n=32, seed=3)
 
 Y20 = SphericalFunction.harmonic(2, 0)
 Y30 = SphericalFunction.harmonic(3, 0)
@@ -153,7 +154,7 @@ class TestExperimentConfig:
     def test_json_round_trip(self):
         cfg = ExperimentConfig(
             kind="proposition", f=Y20, t_values=(0.05, -0.05),
-            n=32, tol=1e-9, seed=3, out="r.csv", fmt="json",
+            n=32, seed=3, out="r.csv", fmt="json",
         )
         again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again.to_json() == cfg.to_json()
@@ -161,9 +162,12 @@ class TestExperimentConfig:
     def test_json_defaults_are_the_field_defaults(self):
         parsed = ExperimentConfig.from_json({"kind": "proposition"})
         assert parsed.to_json() == ExperimentConfig(kind="proposition").to_json()
-        # a key that is no field, such as the "N" of older configs, is ignored
-        legacy = ExperimentConfig.from_json({"kind": "proposition", "N": 17})
-        assert legacy.to_json() == parsed.to_json()
+        # a key that is no field, such as the "N" or "tol" of older configs,
+        # is ignored
+        for old in ({"N": 17}, {"tol": 1e-9}):
+            legacy = ExperimentConfig.from_json({"kind": "proposition", **old})
+            assert legacy.to_json() == parsed.to_json()
+        assert "tol" not in parsed.to_json()
 
     def test_default_directions_cover_the_standard_set(self):
         dirs = default_directions()
@@ -394,17 +398,17 @@ class TestWriters:
 
     def test_funk_scan_bytes(self, tmp_path):
         path = tmp_path / "scan.csv"
-        # the six nodes of the band-2 quadrature: two latitudes z = -+1/sqrt(3)
-        # times three longitudes; the Funk image of Y22 is -pi * Y22
-        write_funk_scan(SphericalFunction.harmonic(2, 2), path, q=build_quadrature(2))
-        assert path.read_bytes() == (
+        # the 190 nodes of the band-18 quadrature (ten latitudes times 19
+        # longitudes); the Funk image of Y22 is -pi * Y22
+        write_funk_scan(SphericalFunction.harmonic(2, 2), path)
+        data = path.read_bytes()
+        assert data.startswith(
             b"ux,uy,uz,funk_value\n"
-            b"0.816496580927726,0.0,-0.5773502691896257,-1.1441140410797115\n"
-            b"-0.40824829046386285,0.7071067811865476,-0.5773502691896257,0.5720570205398563\n"
-            b"-0.4082482904638634,-0.7071067811865474,-0.5773502691896257,0.5720570205398555\n"
-            b"0.816496580927726,0.0,0.5773502691896257,-1.1441140410797115\n"
-            b"-0.40824829046386285,0.7071067811865476,0.5773502691896257,0.5720570205398563\n"
-            b"-0.4082482904638634,-0.7071067811865474,0.5773502691896257,0.5720570205398555\n"
+            b"0.22694949594927788,0.0,-0.9739065285171717,-0.08839323320154598\n"
+        )
+        assert data.count(b"\n") == 191
+        assert hashlib.sha256(data).hexdigest() == (
+            "2cee12cf170120254910937a324f54ef7e7395d5014f2a2ba52fb6e6e565b77e"
         )
 
     @pytest.mark.parametrize(

@@ -28,11 +28,11 @@ from systolab.circles import (
 from systolab.experiments import write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
+    FROZEN_RESIDUAL,
     POLISH_EVERY,
     POLISH_EVERY_NONPOSITIVE,
     SAME_LENGTH,
     SEED_CIRCLES,
-    SEED_PASSES,
     GeodesicResult,
     Sweepout,
     SystoleReport,
@@ -49,6 +49,7 @@ from systolab.geodesics import (
     _energy_descent,
     _energy_gradient,
     _jacobian_pattern,
+    _landed,
     _linearize,
     _local_lengths,
     _newton_polish,
@@ -192,7 +193,7 @@ class TestBirkhoffShorten:
 
     def test_small_circle_collapses(self):
         small = DiscreteClosedCurve(circle_points(POLE, 0.6, 32))
-        res = birkhoff_shorten(ZONAL, small, max_iter=3000)
+        res = birkhoff_shorten(ZONAL, small)
         assert res.collapsed
         assert res.curve.round_length() < COLLAPSE_THRESHOLD
 
@@ -227,8 +228,7 @@ class TestBatchedShortening:
         def on_pass(k, lengths):
             seen.append((lengths.copy(), _batch_metric_lengths(ZONAL, X), active.copy()))
 
-        lengths, done = _run_passes(ZONAL, X, active, collapsed, residuals, 20, 1e-10,
-                                    on_pass=on_pass)
+        lengths, done = _run_passes(ZONAL, X, active, collapsed, residuals, 20, on_pass=on_pass)
         assert list(done) == [0, 1, 20, 20] and len(seen) == 20
         assert not seen[-1][2][:2].any() and seen[-1][2][2:].all()
         for carried, full, _ in seen:
@@ -242,9 +242,9 @@ class TestBatchedShortening:
         axes = rng.normal(size=(20, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         alone = circle_points(axes[5:6], 0.0, 32)
-        _, solo, _, solo_passes = _shorten_batch(MIXED, alone, 1e-10, 400, POLISH_EVERY)
+        _, solo, _, solo_passes = _shorten_batch(MIXED, alone, POLISH_EVERY)
         pair = circle_points(axes[[5, 12]], 0.0, 32)
-        _, both, _, pair_passes = _shorten_batch(MIXED, pair, 1e-10, 400, POLISH_EVERY)
+        _, both, _, pair_passes = _shorten_batch(MIXED, pair, POLISH_EVERY)
         assert pair_passes[1] > solo_passes[0] > 0
         # each curve counts the passes it moved in, the count it gets alone
         assert pair_passes[0] == solo_passes[0]
@@ -271,8 +271,7 @@ class TestBatchedShortening:
         g = make_variation(MIXED.f, t)
         axis = np.random.default_rng(0).normal(size=(20, 3))[10]
         X = circle_points(axis[None] / np.linalg.norm(axis), 0.0, 128)
-        lengths, residuals, collapsed, passes = _shorten_batch(g, X, 1e-10, SEED_PASSES,
-                                                               _polish_every(g))
+        lengths, residuals, collapsed, passes = _shorten_batch(g, X, _polish_every(g))
         assert not collapsed[0]
         assert residuals[0] < 1e-10
         # at most two chunks of passes, each closed by its measuring pass
@@ -463,7 +462,7 @@ class TestBatchPolish:
         if case == "mixed-64":
             g, X = MIXED, circle_points(axes, 0.0, 64)
             _run_passes(g, X, np.ones(20, dtype=bool), np.zeros(20, dtype=bool),
-                        np.full(20, np.inf), 10, 1e-10)
+                        np.full(20, np.inf), 10)
         else:
             g, X = Y30, circle_points(axes, 0.0, 32)
             assert list(np.flatnonzero(~_newton_polish(g, X)[1])) == [2, 5, 18]
@@ -763,9 +762,9 @@ class TestFamilyPool:
 
         chunks = []
 
-        def capturing(g, X, tol, max_iter, polish_every):
+        def capturing(g, X, polish_every):
             chunks.append(polish_every)
-            return _shorten_batch(g, X, tol, max_iter, polish_every)
+            return _shorten_batch(g, X, polish_every)
 
         monkeypatch.setattr(geodesics, "_shorten_batch", capturing)
         built = count_builds(monkeypatch)
@@ -803,11 +802,11 @@ class TestFamilyPool:
         real = geodesics._seed_geodesics
         landing = {POLISH_EVERY}
 
-        def attempt(g, axes, tags, n, tol, polish_every, warnings_log):
+        def attempt(g, axes, tags, n, polish_every, warnings_log):
             warnings_log.append(f"attempt with chunks of {polish_every}")
             if polish_every not in landing:
                 return []
-            return real(g, axes, tags, n, tol, polish_every, warnings_log)
+            return real(g, axes, tags, n, polish_every, warnings_log)
 
         monkeypatch.setattr(geodesics, "_seed_geodesics", attempt)
         monkeypatch.setattr(geodesics, "_polish_every", lambda g: first)
@@ -946,6 +945,21 @@ class TestEstimateSystole:
             assert f"geodesic-{tag}" not in kept
             assert "after 3 passes" in line and "residual" in line
 
+    def test_only_frozen_seeds_are_kept(self):
+        # one threshold decides: a curve that froze (residual below
+        # FROZEN_RESIDUAL) is kept, a collapsed one is dropped silently, and
+        # one still moving, however slowly, is dropped with a line
+        log = []
+        kept = _landed(["seed0", "seed1", "seed2", "seed3"],
+                       np.array([4e-11, 1e-8, 0.0, FROZEN_RESIDUAL]),
+                       np.array([False, False, True, False]),
+                       np.array([61, 1500, 20, 1500]), log)
+        assert kept == [0]
+        assert log == [
+            "seed1 dropped: still sliding after 1500 passes (residual 1.00e-08)",
+            "seed3 dropped: still sliding after 1500 passes (residual 1.00e-10)",
+        ]
+
     def test_report_shape(self):
         rep = estimate_systole(ROUND)
         assert isinstance(rep, SystoleReport)
@@ -974,11 +988,11 @@ def single_resolution_candidates(g, n):
         axes = np.concatenate([np.asarray(signed), axes])
         tags = [f"funk-circle{k}" for k in range(len(signed))] + tags
     lengths, residuals, collapsed, _ = _shorten_batch(
-        g, circle_points(axes, 0.0, n), 1e-10, SEED_PASSES, _polish_every(g)
+        g, circle_points(axes, 0.0, n), _polish_every(g)
     )
     return [(f"geodesic-{tag}", float(length))
             for tag, length, residual, gone in zip(tags, lengths, residuals, collapsed)
-            if not gone and residual < 1e-6]
+            if not gone and residual < FROZEN_RESIDUAL]
 
 
 class TestNestedResolutions:
@@ -1027,7 +1041,7 @@ class TestNestedResolutions:
 
     def test_prolonged_seed_geodesic_lands_under_newton(self):
         X = circle_points(find_signed_funk_axes(MIXED.f)[:1], 0.0, 64)
-        _, residuals, collapsed, _ = _shorten_batch(MIXED, X, 1e-10, SEED_PASSES, POLISH_EVERY)
+        _, residuals, collapsed, _ = _shorten_batch(MIXED, X, POLISH_EVERY)
         assert not collapsed[0] and residuals[0] < 1e-10
         prolonged = _prolong(X[:1])[0]
         np.testing.assert_array_equal(prolonged[0::2], X[0])

@@ -325,6 +325,14 @@ class TestSphericalFunction:
         assert f.coefficient(2, 1) == 1.0
         assert f.coefficient(4, 3) == 0.5
         assert f.coefficient(8, 0) == 0.0
+        # harmonic is the one-pair case, band limit and its check included
+        h = SphericalFunction.harmonic(3, -2, 0.75, degree_max=5)
+        assert h.degree == 5
+        np.testing.assert_array_equal(
+            h.coeffs, SphericalFunction.from_pairs([(3, -2, 0.75)], 5).coeffs
+        )
+        with pytest.raises(ValueError, match="degree_max=2 below"):
+            SphericalFunction.harmonic(3, 0, degree_max=2)
 
     def test_algebra(self):
         f = SphericalFunction.harmonic(1, 0)
