@@ -9,10 +9,14 @@ Two engines produce closed geodesics here:
     upper bound for the length of some closed geodesic.
   * tighten_sweepout tightens a whole one-parameter family, shortening
     every member.  Its maximum length (the family's width) can only
-    decrease, and the minimax principle says the width of a sweepout bounds
-    the shortest closed geodesic from above — on positively curved spheres,
-    the systole.  estimate_systole does not use sweepouts: its systole is
-    the shortest of its seed circles' geodesics.
+    decrease, and the minimax principle says the width of a family that
+    sweeps out the sphere bounds the shortest closed geodesic from above —
+    on positively curved spheres, the systole.  The demo builds its two
+    families from circle_points: F, the great circles around horizontal
+    axes turning a half turn, and G(pole), the stack of circles around the
+    pole closed up by point curves along a half meridian.
+    estimate_systole uses no family: its systole is the shortest of its
+    seed circles' geodesics.
 
 The round sphere makes the expected answers exact: great circles are
 geodesics of length 2*pi, a zonal metric (1 + t*Y20)^2 * g0 keeps the
@@ -28,7 +32,7 @@ from systolab import (
     DiscreteClosedCurve,
     SphericalFunction,
     birkhoff_shorten,
-    build_sweepout,
+    circle_points,
     curve_length,
     great_circle_points,
     make_variation,
@@ -59,9 +63,11 @@ print(f"final curve is the equator: max |z| over vertices = {zmax:.1e}")
 
 print()
 print("== a family: minimax width of the half-turn sweepout ==")
-sweep = build_sweepout("F", N=33, n=128)
-outcome = tighten_sweepout(g, sweep, passes=60)
-print(f"family F: {len(sweep)} great circles rotating a half turn")
+N, n = 33, 128
+turn = [(math.cos(a), math.sin(a), 0.0) for a in math.pi * np.arange(N) / (N - 1)]
+family_f = [DiscreteClosedCurve(c) for c in circle_points(turn, 0.0, n)]
+outcome = tighten_sweepout(g, family_f, passes=60)
+print(f"family F: {len(family_f)} great circles rotating a half turn")
 print(f"width after tightening = {outcome.width:.9f}")
 print("the width hugs the longest meridian-like member — the minimax level —")
 print("while the systole lives at the equator, strictly below:")
@@ -72,10 +78,13 @@ if outcome.witness is not None:
 print()
 print("== degenerate members are road, not obstacle ==")
 pole = np.array([0.0, 0.0, 1.0])
-sweep_g = build_sweepout("G", N=33, n=128, axis=pole)
-points = sum(1 for c in sweep_g.curves if c.is_point)
-print(f"family G(pole): {len(sweep_g)} members, {points} of them point curves")
-outcome_g = tighten_sweepout(g, sweep_g, passes=60)
+stack = circle_points(pole, -1.0 + 2.0 * np.arange(25) / 24, n)  # s = -1 .. 1, s = 0 included
+meridian = [(math.sin(a), 0.0, math.cos(a)) for a in math.pi * np.arange(1, 9) / 9]
+family_g = ([DiscreteClosedCurve(c) for c in stack]
+            + [DiscreteClosedCurve.point(p, n) for p in meridian])
+points = sum(1 for c in family_g if c.is_point)
+print(f"family G(pole): {len(family_g)} members, {points} of them point curves")
+outcome_g = tighten_sweepout(g, family_g, passes=60)
 print(f"width = {outcome_g.width:.12f}  — the equator again, because the")
 print("s-stack of circles around the pole must pass through it.")
 

@@ -70,25 +70,19 @@ def _great_circle_sums(func, axes, m):
     return np.sum(func(pts.reshape(-1, 3)).reshape(pts.shape[:-1]), axis=-1) * TWO_PI / m
 
 
-def funk_transform(f, u, m=None):
+def funk_transform(f, u):
     """Arc-length integral of f over the great circle gamma(u).
 
-    Periodic trapezoid with m nodes; f restricted to a great circle is a
-    trigonometric polynomial of degree <= deg(f), so m >= 2*deg(f) + 2 makes
-    the sum exact up to rounding.
+    Periodic trapezoid with default_circle_samples(deg f) >= 2*deg(f) + 2
+    nodes; f restricted to a great circle is a trigonometric polynomial of
+    degree <= deg(f), so the sum is exact up to rounding.
     """
-    return float(funk_transform_many(f, u, m)[0])
+    return float(funk_transform_many(f, u)[0])
 
 
-def funk_transform_many(f, axes, m=None):
-    """funk_transform evaluated for a whole batch of axes at once.
-
-    m defaults to default_circle_samples; m < 2*deg(f) + 2 raises ValueError.
-    """
-    m = default_circle_samples(f.degree) if m is None else m
-    if m < 2 * f.degree + 2:
-        raise ValueError(f"m={m} too small for degree {f.degree} (need >= {2 * f.degree + 2})")
-    return _great_circle_sums(f, axes, m)
+def funk_transform_many(f, axes):
+    """funk_transform evaluated for a whole batch of axes at once."""
+    return _great_circle_sums(f, axes, default_circle_samples(f.degree))
 
 
 def funk_image(f):

@@ -75,6 +75,9 @@ CSV_COLUMNS = (
     "warnings",
 )
 
+#: Keys of a config's JSON form (ExperimentConfig.to_json).
+CONFIG_KEYS = ("kind", "f", "t_values", "n", "seed", "out", "format")
+
 LENGTH_TOL = 1e-4   # tolerance on length-scale claims (systole, 2*pi, ...)
 RATIO_TOL = 1e-6    # tolerance on ratio-scale claims
 SCALE_TOL = 1e-10   # scale invariance of the ratio
@@ -117,17 +120,9 @@ class ResultRow:
 
     def as_record(self):
         """Row as a plain dict in report-column order."""
-        return {
-            "t": self.t,
-            "area": self.area,
-            "systole": self.systole,
-            "ratio": self.ratio,
-            "ratio_minus_inv_pi": self.ratio_minus_inv_pi,
-            "two_pi_minus_systole": self.two_pi_minus_systole,
-            "curvature_min": self.curvature_min,
-            "bound_check": self.bound_check,
-            "warnings": "; ".join(self.warnings),
-        }
+        record = {name: getattr(self, name) for name in CSV_COLUMNS}
+        record["warnings"] = "; ".join(self.warnings)
+        return record
 
 
 def _integer(value, name):
@@ -229,9 +224,13 @@ class ExperimentConfig:
     def from_json(cls, obj):
         """Config from a to_json dict; f may also be (l, m, value) triples or None.
 
-        Keys that are not fields are ignored, such as the "N" and "tol" of
-        older configs.
+        The "N" and "tol" of older configs are ignored; any other key that
+        to_json does not write raises ValueError, so a misspelled key cannot
+        silently run the default.
         """
+        unknown = sorted(set(obj) - set(CONFIG_KEYS) - {"N", "tol"})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; expected {list(CONFIG_KEYS)}")
         f = obj.get("f")
         if isinstance(f, dict):
             f = SphericalFunction.from_json(f)

@@ -1,4 +1,4 @@
-"""Geodesics, Birkhoff curve shortening, sweepouts, and the systole estimate.
+"""Geodesics, Birkhoff curve shortening, and the systole estimate.
 
 The geodesic equation of a conformal metric w^2 g0 is integrated in ambient
 coordinates: the tangential acceleration is -2 (grad rho . cdot) cdot +
@@ -17,13 +17,9 @@ collapsed: it is converging to a point, which the systole must exclude.  A
 curve freezes as a discrete closed geodesic once a pass moves no vertex by
 FROZEN_RESIDUAL or more, and only a curve that froze counts as one.
 
-Sweepouts realize the two families the minimax argument uses — the
-half-turn loop of great circles, and for a fixed axis the stack of parallel
-circles closed up by point curves along a half great circle.  Tightening a
-sweepout shortens every member; the family maximum is a certified upper
-bound for the minimax level, and the member attaining it is shortened to a
-discrete closed geodesic to serve as witness.  The systole estimate does
-not use them.
+Tightening a family of closed curves (tighten_sweepout) shortens every
+member, and for a family that sweeps out the sphere its maximum bounds the
+minimax level; the systole estimate does not use it.
 
 Between chunks of passes every curve still moving is polished: Newton on
 the stationarity system of the discrete energy first, and where Newton
@@ -76,8 +72,7 @@ from .circles import TWO_PI, circle_points, find_signed_funk_axes
 #: Round length below which a shortening curve counts as collapsed to a point.
 COLLAPSE_THRESHOLD = 0.1
 
-#: Default sweepout shape.
-DEFAULT_CURVES = 65
+#: Default vertex count of the systole estimate's geodesics.
 DEFAULT_VERTICES = 128
 
 #: Per-pass vertex displacement below which a shortening curve freezes as a
@@ -789,79 +784,18 @@ def birkhoff_shorten(g, curve):
 
 
 # ---------------------------------------------------------------------------
-# sweepouts and tightening
+# tightening a family
 # ---------------------------------------------------------------------------
 
 
-class Sweepout:
-    """A one-parameter family of closed curves sweeping out the sphere.
-
-    kind "F": the half-turn loop of great circles around horizontal axes.
-    kind "G": for a fixed axis u, the stack of parallel circles gamma(u, s)
-    closed up by point curves marching back along a half great circle.
-    """
-
-    __slots__ = ("kind", "axis", "curves", "params")
-
-    def __init__(self, kind, axis, curves, params):
-        self.kind = kind
-        self.axis = axis
-        self.curves = curves
-        self.params = params
-
-    def __len__(self):
-        return len(self.curves)
-
-
-def _check_shape(N, n):
-    """Reject a family size N or a vertex count n the shortening cannot use.
-
-    N must be odd (>= 9) so family G contains the exact great circle s = 0;
-    n must be even (>= 32) so the two parity classes of the alternating
-    passes tile the edges.
-    """
-    if N < 9 or N % 2 == 0:
-        raise ValueError("N must be an odd integer >= 9")
-    if n < 32 or n % 2 != 0:
-        raise ValueError("n must be an even integer >= 32")
-
-
-def build_sweepout(kind, N=DEFAULT_CURVES, n=DEFAULT_VERTICES, axis=None):
-    """Construct the discrete family F or G(axis) with N members, n vertices.
-
-    The circles of either family come from one circle_points call.  N must
-    be odd (>= 9) and n even (>= 32); _check_shape says why.
-    """
-    _check_shape(N, n)
-    params = np.arange(N) / (N - 1)
-    if kind == "F":
-        axes = [(math.cos(a), math.sin(a), 0.0) for a in math.pi * np.arange(N) / (N - 1)]
-        curves = [DiscreteClosedCurve(c) for c in circle_points(axes, 0.0, n)]
-        return Sweepout("F", None, curves, params)
-    if kind == "G":
-        if axis is None:
-            raise ValueError("family G needs an axis")
-        u = normalize_points(np.asarray(axis, dtype=float))
-        n_circles = N - 2 * max(2, N // 8)  # even point-curve count: s = 0 is a member
-        offsets = -1.0 + 2.0 * np.arange(n_circles) / (n_circles - 1)
-        curves = [DiscreteClosedCurve(c) for c in circle_points(u, offsets, n)]
-        n_points = N - len(curves)
-        e1, _ = circle_frame(u)
-        for k in range(1, n_points + 1):
-            ang = math.pi * k / (n_points + 1)
-            p = math.cos(ang) * u + math.sin(ang) * e1
-            curves.append(DiscreteClosedCurve.point(p, n))
-        return Sweepout("G", u, curves, params)
-    raise ValueError(f"unknown sweepout kind {kind!r}; expected 'F' or 'G'")
-
-
 class TightenResult:
-    """Outcome of tightening a sweepout.
+    """Outcome of tightening a family of closed curves.
 
     width is the family maximum after the passes (an upper bound for the
-    minimax level); witness is the maximal member shortened all the way to a
-    discrete closed geodesic (None if it collapsed); trace records
-    (iteration, max_length, argmax_index) per pass.
+    minimax level of a family that sweeps out the sphere); witness is the
+    maximal member shortened all the way to a discrete closed geodesic (None
+    if it collapsed); trace records (iteration, max_length, argmax_index)
+    per pass.
     """
 
     __slots__ = ("width", "witness", "trace")
@@ -872,22 +806,24 @@ class TightenResult:
         self.trace = trace
 
 
-def tighten_sweepout(g, sw, passes):
-    """Shorten every member of a sweepout and report the family maximum.
+def tighten_sweepout(g, curves, passes):
+    """Shorten every member of a family of closed curves; report its maximum.
 
-    Every member that is not a point curve runs up to `passes` Birkhoff
-    passes, stopping once all of them froze.  Trace row k is (k, max_length,
-    argmax_index) after pass k.  The member attaining the width is then
-    polished into a witness geodesic.  The width after any number of
-    length-non-increasing passes is a certified upper bound for the minimax
-    level of the family.
+    curves is a sequence of DiscreteClosedCurve sharing one even vertex
+    count.  Every member that is not a point curve runs up to `passes`
+    Birkhoff passes, stopping once all of them froze; point curves stay
+    put.  Trace row k is (k, max_length, argmax_index) after pass k.  The
+    member attaining the width is then polished into a witness geodesic.
+    For a family that sweeps out the sphere, the width after any number of
+    length-non-increasing passes is a certified upper bound for its minimax
+    level.
     """
-    counts = {c.vertices.shape[0] for c in sw.curves}
-    if len(counts) != 1:
-        raise ValueError("sweepout members must share one vertex count")
-    X = np.stack([c.vertices for c in sw.curves]).astype(float)
-    active = np.array([not c.is_point for c in sw.curves])
-    collapsed = np.zeros(len(sw.curves), dtype=bool)
+    counts = {c.vertices.shape[0] for c in curves}
+    if len(counts) != 1 or counts.pop() % 2 != 0:
+        raise ValueError("family members must share one even vertex count")
+    X = np.stack([c.vertices for c in curves]).astype(float)
+    active = np.array([not c.is_point for c in curves])
+    collapsed = np.zeros(len(curves), dtype=bool)
     lengths0 = _batch_metric_lengths(g, X)
     trace = [(0, float(lengths0.max()), int(np.argmax(lengths0)))]
 

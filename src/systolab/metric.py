@@ -374,14 +374,14 @@ def make_variation(f, t, lam=0.0, quadrature=None):
     return g
 
 
-def normalized_variation(f, t, quadrature=None):
+def normalized_variation(f, t):
     """Normalized variation of an arbitrary direction f.
 
     Splits f = lam + f0 with f0 mean-zero and builds
     (1 + lam*t) * (1 + t*f0)^2 * g0, the form that isolates scaling.
     """
     lam, f0 = mean_zero_decompose(f)
-    return make_variation(f0, t, lam, quadrature=quadrature)
+    return make_variation(f0, t, lam)
 
 
 def area(g):
@@ -396,9 +396,10 @@ def area(g):
 class DiscreteClosedCurve:
     """Closed polygon on S^2: vertex i joins vertex i+1 (mod n).
 
-    A point curve (all vertices equal) is explicitly allowed — the sweepout
-    families need it.  Otherwise n >= 3 and consecutive vertices must stay
-    within round distance pi/2 so the connecting arcs are unambiguous.
+    A point curve (all vertices equal) is explicitly allowed — a family that
+    sweeps out the sphere needs it.  Otherwise n >= 3 and consecutive
+    vertices must stay within round distance pi/2 so the connecting arcs
+    are unambiguous.
     """
 
     __slots__ = ("vertices", "is_point", "_edges")

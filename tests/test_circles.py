@@ -174,7 +174,7 @@ class TestFunkTransform:
         one = SphericalFunction.constant(1.0)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            assert funk_transform(one, random_axis(rng), m=16) == pytest.approx(
+            assert funk_transform(one, random_axis(rng)) == pytest.approx(
                 TWO_PI, rel=1e-14
             )
 
@@ -215,7 +215,7 @@ class TestFunkTransform:
         axes = np.array([random_axis(rng) for _ in range(12)])
         batch = funk_transform_many(f, axes)
         singles = [funk_transform(f, u) for u in axes]
-        np.testing.assert_allclose(batch, singles, atol=1e-13)
+        np.testing.assert_array_equal(batch, singles)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -225,20 +225,6 @@ class TestFunkTransform:
         u = random_axis(rng)
         assert funk_transform(f, u) == pytest.approx(
             funk_transform(f, -u), abs=1e-12
-        )
-
-    def test_rejects_undersampling(self):
-        f = SphericalFunction.harmonic(8, 0)
-        with pytest.raises(ValueError):
-            funk_transform(f, np.array([0.0, 0.0, 1.0]), m=17)
-
-    def test_batch_rejects_undersampling(self):
-        f = SphericalFunction.harmonic(8, 0)
-        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            funk_transform_many(f, axes, m=8)
-        np.testing.assert_array_equal(
-            funk_transform_many(f, axes, m=18), [funk_transform(f, u, m=18) for u in axes]
         )
 
 

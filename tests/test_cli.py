@@ -220,9 +220,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command", ["proposition", "systole"])
     @pytest.mark.parametrize("invalid", [
         {"n": 33}, {"n": "abc"}, {"n": None}, {"format": "xml"}, "top-level list",
-        {"n": 64.5}, {"seed": 2.5}, {"seed": True}, {"seed": -1},
+        {"n": 64.5}, {"seed": 2.5}, {"seed": True}, {"seed": -1}, {"sed": 7},
     ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list",
-            "non-integral-n", "non-integral-seed", "bool-seed", "negative-seed"])
+            "non-integral-n", "non-integral-seed", "bool-seed", "negative-seed",
+            "misspelled-key"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, invalid):
         if invalid == "top-level list":
             cfg = tmp_path / "list.json"

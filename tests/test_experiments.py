@@ -162,12 +162,14 @@ class TestExperimentConfig:
     def test_json_defaults_are_the_field_defaults(self):
         parsed = ExperimentConfig.from_json({"kind": "proposition"})
         assert parsed.to_json() == ExperimentConfig(kind="proposition").to_json()
-        # a key that is no field, such as the "N" or "tol" of older configs,
-        # is ignored
+        # the "N" and "tol" of older configs are ignored
         for old in ({"N": 17}, {"tol": 1e-9}):
             legacy = ExperimentConfig.from_json({"kind": "proposition", **old})
             assert legacy.to_json() == parsed.to_json()
         assert "tol" not in parsed.to_json()
+        # any other key that is no field is refused, by name
+        with pytest.raises(ValueError, match=r"unknown config keys \['format_', 'sed'\]"):
+            ExperimentConfig.from_json({"kind": "proposition", "sed": 7, "format_": "json"})
 
     def test_default_directions_cover_the_standard_set(self):
         dirs = default_directions()

@@ -1,4 +1,4 @@
-"""Tests for geodesics: integration, Birkhoff shortening, sweepouts."""
+"""Tests for geodesics: integration, Birkhoff shortening, tightening a family."""
 
 import csv
 import math
@@ -34,11 +34,9 @@ from systolab.geodesics import (
     SAME_LENGTH,
     SEED_CIRCLES,
     GeodesicResult,
-    Sweepout,
     SystoleReport,
     TightenResult,
     birkhoff_shorten,
-    build_sweepout,
     estimate_systole,
     integrate_geodesic,
     length_increase_violations,
@@ -607,73 +605,41 @@ class TestBatchPolish:
             assert counts["sh_sum"] <= 1 + counts["_band_solve"]
 
 
-class TestSweepoutConstruction:
-    def test_family_f_members_are_great_circles(self):
-        sw = build_sweepout("F", N=65, n=128)
-        assert sw.kind == "F"
-        assert len(sw) == 65
-        assert sw.params[0] == 0.0 and sw.params[-1] == 1.0
-        for c in sw.curves:
-            assert not c.is_point
-            assert c.round_length() == pytest.approx(TWO_PI, abs=1e-9)
+def family_f(N=65, n=128):
+    """The half-turn loop F: N great circles around horizontal axes."""
+    angles = math.pi * np.arange(N) / (N - 1)
+    axes = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(N)])
+    return [DiscreteClosedCurve(c) for c in circle_points(axes, 0.0, n)]
 
-    def test_family_f_axes_sweep_half_turn(self):
-        sw = build_sweepout("F", N=9, n=32)
-        # first member circles the x-axis, so its vertices are orthogonal to x
-        first = sw.curves[0].vertices
-        assert np.max(np.abs(first @ np.array([1.0, 0.0, 0.0]))) < 1e-12
 
-    def test_family_g_structure(self):
-        sw = build_sweepout("G", N=65, n=128, axis=POLE)
-        assert sw.kind == "G"
-        assert len(sw) == 65
-        points = [c for c in sw.curves if c.is_point]
-        circles = [c for c in sw.curves if not c.is_point]
-        # the circle stack is symmetric about s = 0: it contains the exact
-        # great circle, and its s = +-1 endpoints degenerate to point curves
-        assert len(circles) % 2 == 1
-        rounds = np.array([c.round_length() for c in circles])
-        assert rounds.max() == pytest.approx(TWO_PI, abs=1e-9)
-        assert len(points) + len(circles) == 65
-        # stack endpoints sit at the poles of the axis
-        assert np.allclose(sw.curves[0].vertices[0], -POLE)
-        tip = 2 * max(2, 65 // 8)  # members on the return leg
-        assert np.allclose(sw.curves[64 - tip].vertices[0], POLE)
-
-    def test_family_g_needs_axis(self):
-        with pytest.raises(ValueError):
-            build_sweepout("G")
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            build_sweepout("F", N=8)
-        with pytest.raises(ValueError):
-            build_sweepout("F", N=7)
-        with pytest.raises(ValueError):
-            build_sweepout("F", n=31)
-        with pytest.raises(ValueError):
-            build_sweepout("F", n=30)
-        with pytest.raises(ValueError):
-            build_sweepout("H")
+def family_g(axis, circles=49, points=16, n=128):
+    """The stack G(axis): circles from s = -1 to 1 (s = 0 included), closed
+    up by point curves along a half great circle from axis back to -axis."""
+    stack = circle_points(axis, np.linspace(-1.0, 1.0, circles), n)
+    e1, _ = circle_frame(axis)
+    leg = [math.cos(a) * axis + math.sin(a) * e1
+           for a in math.pi * np.arange(1, points + 1) / (points + 1)]
+    return ([DiscreteClosedCurve(c) for c in stack]
+            + [DiscreteClosedCurve.point(p, n) for p in leg])
 
 
 class TestTightenSweepout:
     def test_round_family_f_width(self):
-        res = tighten_sweepout(ROUND, build_sweepout("F"), passes=10)
+        res = tighten_sweepout(ROUND, family_f(), passes=10)
         assert res.width == pytest.approx(TWO_PI, abs=1e-9)
         assert res.witness is not None
         assert res.witness.length == pytest.approx(TWO_PI, abs=1e-9)
         assert res.witness.residual < 1e-10
 
     def test_zonal_family_g_width(self):
-        res = tighten_sweepout(ZONAL, build_sweepout("G", axis=POLE), passes=40)
+        res = tighten_sweepout(ZONAL, family_g(POLE), passes=40)
         expected = TWO_PI + 0.1 * FUNK_Y20_POLE
         assert res.width == pytest.approx(expected, abs=1e-9)
         assert res.witness is not None
         assert res.witness.length == pytest.approx(expected, abs=1e-9)
 
     def test_zonal_family_f_width_is_meridian_level(self):
-        res = tighten_sweepout(ZONAL, build_sweepout("F"), passes=40)
+        res = tighten_sweepout(ZONAL, family_f(), passes=40)
         expected = TWO_PI + 0.1 * FUNK_Y20_EQUATOR
         assert res.width == pytest.approx(expected, abs=1e-4)
         assert res.width <= expected + 1e-9  # passes only descend
@@ -682,12 +648,12 @@ class TestTightenSweepout:
         # uniform sampling of a great circle annihilates odd harmonics, so
         # every member of F has discrete length exactly 2 pi
         g = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
-        res = tighten_sweepout(g, build_sweepout("F"), passes=5)
+        res = tighten_sweepout(g, family_f(), passes=5)
         assert res.trace[0][1] == pytest.approx(TWO_PI, abs=1e-12)
         assert res.width <= TWO_PI + 1e-12
 
     def test_trace_is_monotone(self):
-        res = tighten_sweepout(ZONAL, build_sweepout("F", N=9, n=32), passes=20)
+        res = tighten_sweepout(ZONAL, family_f(N=9, n=32), passes=20)
         iterations = [row[0] for row in res.trace]
         widths = [row[1] for row in res.trace]
         assert iterations == list(range(len(iterations)))
@@ -696,24 +662,15 @@ class TestTightenSweepout:
     def test_mixed_vertex_counts_rejected(self):
         a = DiscreteClosedCurve(great_circle_points(POLE, 32))
         b = DiscreteClosedCurve(great_circle_points(POLE, 34))
-        sw = Sweepout("F", None, [a, b], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            tighten_sweepout(ROUND, sw, passes=1)
+            tighten_sweepout(ROUND, [a, b], passes=1)
 
-
-def count_builds(monkeypatch):
-    """Record (kind, axis) of every sweepout estimate_systole builds."""
-    import systolab.geodesics as geodesics
-
-    built = []
-
-    def counting(kind, *args, **kwargs):
-        sw = build_sweepout(kind, *args, **kwargs)
-        built.append((kind, sw.axis))
-        return sw
-
-    monkeypatch.setattr(geodesics, "build_sweepout", counting)
-    return built
+    def test_odd_vertex_count_rejected(self):
+        # the two parity classes of a Birkhoff pass tile the edges only for
+        # an even vertex count
+        curves = [DiscreteClosedCurve(great_circle_points(POLE, 33))]
+        with pytest.raises(ValueError):
+            tighten_sweepout(ROUND, curves, passes=1)
 
 
 class TestFamilyPool:
@@ -722,10 +679,8 @@ class TestFamilyPool:
         (ROUND, 32),
         (ODD, 64),
     ], ids=["zonal", "round", "odd"])
-    def test_no_family_while_a_seed_survives(self, monkeypatch, g, n):
-        built = count_builds(monkeypatch)
+    def test_no_family_while_a_seed_survives(self, g, n):
         report = estimate_systole(g, n=n)
-        assert built == []
         tags = [tag for tag, _ in report.candidates]
         assert tags and all(tag.startswith("geodesic-") for tag in tags)
         assert report.systole == report.witness.length
@@ -767,11 +722,9 @@ class TestFamilyPool:
             return _shorten_batch(g, X, polish_every)
 
         monkeypatch.setattr(geodesics, "_shorten_batch", capturing)
-        built = count_builds(monkeypatch)
         g = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
         with pytest.warns(CurvatureNotPositive):
             report = estimate_systole(g, n=32)
-        assert built == []
         assert chunks == [POLISH_EVERY_NONPOSITIVE, POLISH_EVERY]
         assert report.systole == pytest.approx(6.273814416397727, rel=0.0, abs=1e-12)
         assert report.systole == report.witness.length
@@ -819,14 +772,12 @@ class TestFamilyPool:
         lines = str(raised.value).splitlines()
         assert lines[1:] == [f"attempt with chunks of {chunk}" for chunk in tried]
 
-    def test_odd_direction_seeds_survive_at_coarse_resolution(self, monkeypatch):
+    def test_odd_direction_seeds_survive_at_coarse_resolution(self):
         # ODD has positive curvature, so its seed circles are polished after
         # POLISH_EVERY passes, before most of them collapse at n = 32: they
         # find a geodesic below the great-circle level 6.283130449237229,
         # at the value that estimate_systole(ODD, n=64) gives
-        built = count_builds(monkeypatch)
         report = estimate_systole(ODD, n=32)
-        assert built == []
         assert report.witness is not None
         assert report.witness.length == report.systole
         won = [tag for tag, length in report.candidates if length == report.systole]
@@ -1101,8 +1052,7 @@ class TestOddWidthProperty:
             return
         g = make_variation(f, scale * 0.5 / s)
         # the family maximum before any pass, tighten_sweepout's trace[0][1]
-        sw = build_sweepout("F", N=9, n=32)
-        width = _batch_metric_lengths(g, np.stack([c.vertices for c in sw.curves])).max()
+        width = _batch_metric_lengths(g, np.stack([c.vertices for c in family_f(N=9, n=32)])).max()
         assert width == pytest.approx(TWO_PI, abs=1e-11)
 
 
