@@ -24,7 +24,6 @@ from systolab import (
     build_quadrature,
     find_signed_funk_axes,
     funk_transform,
-    funk_transform_many,
     great_circle_length,
     make_variation,
     verify_tangent_bundle_identity,
@@ -41,7 +40,7 @@ print("== diagonal action on harmonics ==")
 print(f"{'l':>2}  {'2*pi*P_l(0)':>12}  {'measured ratio':>16}  {'worst error':>12}")
 for l in (0, 2, 4, 6, 8):
     ylm = SphericalFunction.harmonic(l, min(l, 2))
-    got = funk_transform_many(ylm, axes)
+    got = funk_transform(ylm, axes)
     expected = TWO_PI * LEGENDRE_AT_ZERO[l] * ylm(axes)
     scale = TWO_PI * LEGENDRE_AT_ZERO[l]
     mask = np.abs(ylm(axes)) > 1e-3
@@ -52,7 +51,7 @@ print()
 print("odd degrees vanish:")
 for l in (1, 3, 5, 7):
     ylm = SphericalFunction.harmonic(l, 0)
-    print(f"  max |Funk(Y{l}0)| over 40 axes = {np.max(np.abs(funk_transform_many(ylm, axes))):.1e}")
+    print(f"  max |Funk(Y{l}0)| over 40 axes = {np.max(np.abs(funk_transform(ylm, axes))):.1e}")
 
 print()
 print("== the length identity, exactly ==")

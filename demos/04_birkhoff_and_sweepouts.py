@@ -34,7 +34,6 @@ from systolab import (
     birkhoff_shorten,
     circle_points,
     curve_length,
-    great_circle_points,
     make_variation,
     tighten_sweepout,
 )
@@ -52,7 +51,7 @@ print()
 print("== one curve: the slide to the equator ==")
 tilt = 0.4
 axis = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
-start = DiscreteClosedCurve(great_circle_points(axis, 128))
+start = DiscreteClosedCurve(circle_points(axis, 0.0, 128))
 print(f"start: great circle tilted {tilt} rad, length under g = {curve_length(g, start):.9f}")
 result = birkhoff_shorten(g, start)
 print(f"after {result.passes} passes: length = {result.length:.12f}")

@@ -59,29 +59,25 @@ def circle_points(axes, offsets, m):
     )
 
 
-def great_circle_points(u, m):
-    """Sample points of the great circle gamma(u)."""
-    return circle_points(u, 0.0, m)
-
-
 def _great_circle_sums(func, axes, m):
-    """Trapezoid sums of func over gamma(u), shape (k,) for k axes (1 for one)."""
+    """Trapezoid sums of func over the great circles gamma(u), m nodes each.
+
+    axes is one axis (3,), giving a Python float, or a stack (..., 3),
+    giving an array (...); one axis sums exactly as the stack u[None] does.
+    """
     pts = circle_points(np.atleast_2d(axes), 0.0, m)
-    return np.sum(func(pts.reshape(-1, 3)).reshape(pts.shape[:-1]), axis=-1) * TWO_PI / m
+    sums = np.sum(func(pts.reshape(-1, 3)).reshape(pts.shape[:-1]), axis=-1) * TWO_PI / m
+    return float(sums[0]) if np.ndim(axes) == 1 else sums
 
 
-def funk_transform(f, u):
-    """Arc-length integral of f over the great circle gamma(u).
+def funk_transform(f, axes):
+    """Arc-length integral of f over the great circle gamma(u) of each axis.
 
     Periodic trapezoid with default_circle_samples(deg f) >= 2*deg(f) + 2
     nodes; f restricted to a great circle is a trigonometric polynomial of
-    degree <= deg(f), so the sum is exact up to rounding.
+    degree <= deg(f), so the sum is exact up to rounding.  One axis (3,)
+    gives a float, a stack (..., 3) an array (...).
     """
-    return float(funk_transform_many(f, u)[0])
-
-
-def funk_transform_many(f, axes):
-    """funk_transform evaluated for a whole batch of axes at once."""
     return _great_circle_sums(f, axes, default_circle_samples(f.degree))
 
 
@@ -96,17 +92,13 @@ def funk_image(f):
     return SphericalFunction(f.coeffs * scale)
 
 
-def great_circle_length(g, u):
-    """Length of the great circle gamma(u) under g, spectrally.
+def great_circle_length(g, axes):
+    """Length under g of the great circle gamma(u) of each axis, spectrally.
 
     Equals sqrt(1 + lam*t) * (2*pi + t * Funk(f)(u)); with lam = 0 this is
-    the exact first-order length identity.
+    the exact first-order length identity.  One axis (3,) gives a float, a
+    stack (..., 3) an array (...).
     """
-    return float(great_circle_length_many(g, u)[0])
-
-
-def great_circle_length_many(g, axes):
-    """Batched great-circle lengths for many axes."""
     return _great_circle_sums(g.w, axes, default_circle_samples(g.f.degree))
 
 
@@ -116,8 +108,8 @@ def average_great_circle_length(g):
     For lam = 0 and mean-zero f this is exactly 2*pi: averaging the length
     identity kills the Funk term because the Funk image inherits mean zero.
     """
-    q = build_quadrature(2 * g.f.degree + 2)
-    return float(q.weights @ great_circle_length_many(g, q.nodes)) / FOUR_PI
+    q = g.quadrature
+    return float(q.weights @ great_circle_length(g, q.nodes)) / FOUR_PI
 
 
 def verify_tangent_bundle_identity(g):
@@ -127,9 +119,9 @@ def verify_tangent_bundle_identity(g):
     circle of directions).  Base-first: integral over axes of the length of
     gamma(u).  Both equal 8*pi^2 for lam = 0 and mean-zero f.
     """
-    q = build_quadrature(2 * g.f.degree + 2)
+    q = g.quadrature
     lhs = TWO_PI * float(q.weights @ g.w_nodes(q))
-    rhs = float(q.weights @ great_circle_length_many(g, q.nodes))
+    rhs = float(q.weights @ great_circle_length(g, q.nodes))
     return lhs, rhs
 
 

@@ -39,16 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import TWO_PI, circle_points, default_circle_samples, funk_scan
+from .circles import TWO_PI, _great_circle_sums, default_circle_samples, funk_scan
 from .errors import IOFailure, NonAdmissibleT
-from .geodesics import DEFAULT_VERTICES, GeodesicResult, estimate_systole
+from .geodesics import DEFAULT_VERTICES, estimate_systole
 from .harmonics import (
     FOUR_PI,
     SphericalFunction,
     mean_zero_decompose,
     parity_decompose,
 )
-from .metric import DiscreteClosedCurve, area, make_variation, max_admissible_t, systolic_ratio
+from .metric import area, make_variation, max_admissible_t, systolic_ratio
 
 INV_PI = 1.0 / math.pi
 
@@ -164,6 +164,8 @@ class ExperimentConfig:
         ts = tuple(float(t) for t in self.t_values)
         if not ts:
             raise ValueError("t_values must contain at least one value")
+        if not all(math.isfinite(t) for t in ts):
+            raise NonAdmissibleT(f"every t must be finite, got {ts}")
         object.__setattr__(self, "t_values", ts)
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 32 or self.n % 2 != 0:
@@ -265,11 +267,8 @@ def _zoll_deviations(f_odd, t, axes, m):
     the t-linear (plus t-cubed) term, which the Funk transform of an odd
     function annihilates.
     """
-    pts = circle_points(axes, 0.0, m)
-    vals = f_odd(pts.reshape(-1, 3)).reshape(pts.shape[:-1])
-    step = TWO_PI / m
-    l_plus = step * np.sum(np.exp(t * vals), axis=-1)
-    l_minus = step * np.sum(np.exp(-t * vals), axis=-1)
+    l_plus = _great_circle_sums(lambda p: np.exp(t * f_odd(p)), axes, m)
+    l_minus = _great_circle_sums(lambda p: np.exp(-t * f_odd(p)), axes, m)
     return float(np.max(np.abs(l_plus - TWO_PI))), float(np.max(0.5 * np.abs(l_plus - l_minus)))
 
 
@@ -433,16 +432,6 @@ def render_report(rows, fmt="csv"):
 def emit_report(rows, path, fmt="csv"):
     """Write the report to path; identical inputs give identical bytes."""
     _write_text(path, render_report(rows, fmt=fmt), "report")
-
-
-def write_witness_curve(witness, path):
-    """Dump a witness curve's vertices as CSV rows (x, y, z)."""
-    if witness is None:
-        raise ValueError("no witness curve")
-    curve = witness.curve if isinstance(witness, GeodesicResult) else witness
-    verts = curve.vertices if isinstance(curve, DiscreteClosedCurve) else curve
-    text = _csv_text(("x", "y", "z"), np.asarray(verts, dtype=float))
-    return _write_text(path, text, "witness curve")
 
 
 def _funk_scan_csv(f):

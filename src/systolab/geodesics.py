@@ -60,9 +60,12 @@ from .harmonics import normalize_points
 from .metric import (
     DiscreteClosedCurve,
     _arc_lengths,
+    _batch_metric_lengths,
     _dots,
+    _edge_lengths,
     _norms,
     _polygon_edges,
+    _polygon_energy,
     _sin_cos,
     circle_frame,
     min_curvature,
@@ -221,16 +224,6 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
 # ---------------------------------------------------------------------------
 # Birkhoff curve shortening: batched alternating passes
 # ---------------------------------------------------------------------------
-
-
-def _edge_lengths(g, mids, arcs):
-    """Metric lengths (midpoint rule) of polygons from their _polygon_edges."""
-    return np.sum(g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs, axis=-1)
-
-
-def _batch_metric_lengths(g, X):
-    """Metric lengths (midpoint rule) of a batch of closed polygons (B, n, 3)."""
-    return _edge_lengths(g, *_polygon_edges(X))
 
 
 def _local_lengths(g, a, x, b):
@@ -392,16 +385,6 @@ def _energy_gradient(g, V):
     grad = g_tail + np.roll(g_head, 1, axis=-2)
     grad -= _dots(grad, V)[..., None] * V
     return grad / (TWO_PI / n)
-
-
-def _polygon_energy(g, V):
-    """Discrete energy of each closed polygon of a stack (..., n, 3).
-
-    One harmonic call; each polygon's energy is the one it gets alone.
-    """
-    mids, arcs = _polygon_edges(V)
-    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
-    return np.sum(seg * seg, axis=-1) / (2.0 * TWO_PI / V.shape[-2])
 
 
 def _jacobian_pattern(n):

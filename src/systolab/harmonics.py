@@ -291,10 +291,11 @@ def sh_sum_grad(coeffs, points):
 class SphericalFunction:
     """Real band-limited function on S^2 as a flat coefficient vector.
 
-    Immutable: the constructor copies its input and marks coeffs read-only,
-    so a value derived from the coefficients stays valid for the object's
-    life.  The one such value is the sup norm, which metric.max_admissible_t
-    computes on its first call and keeps in the _sup_norm slot.
+    Immutable: the constructor copies its input, refuses non-finite
+    coefficients and marks coeffs read-only, so a value derived from the
+    coefficients stays valid for the object's life.  The one such value is
+    the sup norm, which metric.max_admissible_t computes on its first call
+    and keeps in the _sup_norm slot.
     """
 
     __slots__ = ("coeffs", "_sup_norm")
@@ -306,6 +307,8 @@ class SphericalFunction:
         L = math.isqrt(c.size) - 1
         if sh_size(L) != c.size:
             raise ValueError(f"coefficient length {c.size} is not a perfect square")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         c.flags.writeable = False
         self.coeffs = c
         self._sup_norm = None

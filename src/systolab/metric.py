@@ -20,13 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BandTooLow,
     DegenerateSystole,
     NonAdmissibleT,
     ProjectionResidualTooLarge,
 )
 from .harmonics import (
-    SphericalFunction,
     build_quadrature,
     laplacian,
     mean_zero_decompose,
@@ -213,20 +211,20 @@ class ConformalMetric:
     lam : float
         Scale-direction coefficient (the mean of the original direction when
         the metric comes from the normalized variation).
-    quadrature : SphereQuadrature
-        Node set used for area integrals; band must be at least twice the
-        degree of f so that w^2 integrates exactly.
+
+    Area integrals use quadrature = build_quadrature(2 deg f + 2), whose band
+    covers w^2 exactly.
 
     The round metric (t = 0) evaluates w through the zero direction, so its
     w = sqrt(1 + lam*t) and grad w = 0 come from the same formulas as every
     other metric's, without evaluating f.
     """
 
-    def __init__(self, f, t, lam, quadrature):
+    def __init__(self, f, t, lam):
         self.f = f
         self.t = float(t)
         self.lam = float(lam)
-        self.quadrature = quadrature
+        self.quadrature = build_quadrature(2 * f.degree + 2)
         self.scale = 1.0 + self.lam * self.t
         self._sqrt_scale = math.sqrt(self.scale)
         self._coeffs = f.coeffs if self.t != 0.0 else _ROUND_COEFFS
@@ -315,34 +313,21 @@ class ConformalMetric:
             return exc
         return float(np.min(k))
 
-    def to_json(self):
-        return {
-            "f": self.f.to_json(),
-            "t": self.t,
-            "lambda": self.lam,
-            "L_quad_band": self.quadrature.band,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        f = SphericalFunction.from_json(obj["f"])
-        band = obj.get("L_quad_band")
-        quad = None if band is None else build_quadrature(int(band))
-        return make_variation(f, float(obj["t"]), float(obj.get("lambda", 0.0)),
-                              quadrature=quad)
-
     def __repr__(self):
         return (f"ConformalMetric(degree={self.f.degree}, t={self.t}, "
                 f"lam={self.lam})")
 
 
-def make_variation(f, t, lam=0.0, quadrature=None):
+def make_variation(f, t, lam=0.0):
     """Build the conformal metric (1 + lam*t) * (1 + t*f)^2 * g0.
 
     f must be mean-zero (split any constant part into lam beforehand, e.g.
-    with mean_zero_decompose).  Raises NonAdmissibleT when |t| reaches the
-    symmetric admissible bound of f or when 1 + lam*t <= 0.
+    with mean_zero_decompose).  Raises NonAdmissibleT when t or lam is not
+    finite, when |t| reaches the symmetric admissible bound of f or when
+    1 + lam*t <= 0.
     """
+    if not (math.isfinite(t) and math.isfinite(lam)):
+        raise NonAdmissibleT(f"t and lam must be finite, got t = {t!r}, lam = {lam!r}")
     mean, _ = mean_zero_decompose(f)
     if abs(mean) > 1e-12 * (1.0 + float(np.max(np.abs(f.coeffs)))):
         raise ValueError(
@@ -358,17 +343,11 @@ def make_variation(f, t, lam=0.0, quadrature=None):
                 f"|t| = {abs(t):.6g} outside the admissible range "
                 f"]-{bound:.6g}, {bound:.6g}[ for this direction"
             )
-    if quadrature is None:
-        quadrature = build_quadrature(2 * f.degree + 2)
-    elif quadrature.band < 2 * f.degree:
-        raise BandTooLow(
-            f"quadrature band {quadrature.band} below 2*degree = {2 * f.degree}"
-        )
-    g = ConformalMetric(f, t, lam, quadrature)
+    g = ConformalMetric(f, t, lam)
     # Belt and braces: the bound above already implies positivity, but the
     # sup-norm is itself numerical, so confirm on a much denser grid.
     if t != 0.0:
-        check = build_quadrature(3 * quadrature.band + 16)
+        check = build_quadrature(3 * g.quadrature.band + 16)
         if np.min(g.w_nodes(check)) <= 0.0:
             raise NonAdmissibleT("length factor not positive on the check grid")
     return g
@@ -402,7 +381,7 @@ class DiscreteClosedCurve:
     are unambiguous.
     """
 
-    __slots__ = ("vertices", "is_point", "_edges")
+    __slots__ = ("vertices", "is_point")
 
     def __init__(self, vertices):
         v = normalize_points(np.atleast_2d(np.asarray(vertices, dtype=float)))
@@ -418,7 +397,6 @@ class DiscreteClosedCurve:
                     f"consecutive vertices {worst:.4f} apart exceed pi/2"
                 )
         self.vertices = v
-        self._edges = None
 
     @property
     def n(self):
@@ -429,14 +407,8 @@ class DiscreteClosedCurve:
         """Degenerate point curve at p with n identical vertices."""
         return cls(np.tile(np.asarray(p, dtype=float), (n, 1)))
 
-    def edges(self):
-        """(midpoints, round arc lengths) of the n closing edges, cached."""
-        if self._edges is None:
-            self._edges = _polygon_edges(self.vertices)
-        return self._edges
-
     def round_length(self):
-        return float(np.sum(self.edges()[1]))
+        return float(np.sum(_polygon_edges(self.vertices)[1]))
 
     def __repr__(self):
         kind = "point" if self.is_point else "closed"
@@ -484,12 +456,33 @@ def _polygon_edges(X):
     return mids, _arc_lengths(X, nxt)
 
 
+def _edge_lengths(g, mids, arcs):
+    """Metric lengths (midpoint rule) of polygons from their _polygon_edges."""
+    return np.sum(g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs, axis=-1)
+
+
+def _batch_metric_lengths(g, X):
+    """Metric lengths (midpoint rule) of closed polygons (..., n, 3)."""
+    return _edge_lengths(g, *_polygon_edges(X))
+
+
+def _polygon_energy(g, V):
+    """Discrete energy of each closed polygon of a stack (..., n, 3).
+
+    One harmonic call; each polygon's energy is the one it gets alone.
+    """
+    mids, arcs = _polygon_edges(V)
+    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
+    dtau = 2.0 * math.pi / V.shape[-2]
+    return np.sum(seg * seg, axis=-1) / (2.0 * dtau)
+
+
 def curve_length(g, c):
-    """Length of c under g: sum of w(edge midpoint) * round edge length."""
-    if c.is_point:
-        return 0.0
-    mids, arcs = c.edges()
-    return float(np.sum(g.w(mids) * arcs))
+    """Length of c under g: sum of w(edge midpoint) * round edge length.
+
+    A point curve has zero-length edges, so its length is exactly 0.0.
+    """
+    return float(_batch_metric_lengths(g, c.vertices))
 
 
 def curve_energy(g, c):
@@ -497,14 +490,10 @@ def curve_energy(g, c):
 
     E = 1/2 * sum (w(mid) * edge_len)^2 / dtau, dtau = 2*pi/n.  Discrete
     Cauchy-Schwarz gives E >= l^2/(4*pi), with equality exactly for
-    constant-speed curves, so 2E <= l if and only if l <= 2*pi there.
+    constant-speed curves, so 2E <= l if and only if l <= 2*pi there.  A
+    point curve has energy exactly 0.0.
     """
-    if c.is_point:
-        return 0.0
-    mids, arcs = c.edges()
-    seg = g.w(mids) * arcs
-    dtau = 2.0 * math.pi / c.n
-    return float(0.5 * np.sum(seg**2) / dtau)
+    return float(_polygon_energy(g, c.vertices))
 
 
 def gauss_curvature(g, p):
@@ -543,6 +532,3 @@ def systolic_ratio(area_value, systole):
     if area_value <= 0.0:
         raise ValueError(f"area must be positive, got {area_value}")
     return area_value / systole**2
-
-
-ROUND_RATIO = 1.0 / math.pi

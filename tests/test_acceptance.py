@@ -26,10 +26,9 @@ from systolab.metric import (
 )
 from systolab.circles import (
     average_great_circle_length,
+    circle_points,
     funk_transform,
-    funk_transform_many,
     great_circle_length,
-    great_circle_length_many,
     verify_tangent_bundle_identity,
 )
 from systolab.geodesics import (
@@ -137,7 +136,7 @@ def test_criterion_02_funk_eigenvalue_table():
     for l in range(9):
         for m in range(-l, l + 1):
             ylm = SphericalFunction.harmonic(l, m)
-            got = funk_transform_many(ylm, axes)
+            got = funk_transform(ylm, axes)
             if l % 2 == 0:
                 expected = TWO_PI * LEGENDRE_AT_ZERO[l] * ylm(axes)
                 worst_even = max(worst_even, float(np.max(np.abs(got - expected))))
@@ -253,18 +252,17 @@ def test_criterion_08_zoll_first_order():
     worst_linear = 0.0
     for t in (0.1, 0.05):
         g = make_variation(f, t)
-        lengths = great_circle_length_many(g, axes)
+        lengths = great_circle_length(g, axes)
         worst_linear = max(worst_linear, float(np.max(np.abs(lengths - TWO_PI))))
     # Exponential family exp(2tf)*g0: deviation is genuinely second order,
     # so halving t divides it by ~4.
     m = 256
     step = TWO_PI / m
-    from systolab.circles import great_circle_points
 
     def max_deviation(t):
         dev = 0.0
         for u in axes:
-            vals = f(great_circle_points(u, m))
+            vals = f(circle_points(u, 0.0, m))
             dev = max(dev, abs(step * float(np.sum(np.exp(t * vals))) - TWO_PI))
         return dev
 

@@ -14,7 +14,13 @@ from systolab.harmonics import (
     normalize_points,
     sh_size,
 )
-from systolab.metric import DiscreteClosedCurve, curve_length, make_variation, sup_norm
+from systolab.metric import (
+    DiscreteClosedCurve,
+    _polygon_edges,
+    curve_length,
+    make_variation,
+    sup_norm,
+)
 from systolab.circles import (
     average_great_circle_length,
     circle_frame,
@@ -22,9 +28,7 @@ from systolab.circles import (
     find_signed_funk_axes,
     funk_image,
     funk_transform,
-    funk_transform_many,
     great_circle_length,
-    great_circle_length_many,
     verify_tangent_bundle_identity,
 )
 from systolab.experiments import write_funk_scan
@@ -111,7 +115,7 @@ class TestSampleCircle:
     def test_uniform_spacing(self):
         rng = np.random.default_rng(1)
         c = DiscreteClosedCurve(circle_points(random_axis(rng), 0.3, 37))
-        _, arcs = c.edges()
+        _, arcs = _polygon_edges(c.vertices)
         np.testing.assert_allclose(arcs, arcs[0], atol=1e-12)
 
     def test_screw_rule_orientation(self):
@@ -213,9 +217,12 @@ class TestFunkTransform:
         f = random_direction(7)
         rng = np.random.default_rng(8)
         axes = np.array([random_axis(rng) for _ in range(12)])
-        batch = funk_transform_many(f, axes)
+        batch = funk_transform(f, axes.reshape(3, 4, 3))
+        assert batch.shape == (3, 4)
         singles = [funk_transform(f, u) for u in axes]
-        np.testing.assert_array_equal(batch, singles)
+        assert all(type(v) is float for v in singles)
+        assert [funk_transform(f, u[None])[0] for u in axes] == singles
+        np.testing.assert_array_equal(batch.ravel(), singles)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -274,8 +281,11 @@ class TestGreatCircleLength:
         g = make_variation(random_direction(13), 0.15)
         rng = np.random.default_rng(14)
         axes = np.array([random_axis(rng) for _ in range(9)])
-        batch = great_circle_length_many(g, axes)
+        batch = great_circle_length(g, axes)
+        assert batch.shape == (9,)
         singles = [great_circle_length(g, u) for u in axes]
+        assert all(type(v) is float for v in singles)
+        assert [great_circle_length(g, u[None])[0] for u in axes] == singles
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 

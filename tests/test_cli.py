@@ -221,9 +221,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("invalid", [
         {"n": 33}, {"n": "abc"}, {"n": None}, {"format": "xml"}, "top-level list",
         {"n": 64.5}, {"seed": 2.5}, {"seed": True}, {"seed": -1}, {"sed": 7},
+        {"t_values": [math.nan]}, {"f": [[2, 0, math.nan]]},
     ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list",
             "non-integral-n", "non-integral-seed", "bool-seed", "negative-seed",
-            "misspelled-key"])
+            "misspelled-key", "nan-t", "nan-coefficient"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, invalid):
         if invalid == "top-level list":
             cfg = tmp_path / "list.json"
@@ -235,6 +236,12 @@ class TestConfigParsing:
         # main returned, so no exception escaped with a traceback
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["proposition", "systole"])
+    def test_non_finite_t_flag_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert cli.main([command, "--config", cfg, "--t", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_direction_without_band_limit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "estimate_systole", fake_estimate(0.9))

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 
-import numpy as np
 import pytest
 
 import systolab.experiments
@@ -20,7 +19,6 @@ from systolab.experiments import (
     render_report,
     run_experiment,
     write_funk_scan,
-    write_witness_curve,
 )
 from systolab.geodesics import SystoleReport
 from systolab.metric import sup_norm
@@ -68,6 +66,9 @@ class TestExperimentConfig:
     def test_non_admissible_t_rejected(self):
         with pytest.raises(NonAdmissibleT):
             ExperimentConfig(kind="proposition", f=Y20, t_values=(0.05, 5.0))
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonAdmissibleT, match="finite"):
+                ExperimentConfig(kind="proposition", f=Y20, t_values=(0.05, t))
 
     def test_baseline_only_at_zero(self):
         with pytest.raises(NonAdmissibleT, match="t = 0"):
@@ -381,23 +382,6 @@ class TestReports:
 
 
 class TestWriters:
-    def test_witness_curve_bytes(self, tmp_path):
-        path = tmp_path / "witness.csv"
-        write_witness_curve(np.array([[1, 0, 0], [0.0, 0.6, 0.8], [-0.5, 0.5, 0.1]]), path)
-        assert path.read_bytes() == (
-            b"x,y,z\n"
-            b"1.0,0.0,0.0\n"
-            b"0.0,0.6,0.8\n"
-            b"-0.5,0.5,0.1\n"
-        )
-
-    def test_missing_witness_writes_nothing(self, tmp_path):
-        # SystoleReport.witness is None when no candidate is a geodesic
-        path = tmp_path / "witness.csv"
-        with pytest.raises(ValueError, match="no witness curve"):
-            write_witness_curve(None, path)
-        assert not path.exists()
-
     def test_funk_scan_bytes(self, tmp_path):
         path = tmp_path / "scan.csv"
         # the 190 nodes of the band-18 quadrature (ten latitudes times 19
@@ -415,11 +399,8 @@ class TestWriters:
 
     @pytest.mark.parametrize(
         "write",
-        [
-            lambda path: write_witness_curve(np.eye(3), path),
-            lambda path: write_funk_scan(SphericalFunction.harmonic(2, 0), path),
-        ],
-        ids=["witness", "funk_scan"],
+        [lambda path: write_funk_scan(SphericalFunction.harmonic(2, 0), path)],
+        ids=["funk_scan"],
     )
     def test_unwritable_path_raises_io_failure(self, tmp_path, write):
         with pytest.raises(IOFailure, match="could not write"):

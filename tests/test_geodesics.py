@@ -1,6 +1,5 @@
 """Tests for geodesics: integration, Birkhoff shortening, tightening a family."""
 
-import csv
 import math
 
 import numpy as np
@@ -23,9 +22,7 @@ from systolab.circles import (
     circle_points,
     find_signed_funk_axes,
     funk_transform,
-    great_circle_points,
 )
-from systolab.experiments import write_witness_curve
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     FROZEN_RESIDUAL,
@@ -41,7 +38,6 @@ from systolab.geodesics import (
     integrate_geodesic,
     length_increase_violations,
     tighten_sweepout,
-    _batch_metric_lengths,
     _coarse_vertices,
     _distinct,
     _energy_descent,
@@ -53,14 +49,20 @@ from systolab.geodesics import (
     _newton_polish,
     _polish,
     _polish_every,
-    _polygon_energy,
     _prolong,
     _refine,
     _run_passes,
     _shorten_batch,
     _vertex_newton_step,
 )
-from systolab.metric import _arc_lengths, _dots, _polygon_edges, circle_frame
+from systolab.metric import (
+    _arc_lengths,
+    _batch_metric_lengths,
+    _dots,
+    _polygon_edges,
+    _polygon_energy,
+    circle_frame,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,14 +168,14 @@ class TestIntegrateGeodesic:
 
 class TestBirkhoffShorten:
     def test_round_equator_is_fixed(self):
-        eq = DiscreteClosedCurve(great_circle_points(POLE, 128))
+        eq = DiscreteClosedCurve(circle_points(POLE, 0.0, 128))
         res = birkhoff_shorten(ROUND, eq)
         assert not res.collapsed
         assert res.residual < 1e-12
         assert res.length == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_zonal_equator_is_discrete_geodesic(self):
-        eq = DiscreteClosedCurve(great_circle_points(POLE, 128))
+        eq = DiscreteClosedCurve(circle_points(POLE, 0.0, 128))
         res = birkhoff_shorten(ZONAL, eq)
         assert not res.collapsed
         assert res.residual < 1e-12
@@ -182,7 +184,7 @@ class TestBirkhoffShorten:
 
     def test_tilted_circle_slides_to_equator(self):
         axis = np.array([math.sin(0.3), 0.0, math.cos(0.3)])
-        start = DiscreteClosedCurve(great_circle_points(axis, 128))
+        start = DiscreteClosedCurve(circle_points(axis, 0.0, 128))
         res = birkhoff_shorten(ZONAL, start)
         assert not res.collapsed
         assert res.residual < 1e-10
@@ -200,7 +202,7 @@ class TestBirkhoffShorten:
             birkhoff_shorten(ROUND, DiscreteClosedCurve.point(POLE, 32))
 
     def test_odd_vertex_count_rejected(self):
-        crv = DiscreteClosedCurve(great_circle_points(POLE, 33))
+        crv = DiscreteClosedCurve(circle_points(POLE, 0.0, 33))
         with pytest.raises(ValueError):
             birkhoff_shorten(ROUND, crv)
 
@@ -215,7 +217,7 @@ class TestBatchedShortening:
         tilted = [np.array([math.sin(a), 0.0, math.cos(a)]) for a in (0.2, 0.4)]
         X = np.stack([
             DiscreteClosedCurve.point(POLE, 64).vertices,
-            great_circle_points(POLE, 64),
+            circle_points(POLE, 0.0, 64),
             *circle_points(np.array(tilted), 0.0, 64),
         ])
         active = np.array([False, True, True, True])
@@ -309,7 +311,7 @@ class TestNewtonPolish:
     def test_perturbed_equator_under_zonal_metric(self):
         # the zonal metric turns the equator into a rotation family of geodesics
         rng = np.random.default_rng(34)
-        start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
+        start = circle_points(POLE, 0.0, 128) + 1e-3 * rng.standard_normal((128, 3))
         start /= np.linalg.norm(start, axis=-1, keepdims=True)
         V, landed = _newton_polish(ZONAL, start[None])
         assert landed[0]
@@ -321,7 +323,7 @@ class TestNewtonPolish:
 
     def test_stacked_gradient_equals_single_calls(self):
         rng = np.random.default_rng(36)
-        V = great_circle_points(POLE, 128) + 1e-2 * rng.standard_normal((5, 128, 3))
+        V = circle_points(POLE, 0.0, 128) + 1e-2 * rng.standard_normal((5, 128, 3))
         V /= np.linalg.norm(V, axis=-1, keepdims=True)
         for g in (ROUND, MIXED):
             stacked = _energy_gradient(g, V)
@@ -352,14 +354,14 @@ class TestNewtonPolish:
         monkeypatch.setattr(metric, "sh_sum_grad", counted_grad)
         monkeypatch.setattr(geodesics, "_band_solve", counted_solve)
         rng = np.random.default_rng(34)
-        start = great_circle_points(POLE, 128) + 1e-3 * rng.standard_normal((128, 3))
+        start = circle_points(POLE, 0.0, 128) + 1e-3 * rng.standard_normal((128, 3))
         start /= np.linalg.norm(start, axis=-1, keepdims=True)
         assert _newton_polish(ZONAL, start[None])[1][0]
         assert len(solves) > 0
         assert len(grad_calls) <= 1 + len(solves) * (1 + 5)
 
     def test_non_symmetric_direction(self):
-        start = great_circle_points(find_signed_funk_axes(MIXED.f)[0], 128)
+        start = circle_points(find_signed_funk_axes(MIXED.f)[0], 0.0, 128)
         V, landed = _newton_polish(MIXED, start[None])
         assert landed[0]
         out = V[0]
@@ -372,7 +374,7 @@ def perturbed_equator(shrink, seed=34):
     noise = 1e-3 * np.random.default_rng(seed).standard_normal((128, 3))
     if not shrink:
         noise[:, 2] -= noise[:, 2].mean()
-    start = great_circle_points(POLE, 128) + noise
+    start = circle_points(POLE, 0.0, 128) + noise
     return start / np.linalg.norm(start, axis=-1, keepdims=True)
 
 
@@ -660,15 +662,15 @@ class TestTightenSweepout:
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
     def test_mixed_vertex_counts_rejected(self):
-        a = DiscreteClosedCurve(great_circle_points(POLE, 32))
-        b = DiscreteClosedCurve(great_circle_points(POLE, 34))
+        a = DiscreteClosedCurve(circle_points(POLE, 0.0, 32))
+        b = DiscreteClosedCurve(circle_points(POLE, 0.0, 34))
         with pytest.raises(ValueError):
             tighten_sweepout(ROUND, [a, b], passes=1)
 
     def test_odd_vertex_count_rejected(self):
         # the two parity classes of a Birkhoff pass tile the edges only for
         # an even vertex count
-        curves = [DiscreteClosedCurve(great_circle_points(POLE, 33))]
+        curves = [DiscreteClosedCurve(circle_points(POLE, 0.0, 33))]
         with pytest.raises(ValueError):
             tighten_sweepout(ROUND, curves, passes=1)
 
@@ -790,20 +792,6 @@ class TestFamilyPool:
     def test_shape_is_checked_without_a_family(self, g, shape):
         with pytest.raises(ValueError):
             estimate_systole(g, **shape)
-
-
-class TestWriters:
-    def test_witness_roundtrip(self, tmp_path):
-        eq = DiscreteClosedCurve(great_circle_points(POLE, 32))
-        res = birkhoff_shorten(ZONAL, eq)
-        path = tmp_path / "witness.csv"
-        write_witness_curve(res, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "y", "z"]
-        verts = np.array([[float(v) for v in row] for row in rows[1:]])
-        assert verts.shape == res.curve.vertices.shape
-        assert np.array_equal(verts, res.curve.vertices)
 
 
 class TestEstimateSystole:
@@ -983,7 +971,7 @@ class TestNestedResolutions:
         assert estimate_systole(g, n=n).candidates == single_resolution_candidates(g, n)
 
     def test_prolonged_equator_is_a_discrete_geodesic(self):
-        refined = _refine(ZONAL, great_circle_points(POLE, 64)[None], 128)[0]
+        refined = _refine(ZONAL, circle_points(POLE, 0.0, 64)[None], 128)[0]
         assert refined.shape == (128, 3)
         assert grad_norm(ZONAL, refined) < 1e-11
         assert _batch_metric_lengths(ZONAL, refined[None])[0] == pytest.approx(
@@ -1012,7 +1000,7 @@ class TestNestedResolutions:
         monkeypatch.setattr(geodesics, "SEED_PASSES", 3)
         tilt = np.array([math.sin(0.3), 0.0, math.cos(0.3)])
         monkeypatch.setattr(geodesics, "_refine",
-                            lambda g, V, n: np.stack([great_circle_points(tilt, n)] * len(V)))
+                            lambda g, V, n: np.stack([circle_points(tilt, 0.0, n)] * len(V)))
         # no seed is left, and ZONAL's curvature is positive, so there is no
         # retry: the error carries the warning lines
         with pytest.raises(SystolabError) as raised:

@@ -334,6 +334,13 @@ class TestSphericalFunction:
         with pytest.raises(ValueError, match="degree_max=2 below"):
             SphericalFunction.harmonic(3, 0, degree_max=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SphericalFunction.from_pairs([(2, 0, 1.0), (3, 1, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            SphericalFunction.constant(bad)
+
     def test_algebra(self):
         f = SphericalFunction.harmonic(1, 0)
         g = SphericalFunction.harmonic(3, 2)
