@@ -25,6 +25,7 @@ from .errors import (
     ProjectionResidualTooLarge,
 )
 from .harmonics import (
+    FOUR_PI,
     build_quadrature,
     laplacian,
     mean_zero_decompose,
@@ -164,24 +165,44 @@ def _polish_extrema(f, x0, signs):
     return x, value
 
 
+def _grid_peaks(a):
+    """Flat indices of the local maxima of a (rings, longitudes) product-grid array.
+
+    A node is a peak when its value is >= that of each of its 8 neighbours:
+    the two beside it on its ring (wrapping in longitude) and the three
+    nearest on each adjacent ring.  A polar ring surrounds its pole, so it
+    has one adjacent ring.
+    """
+    padded = np.pad(a, ((1, 1), (0, 0)), constant_values=-np.inf)
+    peak = np.ones(a.shape, dtype=bool)
+    for dj in (-1, 0, 1):
+        ring = padded[1 + dj: 1 + dj + a.shape[0]]
+        for dk in (-1, 0, 1):
+            if dj or dk:
+                peak &= a >= np.roll(ring, dk, axis=1)
+    return np.flatnonzero(peak)
+
+
 def sup_norm(f):
     """Max of |f| over the sphere: dense-grid scan plus a batched Newton polish.
 
     The grid is a quadrature node set several times denser than the band of
-    f, evaluated by its transform; its eight largest |f| nodes and both
-    poles (frequent extrema of zonal functions) are polished together by
-    _polish_extrema, each toward the extremum of the sign f has there.
+    f, evaluated by its transform.  Its local maxima of |f| (_grid_peaks)
+    are kept one per distinct value, since a zonal ring ties bit for bit,
+    and the eight largest are polished together by _polish_extrema, each
+    toward the extremum of the sign its grid value has.
     """
     if not np.any(f.coeffs):
         return 0.0
     band = max(6 * f.degree, 48)
     q = build_quadrature(band)
     vals = q.synthesize(f.coeffs)
-    order = np.argsort(-np.abs(vals))[:8]
-    candidates = np.concatenate([q.nodes[order], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-    signs = np.where(sh_sum(f.coeffs, candidates) >= 0.0, 1.0, -1.0)
-    _, values = _polish_extrema(f, candidates, signs)
-    return max(float(np.max(np.abs(vals))), float(np.max(np.abs(values))))
+    a = np.abs(vals)
+    peaks = _grid_peaks(a.reshape(-1, q.band + 1))
+    _, first = np.unique(a[peaks], return_index=True)
+    top = peaks[first[::-1][:8]]
+    _, values = _polish_extrema(f, q.nodes[top], np.where(vals[top] >= 0.0, 1.0, -1.0))
+    return max(float(a[top[0]]), float(np.max(np.abs(values))))
 
 
 def max_admissible_t(f):
@@ -328,7 +349,7 @@ def make_variation(f, t, lam=0.0):
     """
     if not (math.isfinite(t) and math.isfinite(lam)):
         raise NonAdmissibleT(f"t and lam must be finite, got t = {t!r}, lam = {lam!r}")
-    mean, _ = mean_zero_decompose(f)
+    mean = float(f.coeffs[0]) / math.sqrt(FOUR_PI)
     if abs(mean) > 1e-12 * (1.0 + float(np.max(np.abs(f.coeffs)))):
         raise ValueError(
             f"direction has mean {mean:.3e}; pass its mean-zero part and put "
@@ -406,9 +427,6 @@ class DiscreteClosedCurve:
     def point(cls, p, n=1):
         """Degenerate point curve at p with n identical vertices."""
         return cls(np.tile(np.asarray(p, dtype=float), (n, 1)))
-
-    def round_length(self):
-        return float(np.sum(_polygon_edges(self.vertices)[1]))
 
     def __repr__(self):
         kind = "point" if self.is_point else "closed"
