@@ -26,6 +26,7 @@ from .errors import (
 )
 from .harmonics import (
     FOUR_PI,
+    _latitude_interpolant,
     build_quadrature,
     laplacian,
     mean_zero_decompose,
@@ -43,7 +44,8 @@ CURVATURE_MAX_DEGREE = 32
 #: Slack on the pi/2 consecutive-vertex separation bound (allows exact pi/2).
 _EDGE_SEP_TOL = 1e-9
 
-#: Iteration cap of _polish_extrema; each iteration is one sh_sum_grad call.
+#: Iteration cap of _polish_extrema; each iteration is one evaluation of the
+#: latitude interpolant.
 POLISH_ITERATIONS = 40
 
 #: Chart offset of the central-difference Hessian in _polish_extrema.
@@ -90,17 +92,18 @@ def circle_frame(u):
 def _polish_extrema(f, x0, signs):
     """Polish points x0 (k, 3) toward maxima (sign 1) or minima (sign -1) of f.
 
-    One projected Newton iteration moves every candidate at once.  It makes
-    a single sh_sum_grad call on the (5k, 3) batch of the points and their
-    chart offsets +-h*e1, +-h*e2 (frames from circle_frame): the point gives
-    the value and the chart gradient, the offsets the 2x2 chart Hessian by
-    central differences of the analytic gradient.  The step is Newton's on
-    that Hessian with its eigenvalues made negative (maximum) or positive
-    (minimum) and floored, so it climbs or descends even where the Hessian
-    is indefinite or degenerate (extrema on a ring).  Steps are capped; a
-    candidate whose value got worse without its gradient shrinking returns
-    to its last point with a quarter of the cap.  A candidate stops at a
-    chart gradient of _POLISH_GTOL times the largest |f| among the
+    One projected Newton iteration moves every candidate at once.  It
+    evaluates f once, through the latitude interpolant that the call builds
+    (harmonics._latitude_interpolant), on the (5k, 3) batch of the points
+    and their chart offsets +-h*e1, +-h*e2 (frames from circle_frame): the
+    point gives the value and the chart gradient, the offsets the 2x2 chart
+    Hessian by central differences of the analytic gradient.  The step is
+    Newton's on that Hessian with its eigenvalues made negative (maximum) or
+    positive (minimum) and floored, so it climbs or descends even where the
+    Hessian is indefinite or degenerate (extrema on a ring).  Steps are
+    capped; a candidate whose value got worse without its gradient shrinking
+    returns to its last point with a quarter of the cap.  A candidate stops
+    at a chart gradient of _POLISH_GTOL times the largest |f| among the
     candidates, or when it comes within _POLISH_SAME_POINT of a candidate of
     the same sign that is at least as good; the iterations are capped at
     POLISH_ITERATIONS.  Returns (points (k, 3), f values (k,)).
@@ -117,6 +120,7 @@ def _polish_extrema(f, x0, signs):
     r = math.sqrt(1.0 + h * h)
     same_sign = s[:, None] == s[None]
     later = np.arange(k)[:, None] > np.arange(k)[None]
+    evaluate = _latitude_interpolant(f.coeffs)
     for it in range(POLISH_ITERATIONS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -125,7 +129,7 @@ def _polish_extrema(f, x0, signs):
         p, a1, a2 = trial[idx], te1[idx], te2[idx]
         pts = np.concatenate([p, (p + h * a1) / r, (p - h * a1) / r,
                               (p + h * a2) / r, (p - h * a2) / r])
-        vals, grads = sh_sum_grad(f.coeffs, pts)
+        vals, grads = evaluate(pts)
         grads = grads.reshape(5, n, 3)
         # chart gradients at the point and at its four offsets; at an offset
         # the chart map's derivative is the frame divided by r

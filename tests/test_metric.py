@@ -19,7 +19,14 @@ from systolab.errors import (
 )
 from systolab.circles import circle_points
 from systolab.experiments import INV_PI
-from systolab.harmonics import FOUR_PI, SphericalFunction, build_quadrature, sh_size, sh_sum_grad
+from systolab.harmonics import (
+    FOUR_PI,
+    SphericalFunction,
+    build_quadrature,
+    normalize_points,
+    sh_size,
+    sh_sum_grad,
+)
 from systolab.metric import (
     ConformalMetric,
     DiscreteClosedCurve,
@@ -161,22 +168,27 @@ class TestSupNormAndAdmissibility:
             exact, _ = zonal_sup_oracle(c)
             assert sup_norm(f) == pytest.approx(exact, rel=1e-12), seed
 
-    @pytest.mark.parametrize("degree", range(2, 17))
+    @pytest.mark.parametrize("degree", [*range(2, 17), 24, 32])
     def test_dense_directions_against_grid_and_polish(self, degree):
+        # from degree 24 on, the polish's latitude interpolant, whose node
+        # values grow near the poles with the degree, sets the bound: it
+        # measured 5.1e-16 (degree 24) and 2.4e-14 (degree 32) from the
+        # reference here.  Three BFGS starts give the reference of twenty on
+        # those draws, to 5.1e-16, in a fifth of the time
         c = np.random.default_rng([31, degree]).standard_normal(sh_size(degree))
         c[0] = 0.0
         f = SphericalFunction(c)
-        best, grid_max = grid_and_polish_sup(f)
+        high = degree > 16
+        best, grid_max = grid_and_polish_sup(f, keep=3 if high else 20)
         s = sup_norm(f)
-        assert s == pytest.approx(best, rel=1e-13)
+        assert s == pytest.approx(best, rel=1e-12 if high else 1e-13)
         assert s >= grid_max
 
     def test_harmonic_call_budget(self, monkeypatch):
-        # one sh_sum_grad call per polish iteration for all candidates, and
-        # no sh_sum: the signs come from the grid.  Calls made through
-        # SphericalFunction count too.  7 calls when the top grid nodes and
-        # both poles were polished (one sh_sum for their signs), 5 with the
-        # grid's distinct peaks
+        # one interpolant evaluation per polish iteration for all
+        # candidates, and no sh_sum or sh_sum_grad: the signs come from the
+        # grid and the polish evaluates through the latitude interpolant.
+        # Calls made through SphericalFunction count too
         calls = []
         for module in (systolab.metric, systolab.harmonics):
             for name in ("sh_sum", "sh_sum_grad"):
@@ -187,11 +199,23 @@ class TestSupNormAndAdmissibility:
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counted)
+        original = systolab.metric._latitude_interpolant
+
+        def counted_interpolant(coeffs):
+            evaluate = original(coeffs)
+
+            def counted(points):
+                calls.append("evaluate")
+                return evaluate(points)
+
+            return counted
+
+        monkeypatch.setattr(systolab.metric, "_latitude_interpolant", counted_interpolant)
         c = np.random.default_rng(8).standard_normal(sh_size(8))
         c[0] = 0.0
         sup_norm(SphericalFunction(c))
         assert 0 < len(calls) <= 5
-        assert set(calls) == {"sh_sum_grad"}
+        assert set(calls) == {"evaluate"}
 
     def test_max_admissible_t(self):
         assert max_admissible_t(SphericalFunction.zeros(2)) == math.inf
@@ -259,7 +283,9 @@ class TestMakeVariation:
         rng = np.random.default_rng(5)
         p = rng.standard_normal((4, 5, 3))
         p /= np.linalg.norm(p, axis=-1, keepdims=True)
-        flat = p.reshape(-1, 3)
+        # w renormalizes its points, which can move a unit vector by an ulp;
+        # the flat evaluators take theirs as they are
+        flat = normalize_points(p).reshape(-1, 3)
         np.testing.assert_array_equal(g.w(p), g.w_flat(flat).reshape(4, 5))
         assert g.w(p[1, 2]) == g.w_flat(flat[7:8])[0]
         w, gw = g.w_and_grad(flat)
