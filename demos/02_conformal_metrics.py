@@ -7,8 +7,9 @@ Three facts make this family a perfect test bench:
   * the area obeys A(g_t) = 4*pi + t^2 * integral(f^2) exactly — no O(t^3)
     term, because the cross term integrates to zero,
   * the admissible range of t is computable (1 + t*f must stay positive),
-  * curvature is available spectrally, so positivity and Gauss-Bonnet can
-    be checked on every metric the experiments touch.
+  * curvature has an exact formula in w, grad w and lap0 w, all of them
+    band-limited, so positivity and Gauss-Bonnet can be checked on every
+    metric the experiments touch.
 
 A constant component of the direction does not change the shape: it rides
 the separate scale factor (1 + lam*t), and the systolic ratio ignores it.

@@ -17,10 +17,6 @@ class DegenerateSystole(SystolabError):
     """Systole value is zero or negative; the ratio is undefined."""
 
 
-class ProjectionResidualTooLarge(SystolabError):
-    """Spectral projection of the conformal log-factor lost too much mass."""
-
-
 class StepTooLarge(SystolabError):
     """Geodesic integrator step produced an off-sphere drift beyond tolerance."""
 

@@ -50,12 +50,7 @@ import warnings
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .errors import (
-    CurvatureNotPositive,
-    ProjectionResidualTooLarge,
-    StepTooLarge,
-    SystolabError,
-)
+from .errors import CurvatureNotPositive, StepTooLarge, SystolabError
 from .harmonics import normalize_points
 from .metric import (
     DiscreteClosedCurve,
@@ -664,14 +659,10 @@ def _polish_every(g):
     sooner the polish, the fewer passes are spent and the fewer curves
     collapse.  Where K <= 0 somewhere, the passes can carry a curve down to
     a shorter geodesic than the one nearest it after a few passes, so the
-    curve slides longer first.  A metric whose curvature cannot be computed
-    is treated as the second kind.
+    curve slides longer first.  K is exact, and its sign is read from its
+    minimum over the nodes of the check grid (min_curvature).
     """
-    try:
-        positive = min_curvature(g) > 0.0
-    except ProjectionResidualTooLarge:
-        positive = False
-    return POLISH_EVERY if positive else POLISH_EVERY_NONPOSITIVE
+    return POLISH_EVERY if min_curvature(g) > 0.0 else POLISH_EVERY_NONPOSITIVE
 
 
 def _polish(g, X):
@@ -834,8 +825,8 @@ class SystoleReport:
     witness is the shortest seed geodesic, and systole is its length;
     candidates lists (source_tag, length) pairs in seed order, one per
     distinct seed geodesic when the seeds were refined (see
-    estimate_systole); curvature_min is NaN when the curvature projection
-    was not trustworthy.
+    estimate_systole); curvature_min is the minimum of the exact Gauss
+    curvature over the nodes of the check grid (min_curvature).
     """
 
     __slots__ = ("systole", "witness", "candidates", "curvature_min", "warnings")
@@ -985,12 +976,8 @@ def estimate_systole(g, n=DEFAULT_VERTICES, seed=0):
     if n < 32 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 32")
     warnings_log = []
-    try:
-        curvature_min = float(min_curvature(g))
-    except ProjectionResidualTooLarge as exc:
-        curvature_min = float("nan")
-        warnings_log.append(f"curvature projection unreliable: {exc}")
-    if math.isfinite(curvature_min) and curvature_min <= 0.0:
+    curvature_min = min_curvature(g)
+    if curvature_min <= 0.0:
         message = f"metric has curvature min {curvature_min:.4e} <= 0"
         warnings.warn(message, CurvatureNotPositive)
         warnings_log.append(message)

@@ -38,10 +38,11 @@ degree.  Four consumers run it, and each point set has one evaluator:
   reaches every latitude, so
   its relative error is below 1e-13 up to degree 16 and 1e-11 at 32.
 - SphereQuadrature runs it once at its Gauss-Legendre latitudes into a
-  latitude table; its synthesize and project are the product-grid transform
-  behind every evaluation on a quadrature grid (areas, the positivity check,
-  sup_norm's grid scan, the Funk scan, the log-factor projection and the
-  curvature check grid).
+  latitude table; its synthesize is the product-grid transform behind every
+  evaluation on a quadrature grid (areas, the positivity check, sup_norm's
+  grid scan, the Funk scan and lap0 w on the curvature check grid), and
+  project is its adjoint.  No library path synthesizes coefficients above
+  the degree of its direction.
 - sh_basis fills the dense (points x harmonics) basis matrix.  No library
   path uses it; it is the reference the tests hold the other three to.
 """

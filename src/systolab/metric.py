@@ -19,11 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateSystole,
-    NonAdmissibleT,
-    ProjectionResidualTooLarge,
-)
+from .errors import DegenerateSystole, NonAdmissibleT
 from .harmonics import (
     FOUR_PI,
     _latitude_interpolant,
@@ -34,12 +30,6 @@ from .harmonics import (
     sh_sum,
     sh_sum_grad,
 )
-
-#: Relative L^2 residual allowed when projecting log w onto its projection degree.
-CURVATURE_RESIDUAL_TOL = 1e-6
-
-#: Highest degree the projection of log w is raised to before giving up.
-CURVATURE_MAX_DEGREE = 32
 
 #: Slack on the pi/2 consecutive-vertex separation bound (allows exact pi/2).
 _EDGE_SEP_TOL = 1e-9
@@ -289,54 +279,32 @@ class ConformalMetric:
     def _node_w(self):
         return self.w_nodes(self.quadrature)
 
-    def _log_factor_projection(self, degree):
-        """(rho, check quadrature, relative L^2 residual) at one degree."""
-        q_proj = build_quadrature(2 * degree + 8)
-        rho = q_proj.project(np.log(self.w_nodes(q_proj)), degree)
-        q_check = build_quadrature(3 * degree + 8)
-        rho_exact = np.log(self.w_nodes(q_check))
-        diff = rho_exact - q_check.synthesize(rho.coeffs)
-        norm = math.sqrt(q_check.integrate_values(rho_exact**2))
-        residual = math.sqrt(q_check.integrate_values(diff**2))
-        rel = 0.0 if norm <= 1e-14 else residual / norm
-        return rho, q_check, rel
-
     @cached_property
-    def _curvature_data(self):
-        """Projected log-factor and its Laplacian, with residual guard.
+    def _lap_w_coeffs(self):
+        """Coefficients of lap0 w = sqrt(1 + lam*t) * t * lap0 f."""
+        return (self._sqrt_scale * self.t) * laplacian(self.f).coeffs
 
-        log w is not band-limited.  The projection starts at degree
-        max(16, 2 deg f); while its residual exceeds CURVATURE_RESIDUAL_TOL
-        the degree is raised by 8, up to CURVATURE_MAX_DEGREE, and only a
-        failure there raises.
+    def _curvature(self, pts, lap_w):
+        """K at a flat (k, 3) array of unit points, given lap0 w there.
+
+        K = (1 - lap0 log w) / w^2 with lap0 log w = lap0 w / w - |grad w|^2 / w^2:
+        exact, since lap0 w and grad w are those of the band-limited f.
         """
-        degree = max(16, 2 * self.f.degree)
-        rho, q_check, rel = self._log_factor_projection(degree)
-        while rel > CURVATURE_RESIDUAL_TOL and degree < CURVATURE_MAX_DEGREE:
-            degree = min(degree + 8, CURVATURE_MAX_DEGREE)
-            rho, q_check, rel = self._log_factor_projection(degree)
-        if rel > CURVATURE_RESIDUAL_TOL:
-            raise ProjectionResidualTooLarge(
-                f"log-factor projection residual {rel:.3e} at degree {degree} "
-                f"exceeds {CURVATURE_RESIDUAL_TOL:.0e}; t is too close to the "
-                "admissible boundary for spectral curvature"
-            )
-        return rho, laplacian(rho), q_check
+        w, grad = self.w_and_grad(pts)
+        return (1.0 - lap_w / w + _dots(grad, grad) / w**2) / w**2
 
     def _check_curvature(self):
-        """(check quadrature, K at its nodes); rho and lap rho come from its transform."""
-        rho, lap_rho, q_check = self._curvature_data
-        rho_nodes = q_check.synthesize(rho.coeffs)
-        return q_check, (1.0 - q_check.synthesize(lap_rho.coeffs)) * np.exp(-2.0 * rho_nodes)
+        """(check quadrature, K at its nodes).
+
+        The band, 3 max(16, 4 deg f) + 8, depends on deg f only: 56 up to
+        degree 4, 104 at degree 8.
+        """
+        q = build_quadrature(3 * max(16, 4 * self.f.degree) + 8)
+        return q, self._curvature(q.nodes, q.synthesize(self._lap_w_coeffs))
 
     @cached_property
     def _min_curvature(self):
-        """Check-grid minimum of K, or the projection failure, found once."""
-        try:
-            _, k = self._check_curvature()
-        except ProjectionResidualTooLarge as exc:
-            return exc
-        return float(np.min(k))
+        return float(np.min(self._check_curvature()[1]))
 
     def __repr__(self):
         return (f"ConformalMetric(degree={self.f.degree}, t={self.t}, "
@@ -519,32 +487,32 @@ def curve_energy(g, c):
 
 
 def gauss_curvature(g, p):
-    """Gauss curvature at p (or an array of points).
+    """Gauss curvature at p (or an array of points), from its exact conformal formula.
 
-    K = (1 - lap0 rho) * exp(-2 rho) with rho = log w projected onto degree
-    <= 2L; the same projection feeds both factors, so the Gauss-Bonnet
-    integral stays an honest consistency check of the projection rather than
-    an algebraic identity.
+    K = (1 - lap0 w / w + |grad w|^2 / w^2) / w^2, with lap0 w and grad w
+    those of the band-limited f scaled by sqrt(1 + lam*t) * t.
     """
-    rho, lap_rho, _ = g._curvature_data
     pts = normalize_points(p)
     flat = pts.reshape(-1, 3)
-    k = (1.0 - lap_rho(flat)) * np.exp(-2.0 * rho(flat))
+    k = g._curvature(flat, sh_sum(g._lap_w_coeffs, flat))
     return float(k[0]) if pts.ndim == 1 else k.reshape(pts.shape[:-1])
 
 
 def min_curvature(g):
-    """Minimum of the Gauss curvature over a dense spectral check grid."""
-    value = g._min_curvature
-    if isinstance(value, ProjectionResidualTooLarge):
-        raise ProjectionResidualTooLarge(*value.args)
-    return value
+    """Minimum of the Gauss curvature over the nodes of the check grid, found once per metric."""
+    return g._min_curvature
 
 
 def gauss_bonnet_integral(g):
-    """Integral of K over (S^2, g); equals 4*pi up to projection residue."""
+    """Integral of K over (S^2, g) on the check grid; equals 4*pi up to its quadrature error.
+
+    The integrand K w^2 = 1 - lap0 log w is not band-limited, so the
+    difference from 4*pi is a real check of K and of the grid.
+    """
     q_check, k = g._check_curvature()
-    return float(q_check.weights @ (k * g.w_nodes(q_check) ** 2))
+    # np.sum, not a BLAS dot: above about 1e4 nodes OpenBLAS splits a dot
+    # product between its threads, and the last bits follow the thread count
+    return float(np.sum(q_check.weights * k * g.w_nodes(q_check) ** 2))
 
 
 def systolic_ratio(area_value, systole):

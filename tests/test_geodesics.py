@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systolab.errors import (
-    CurvatureNotPositive,
-    ProjectionResidualTooLarge,
-    StepTooLarge,
-    SystolabError,
-)
+from systolab.errors import CurvatureNotPositive, StepTooLarge, SystolabError
 from systolab.harmonics import SphericalFunction
 from systolab.metric import (
     DiscreteClosedCurve,
@@ -251,18 +246,10 @@ class TestBatchedShortening:
         assert 0.0 < solo[0] < 1e-10
         assert both[0] == solo[0]
 
-    def test_polish_every_follows_the_sign_of_the_curvature(self, monkeypatch):
-        import systolab.geodesics as geodesics
-
+    def test_polish_every_follows_the_sign_of_the_curvature(self):
         steep_odd = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
         assert _polish_every(MIXED) == POLISH_EVERY
         assert _polish_every(steep_odd) == POLISH_EVERY_NONPOSITIVE
-
-        def unreliable(g):
-            raise ProjectionResidualTooLarge("residual too large")
-
-        monkeypatch.setattr(geodesics, "min_curvature", unreliable)
-        assert _polish_every(MIXED) == POLISH_EVERY_NONPOSITIVE
 
     @pytest.mark.parametrize("t", [0.1, -0.1])
     def test_straggler_becomes_a_witness(self, t):

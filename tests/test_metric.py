@@ -12,11 +12,7 @@ from scipy.optimize import minimize
 import systolab.harmonics
 import systolab.metric
 
-from systolab.errors import (
-    DegenerateSystole,
-    NonAdmissibleT,
-    ProjectionResidualTooLarge,
-)
+from systolab.errors import DegenerateSystole, NonAdmissibleT
 from systolab.circles import circle_points
 from systolab.experiments import INV_PI
 from systolab.harmonics import (
@@ -482,23 +478,22 @@ class TestGaussCurvature:
         for t in (0.05, -0.1):
             g = make_variation(SphericalFunction.harmonic(2, 0), t)
             assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
-        # degree-4 direction: log w's cubic terms still fit inside the
-        # projection band, so the spectral curvature stays certified
+        # a dense degree-4 direction, on its check grid of band 56
         g = make_variation(small_direction(11, degree=4, size=0.3), 0.12)
         assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
 
-    def test_projection_degree_rises_before_the_guard(self):
-        # dense degree 8 at sup |f| = 1: the degree-16 projection of log w
-        # misses the tolerance (residual 2.5e-6) at t = 0.01, a raised one meets it
+    def test_dense_degree_eight_meets_gauss_bonnet(self):
+        # dense degree 8 at sup |f| = 1, on its check grid of band 104
         g = make_variation(small_direction(0, degree=8, size=1.0), 0.01)
         assert math.isfinite(min_curvature(g))
         assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
 
     def test_check_grid_basis_is_not_held(self):
         # a (nodes x harmonics) basis would take 0.8 MB for sup_norm's scan
-        # and 16.6 MB for the residual of the projection retried to degree
-        # 24; the transform tables kept on the shared quadratures of the
-        # build, the projection and its check take about 0.6 MB
+        # and 3.6 MB for the degree-8 check grid of band 104; the transform
+        # tables and nodes kept on the shared quadratures of the build and
+        # the check grid, and the arrays of one exact-K evaluation, stay
+        # below 1 MB
         f = small_direction(0, degree=8, size=1.0)
         tracemalloc.start()
         try:
@@ -508,7 +503,7 @@ class TestGaussCurvature:
         finally:
             tracemalloc.stop()
         assert f._sup_norm is not None
-        assert g._curvature_data[0].degree == 24
+        assert g._check_curvature()[0].band == 104
         assert held < 1e6
         assert peak < 1e6
 
@@ -536,33 +531,58 @@ class TestGaussCurvature:
         k = gauss_curvature(g, pts.reshape(-1, 3)).reshape(nt, np_)[1:-1, :]
         assert np.max(np.abs(k - k_fd)) < 5e-3
 
-    def test_residual_guard_near_boundary(self):
-        f = SphericalFunction.harmonic(2, 0)
-        g = make_variation(f, -0.99 / Y20_MAX)
-        with pytest.raises(ProjectionResidualTooLarge):
-            gauss_curvature(g, np.array([0.0, 0.0, 1.0]))
+    @pytest.mark.parametrize("share", [0.5, 0.99, -0.99])
+    def test_matches_the_closed_form_of_y10(self, share):
+        # w = s (1 + a z) with a = t * Y10_MAX and s^2 = 1 + lam*t; from
+        # lap0 z = -2 z and |grad z|^2 = 1 - z^2,
+        # K = ((1 + a z)(1 + 3 a z) + a^2 (1 - z^2)) / (s^2 (1 + a z)^4).
+        # Near the admissible bound log w is far from band-limited, and K
+        # still matches to the last digits, poles included
+        t = share / Y10_MAX
+        lam = 0.2
+        g = make_variation(SphericalFunction.harmonic(1, 0), t, lam)
+        pts = np.random.default_rng(7).normal(size=(200, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        a, z = share, pts[:, 2]
+        u = 1.0 + a * z
+        want = (u * (1.0 + 3.0 * a * z) + a * a * (1.0 - z * z)) / ((1.0 + lam * t) * u**4)
+        np.testing.assert_allclose(gauss_curvature(g, pts), want, rtol=1e-12, atol=0.0)
+        assert gauss_curvature(g, pts[1]) == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("t", [0.05, -0.99 / Y20_MAX], ids=["certified", "near-boundary"])
-    def test_min_curvature_projects_once(self, monkeypatch, t):
-        # the shortening asks for the minimum on every batch, so neither a
-        # certified projection nor a failed one is repeated
-        degrees = []
-        project = ConformalMetric._log_factor_projection
+    @pytest.mark.parametrize("t", [0.05, -0.99 / Y20_MAX], ids=["interior", "near-boundary"])
+    def test_min_curvature_computes_once(self, monkeypatch, t):
+        # the shortening asks for the minimum on every batch, so the check
+        # grid is evaluated once per metric
+        calls = []
+        curvature = ConformalMetric._curvature
 
-        def counting(self, degree):
-            degrees.append(degree)
-            return project(self, degree)
+        def counting(self, pts, lap_w):
+            calls.append(pts.shape[0])
+            return curvature(self, pts, lap_w)
 
-        monkeypatch.setattr(ConformalMetric, "_log_factor_projection", counting)
+        monkeypatch.setattr(ConformalMetric, "_curvature", counting)
         g = make_variation(SphericalFunction.harmonic(2, 0), t)
-        outcomes = []
-        for _ in range(2):
-            try:
-                outcomes.append(min_curvature(g))
-            except ProjectionResidualTooLarge as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        assert degrees and len(degrees) == len(set(degrees))
+        first, second = min_curvature(g), min_curvature(g)
+        assert math.isfinite(first) and first == second
+        assert calls == [build_quadrature(56).size]
+
+    @pytest.mark.parametrize("degree", [10, 12, 16])
+    @pytest.mark.parametrize("t", [-0.2, 0.2])
+    def test_dense_high_degree_curvature_is_finite(self, degree, t):
+        # dense draws at sup |f| = 0.5: log w is too far from band-limited
+        # for a projection to degree 32, but the exact K has no such limit
+        from systolab.geodesics import POLISH_EVERY_NONPOSITIVE, _polish_every
+
+        rng = np.random.default_rng([12345, degree])
+        c = rng.standard_normal(sh_size(degree))
+        c[0] = 0.0
+        f = SphericalFunction(c)
+        g = make_variation(f * (0.5 / sup_norm(f)), t)
+        k = min_curvature(g)
+        assert math.isfinite(k) and k < 0.0
+        assert gauss_bonnet_integral(g) == pytest.approx(FOUR_PI, abs=1e-6)
+        assert _polish_every(g) == POLISH_EVERY_NONPOSITIVE
 
 
 class TestSystolicRatio:
