@@ -8,8 +8,8 @@ step).  No charts, no pole cases.
 
 Curve shortening is Birkhoff's scheme on closed polygons: alternating
 even/odd passes move each vertex toward the metric midpoint of its
-neighbors.  Vertex moves are proposed by damped Newton steps on the local
-two-segment energy and accepted only when the local length does not
+neighbors.  A vertex move is proposed by one damped Newton step on the
+local two-segment energy and accepted only when the local length does not
 increase, which makes every pass length-non-increasing by construction (the
 two local segments of the vertices in one parity class tile the curve's edge
 set exactly once).  A curve whose round length falls below 0.1 is flagged
@@ -98,9 +98,7 @@ POLISH_ITERATIONS = 40
 POLISH_GRAD_TOL = 1e-11
 POLISH_STEP_CAP = 0.25
 
-#: Newton steps per vertex in a Birkhoff half pass, and the drift multiples
-#: a stalled curve tries (largest first) in _extrapolate_batch.
-VERTEX_NEWTON_STEPS = 3
+#: Drift multiples a stalled curve tries (largest first) in _extrapolate_batch.
 EXTRAPOLATION_FACTORS = (32.0, 16.0, 8.0, 4.0, 2.0)
 
 #: Slack allowed on the per-pass length monotonicity assertion.
@@ -236,8 +234,9 @@ def _vertex_newton_step(g, a, x, b):
     Minimizes the local energy phi(x) = (w1 d1)^2 + (w2 d2)^2 whose minimizer
     is the metric midpoint; the Hessian is approximated by its dominant term
     2 (w1^2 + w2^2) Id, and the step is trust-region capped so the vertex
-    never jumps past its neighbors.  Returns (new vertices, metric length of
-    a--x--b at the old vertices), the latter equal to _local_lengths(g, a, x, b).
+    never jumps past its neighbors.  Returns (proposed vertices, metric
+    length of a--x--b at the old vertices), the latter equal to
+    _local_lengths(g, a, x, b): the length a proposal must not exceed.
     """
     K = x.shape[0]
     sums = np.concatenate([a + x, x + b])
@@ -270,10 +269,10 @@ def _half_pass(g, X, parity, active):
 
     The two segments touching the vertices of one parity class tile the edge
     set exactly once (n even), so enforcing local length non-increase at each
-    vertex makes the whole pass length-non-increasing.  Proposed positions
-    are backtracked (full, half, quarter step) and the vertex is kept fixed
-    when even the quarter step would lengthen its local path.  Returns the
-    max vertex displacement per curve.
+    vertex makes the whole pass length-non-increasing.  Each vertex takes
+    one _vertex_newton_step, and keeps it only when its local path is no
+    longer than before; otherwise the vertex stays where it was.  Returns
+    the max vertex displacement per curve.
     """
     B, n, _ = X.shape
     disp = np.zeros(B)
@@ -286,19 +285,7 @@ def _half_pass(g, X, parity, active):
     b = sub[:, (idx + 1) % n].reshape(-1, 3)
     x0 = sub[:, idx].reshape(-1, 3)
     x, l0 = _vertex_newton_step(g, a, x0, b)
-    for _ in range(VERTEX_NEWTON_STEPS - 1):
-        x, _ = _vertex_newton_step(g, a, x, b)
-    chosen = x0.copy()
-    accepted = np.zeros(x0.shape[0], dtype=bool)
-    for fraction in (1.0, 0.5, 0.25):
-        rem = np.flatnonzero(~accepted)
-        if rem.size == 0:
-            break
-        y = x0[rem] + fraction * (x[rem] - x0[rem])
-        y /= np.maximum(_norms(y), 1e-30)[:, None]
-        ok = _local_lengths(g, a[rem], y, b[rem]) <= l0[rem]
-        chosen[rem[ok]] = y[ok]
-        accepted[rem[ok]] = True
+    chosen = np.where((_local_lengths(g, a, x, b) <= l0)[:, None], x, x0)
     moved = _norms(chosen - x0).reshape(rows.size, idx.size)
     disp[rows] = moved.max(axis=1)
     X[np.ix_(rows, idx)] = chosen.reshape(rows.size, idx.size, 3)
@@ -689,16 +676,18 @@ def _shorten_batch(g, X, polish_every):
     _polish call, with one linear solve per iteration for all of them, and
     each curve's polish is the one it gets alone.  Each polish is followed
     by a measuring pass so the reported residual is an honest per-pass
-    vertex displacement.  Returns (lengths, residuals, collapsed, passes),
-    passes counting per curve the passes it moved in: a curve moves in every
-    pass until it freezes, so its count is the one it gets alone.
+    vertex displacement.  Every curve starts moving: no caller passes a
+    point curve (birkhoff_shorten refuses one, and the systole estimate
+    shortens great circles and polished geodesics).  Returns (lengths,
+    residuals, collapsed, passes), passes counting per curve the passes it
+    moved in: a curve moves in every pass until it freezes, so its count is
+    the one it gets alone.
     """
     B = X.shape[0]
-    spread = np.max(np.abs(X.max(axis=1) - X.min(axis=1)), axis=-1)
-    active = spread >= 1e-12
+    active = np.ones(B, dtype=bool)
     collapsed = np.zeros(B, dtype=bool)
     lengths = _batch_metric_lengths(g, X)
-    residuals = np.where(active, np.inf, 0.0)
+    residuals = np.full(B, np.inf)
     passes = np.zeros(B, dtype=int)
     # the curve active longest moved in every pass, so passes.max() is the
     # number of passes the batch ran

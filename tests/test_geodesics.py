@@ -37,6 +37,7 @@ from systolab.geodesics import (
     _distinct,
     _energy_descent,
     _energy_gradient,
+    _half_pass,
     _jacobian_pattern,
     _landed,
     _linearize,
@@ -292,6 +293,46 @@ class TestVertexNewtonStep:
             moved, before = _vertex_newton_step(g, a, x, b)
             np.testing.assert_array_equal(before, _local_lengths(g, a, x, b))
             assert np.all(_local_lengths(g, a, moved, b) <= before)
+
+
+class TestHalfPass:
+    def test_one_newton_step_and_one_length_test_per_vertex(self, monkeypatch):
+        # three noisy circles of MIXED at n = 64: in each parity class one or
+        # two vertices would lengthen their two-segment path by the Newton
+        # step, and stay where they were
+        g = make_variation(MIXED.f, 0.1)
+        n = 64
+        rng = np.random.default_rng(35)
+        axes = rng.normal(size=(3, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        X = circle_points(axes, 0.0, n) + 1e-2 * rng.standard_normal((3, n, 3))
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        calls = {"w_and_grad": 0, "w_flat": 0}
+        for name in calls:
+            def counted(pts, name=name, original=getattr(g, name)):
+                calls[name] += 1
+                return original(pts)
+            monkeypatch.setattr(g, name, counted)
+        for parity in (0, 1):
+            idx = np.arange(parity, n, 2)
+            a = X[:, (idx - 1) % n].reshape(-1, 3)
+            b = X[:, (idx + 1) % n].reshape(-1, 3)
+            start = X[:, idx].reshape(-1, 3)
+            proposal, before = _vertex_newton_step(g, a, start, b)
+            kept = _local_lengths(g, a, proposal, b) <= before
+            assert kept.any() and not kept.all()
+            others = np.delete(X, idx, axis=1)
+            calls.update(w_and_grad=0, w_flat=0)
+            disp = _half_pass(g, X, parity, np.ones(3, dtype=bool))
+            assert calls == {"w_and_grad": 1, "w_flat": 1}
+            moved = X[:, idx].reshape(-1, 3)
+            np.testing.assert_array_equal(moved[kept], proposal[kept])
+            np.testing.assert_array_equal(moved[~kept], start[~kept])
+            np.testing.assert_array_equal(np.delete(X, idx, axis=1), others)
+            np.testing.assert_allclose(
+                disp, np.linalg.norm(moved - start, axis=-1).reshape(3, -1).max(axis=1),
+                rtol=1e-15,
+            )
 
 
 class TestNewtonPolish:
