@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .errors import SystolabError
 from .harmonics import (
@@ -85,11 +84,14 @@ def funk_image(f):
     """The Funk transform of f as a function of the axis.
 
     Diagonal action on harmonics: degree l is scaled by 2*pi*P_l(0); odd
-    degrees vanish.
+    degrees vanish.  P_l(0) = -P_{l-2}(0) (l - 1) / l from P_0(0) = 1,
+    which is exact in binary through l = 8.
     """
-    ls = sh_degrees(f.degree)
-    scale = TWO_PI * eval_legendre(ls, 0.0)
-    return SphericalFunction(f.coeffs * scale)
+    legendre_at_zero = np.zeros(f.degree + 1)
+    legendre_at_zero[0] = 1.0
+    for l in range(2, f.degree + 1, 2):
+        legendre_at_zero[l] = -legendre_at_zero[l - 2] * (l - 1) / l
+    return SphericalFunction(f.coeffs * (TWO_PI * legendre_at_zero[sh_degrees(f.degree)]))
 
 
 def great_circle_length(g, axes):

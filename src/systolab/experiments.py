@@ -173,6 +173,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path or null, got {self.out!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.f is None:

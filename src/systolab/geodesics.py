@@ -9,10 +9,12 @@ step).  No charts, no pole cases.
 Curve shortening is Birkhoff's scheme on closed polygons: alternating
 even/odd passes move each vertex toward the metric midpoint of its
 neighbors.  A vertex move is proposed by one damped Newton step on the
-local two-segment energy and accepted only when the local length does not
-increase, which makes every pass length-non-increasing by construction (the
-two local segments of the vertices in one parity class tile the curve's edge
-set exactly once).  A curve whose round length falls below 0.1 is flagged
+local two-segment energy, whose gradient is that of the discrete energy E
+at the vertex (one kernel, _energy_gradient, serves the passes and the
+polish), and accepted only when the local length does not increase, which
+makes every pass length-non-increasing by construction (the two local
+segments of the vertices in one parity class tile the curve's edge set
+exactly once).  A curve whose round length falls below 0.1 is flagged
 collapsed: it is converging to a point, which the systole must exclude.  A
 curve freezes as a discrete closed geodesic once a pass moves no vertex by
 FROZEN_RESIDUAL or more, and only a curve that froze counts as one.
@@ -54,7 +56,6 @@ from .errors import CurvatureNotPositive, StepTooLarge, SystolabError
 from .harmonics import normalize_points
 from .metric import (
     DiscreteClosedCurve,
-    _arc_lengths,
     _batch_metric_lengths,
     _dots,
     _edge_lengths,
@@ -219,76 +220,46 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
 # ---------------------------------------------------------------------------
 
 
-def _local_lengths(g, a, x, b):
-    """Metric length of the two-segment path a--x--b for flat point arrays."""
-    K = x.shape[0]
-    mids = np.concatenate([a + x, x + b])
-    mids /= np.maximum(_norms(mids), 1e-30)[:, None]
-    w = g.w_flat(mids)
-    return w[:K] * _arc_lengths(a, x) + w[K:] * _arc_lengths(x, b)
-
-
-def _vertex_newton_step(g, a, x, b):
-    """One damped Newton step for each interior vertex of a two-segment path.
-
-    Minimizes the local energy phi(x) = (w1 d1)^2 + (w2 d2)^2 whose minimizer
-    is the metric midpoint; the Hessian is approximated by its dominant term
-    2 (w1^2 + w2^2) Id, and the step is trust-region capped so the vertex
-    never jumps past its neighbors.  Returns (proposed vertices, metric
-    length of a--x--b at the old vertices), the latter equal to
-    _local_lengths(g, a, x, b): the length a proposal must not exceed.
-    """
-    K = x.shape[0]
-    sums = np.concatenate([a + x, x + b])
-    r = np.maximum(_norms(sums), 1e-30)[:, None]
-    w, gw = g.w_and_grad(sums / r)
-    # pull the tangential gradient of w at each midpoint back through the
-    # normalized-midpoint map (its transpose Jacobian is projection / norm)
-    grad_w = gw / r
-    w1, w2 = w[:K], w[K:]
-    sin1, dot1 = _sin_cos(a, x)
-    sin2, dot2 = _sin_cos(x, b)
-    d1 = np.arctan2(sin1, dot1)
-    d2 = np.arctan2(sin2, dot2)
-    grad_d1 = -(a - dot1[:, None] * x) / np.maximum(sin1, 1e-30)[:, None]
-    grad_d2 = -(b - dot2[:, None] * x) / np.maximum(sin2, 1e-30)[:, None]
-    gphi = 2.0 * (w1 * d1)[:, None] * (d1[:, None] * grad_w[:K] + w1[:, None] * grad_d1)
-    gphi += 2.0 * (w2 * d2)[:, None] * (d2[:, None] * grad_w[K:] + w2[:, None] * grad_d2)
-    gphi -= _dots(gphi, x)[:, None] * x
-    hess = 2.0 * (w1 * w1 + w2 * w2)
-    step = -gphi / hess[:, None]
-    cap = 0.45 * np.maximum(d1, d2)
-    norm = _norms(step)
-    scale = np.where(norm > cap, cap / np.maximum(norm, 1e-30), 1.0)
-    x_new = x + scale[:, None] * step
-    return x_new / _norms(x_new)[:, None], w1 * d1 + w2 * d2
-
-
 def _half_pass(g, X, parity, active):
     """Update every vertex of one parity class, in place, batch-wide.
 
     The two segments touching the vertices of one parity class tile the edge
     set exactly once (n even), so enforcing local length non-increase at each
     vertex makes the whole pass length-non-increasing.  Each vertex takes
-    one _vertex_newton_step, and keeps it only when its local path is no
-    longer than before; otherwise the vertex stays where it was.  Returns
-    the max vertex displacement per curve.
+    one damped Newton step on its two-segment energy (w1 d1)^2 + (w2 d2)^2,
+    whose gradient is 4 pi / n times grad E there (one _energy_gradient call
+    for all of them): the Hessian is taken as its dominant term
+    2 (w1^2 + w2^2) Id, and the step is capped at 0.45 max(d1, d2) so the
+    vertex never jumps past its neighbors.  The vertex keeps its step only
+    when its two segments, measured on a copy of the polygon that holds
+    every proposal, are no longer than before; otherwise it stays where it
+    was.  Returns the max vertex displacement per curve.
     """
     B, n, _ = X.shape
     disp = np.zeros(B)
     rows = np.flatnonzero(active)
     if rows.size == 0:
         return disp
-    idx = np.arange(parity, n, 2)
+    cls = slice(parity, None, 2)
+    prev = np.arange(parity - 1, n - 1, 2) % n
     sub = X[rows]
-    a = sub[:, (idx - 1) % n].reshape(-1, 3)
-    b = sub[:, (idx + 1) % n].reshape(-1, 3)
-    x0 = sub[:, idx].reshape(-1, 3)
-    x, l0 = _vertex_newton_step(g, a, x0, b)
-    chosen = np.where((_local_lengths(g, a, x, b) <= l0)[:, None], x, x0)
-    moved = _norms(chosen - x0).reshape(rows.size, idx.size)
-    disp[rows] = moved.max(axis=1)
-    X[np.ix_(rows, idx)] = chosen.reshape(rows.size, idx.size, 3)
+    grad, w, d = _energy_gradient(g, sub)
+    w1, w2, d1, d2 = w[:, prev], w[:, cls], d[:, prev], d[:, cls]
+    step = grad[:, cls] * (-(TWO_PI / n) / (w1 * w1 + w2 * w2))[..., None]
+    cap = 0.45 * np.maximum(d1, d2)
+    norm = _norms(step)
+    scale = np.where(norm > cap, cap / np.maximum(norm, 1e-30), 1.0)
+    x0 = sub[:, cls]
+    x = x0 + scale[..., None] * step
+    # the proposals go into a copy: x0 is a view of sub
+    trial = sub.copy()
+    trial[:, cls] = x / _norms(x)[..., None]
+    mids, arcs = _polygon_edges(trial)
+    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
+    keep = seg[:, prev] + seg[:, cls] <= w1 * d1 + w2 * d2
+    chosen = np.where(keep[..., None], trial[:, cls], x0)
+    disp[rows] = _norms(chosen - x0).max(axis=1)
+    X[rows, cls] = chosen
     return disp
 
 
@@ -343,10 +314,16 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
 
 
 def _energy_gradient(g, V):
-    """Tangential gradient of the discrete energy at each vertex.
+    """Tangential gradient of the discrete energy at each vertex, and its edges.
 
     V is one closed polygon (n, 3) or a stack of them (..., n, 3), evaluated
     in one harmonic call; each polygon's gradient is the one it gets alone.
+    Returns (grad, w, d): w is the length factor at each unit edge midpoint
+    and d the round length of each edge, edge k running from vertex k to
+    vertex k + 1.  An edge's segment w d pulls both its ends by w d^2 grad w
+    / r at its midpoint (r the norm of the vertex sum), and each end by
+    -w^2 d / sin d times the other end; the terms along the vertex itself
+    are radial, and the final tangent projection would remove them.
     """
     n = V.shape[-2]
     nxt = np.roll(V, -1, axis=-2)
@@ -354,19 +331,13 @@ def _energy_gradient(g, V):
     r = np.maximum(_norms(sums), 1e-30)[..., None]
     w, gw = g.w_and_grad((sums / r).reshape(-1, 3))
     w = w.reshape(V.shape[:-1])
-    gw = gw.reshape(V.shape)
     sins, dots = _sin_cos(V, nxt)
     d = np.arctan2(sins, dots)
-    safe = np.maximum(sins, 1e-30)[..., None]
-    grad_d_tail = -(nxt - dots[..., None] * V) / safe
-    grad_d_head = -(V - dots[..., None] * nxt) / safe
-    pull = gw / r
-    coeff = (w * d)[..., None]
-    g_tail = coeff * (d[..., None] * pull + w[..., None] * grad_d_tail)
-    g_head = coeff * (d[..., None] * pull + w[..., None] * grad_d_head)
-    grad = g_tail + np.roll(g_head, 1, axis=-2)
+    mid = (w * d * d)[..., None] * gw.reshape(V.shape) / r
+    far = (w * w * d / np.maximum(sins, 1e-30))[..., None]
+    grad = mid - far * nxt + np.roll(mid - far * V, 1, axis=-2)
     grad -= _dots(grad, V)[..., None] * V
-    return grad / (TWO_PI / n)
+    return grad / (TWO_PI / n), w, d
 
 
 def _jacobian_pattern(n):
@@ -451,7 +422,7 @@ def _linearize(g, V, grad, pattern):
         B, 2 * c, n, 3
     )
     Vp /= _norms(Vp)[..., None]
-    gp = _energy_gradient(g, Vp)
+    gp = _energy_gradient(g, Vp)[0]
     Fp = np.empty((B, 2 * c, 2 * n))
     Fp[..., 0::2] = _dots(gp, e1[:, None])
     Fp[..., 1::2] = _dots(gp, e2[:, None])
@@ -506,7 +477,7 @@ def _newton_polish(g, V0):
     landed = np.zeros(B, dtype=bool)
     pattern = _jacobian_pattern(V0.shape[1])
     V = V0.copy()
-    grad = _energy_gradient(g, V)
+    grad = _energy_gradient(g, V)[0]
     fnorm = np.max(_norms(grad), axis=-1)
     running = np.ones(B, dtype=bool)
     for _ in range(POLISH_ITERATIONS):
@@ -525,7 +496,7 @@ def _newton_polish(g, V0):
                 break
             Vt = move(scale * step[trial], trial)
             # the accepted trial's gradient starts the next iteration
-            gt = _energy_gradient(g, Vt)
+            gt = _energy_gradient(g, Vt)[0]
             ft = np.max(_norms(gt), axis=-1)
             ok = (ft < fnorm[rows[trial]] * (1.0 - 1e-3)) | (ft < POLISH_GRAD_TOL)
             accepted = rows[trial[ok]]
@@ -570,7 +541,7 @@ def _energy_descent(g, V0):
     pattern = _jacobian_pattern(V0.shape[1])
     V = V0.copy()
     energy = _polygon_energy(g, V)
-    grad = _energy_gradient(g, V)
+    grad = _energy_gradient(g, V)[0]
     mu = np.empty(B)
     running = np.ones(B, dtype=bool)
     for it in range(POLISH_ITERATIONS):
@@ -602,7 +573,7 @@ def _energy_descent(g, V0):
         moved = rows[~searching]
         if moved.size:
             mu[moved] /= 10.0
-            grad[moved] = _energy_gradient(g, V[moved])
+            grad[moved] = _energy_gradient(g, V[moved])[0]
     V[~landed] = V0[~landed]
     return V, landed
 

@@ -213,6 +213,12 @@ class TestFunkTransform:
                 assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
             assert image(u) == pytest.approx(got, abs=1e-11)
 
+    def test_eigenvalues_are_exact(self):
+        # 2 pi P_l(0) to the last bit, which a library P_l(0) can miss by an ulp
+        for l in range(9):
+            image = funk_image(SphericalFunction.harmonic(l, 0))
+            assert image.coefficient(l, 0) == TWO_PI * LEGENDRE_AT_ZERO.get(l, 0.0)
+
     def test_batched_matches_single(self):
         f = random_direction(7)
         rng = np.random.default_rng(8)

@@ -237,6 +237,16 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["funk-scan", "proposition", "systole"])
+    @pytest.mark.parametrize("out", [1, 7])
+    def test_non_path_out_exits_2(self, tmp_path, capsys, command, out):
+        # an integer out would be opened as a file descriptor
+        cfg = write_config(tmp_path, out=out)
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid config: out must be a path or null")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["proposition", "systole"])
     def test_non_finite_t_flag_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)

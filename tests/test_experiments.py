@@ -107,6 +107,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json({"kind": "proposition", key: value})
 
+    @pytest.mark.parametrize("out", [1, 7, True, 2.5, ["r.csv"]])
+    def test_out_must_be_a_path_or_none(self, out):
+        # an integer out would be opened as a file descriptor
+        with pytest.raises(ValueError, match="out must be a path or null"):
+            ExperimentConfig(kind="proposition", f=Y20, out=out)
+        with pytest.raises(ValueError, match="out must be a path or null"):
+            ExperimentConfig.from_json({"kind": "proposition", "out": out})
+
     def test_integral_floats_are_accepted(self):
         cfg = ExperimentConfig.from_json({"kind": "proposition", "n": 64.0, "seed": 7.0})
         assert (cfg.n, cfg.seed) == (64, 7)
@@ -385,16 +393,17 @@ class TestWriters:
     def test_funk_scan_bytes(self, tmp_path):
         path = tmp_path / "scan.csv"
         # the 190 nodes of the band-18 quadrature (ten latitudes times 19
-        # longitudes); the Funk image of Y22 is -pi * Y22
+        # longitudes); the Funk image of Y22 is -pi * Y22, and its first
+        # value is that product to the last bit
         write_funk_scan(SphericalFunction.harmonic(2, 2), path)
         data = path.read_bytes()
         assert data.startswith(
             b"ux,uy,uz,funk_value\n"
-            b"0.22694949594927788,0.0,-0.9739065285171717,-0.08839323320154598\n"
+            b"0.22694949594927788,0.0,-0.9739065285171717,-0.08839323320154595\n"
         )
         assert data.count(b"\n") == 191
         assert hashlib.sha256(data).hexdigest() == (
-            "2cee12cf170120254910937a324f54ef7e7395d5014f2a2ba52fb6e6e565b77e"
+            "86a943fb4db2bf638bd64d11d42284e1d889ceb4021cd83c8e8c167e98624890"
         )
 
     @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ from systolab.geodesics import (
     _jacobian_pattern,
     _landed,
     _linearize,
-    _local_lengths,
     _newton_polish,
     _polish,
     _polish_every,
@@ -49,7 +48,6 @@ from systolab.geodesics import (
     _refine,
     _run_passes,
     _shorten_batch,
-    _vertex_newton_step,
 )
 from systolab.metric import (
     _arc_lengths,
@@ -77,7 +75,7 @@ FUNK_Y20_EQUATOR = math.pi * Y20_POLE / 2.0
 
 def grad_norm(g, V):
     """Largest per-vertex norm of the discrete energy gradient."""
-    return float(np.max(np.linalg.norm(_energy_gradient(g, V), axis=-1)))
+    return float(np.max(np.linalg.norm(_energy_gradient(g, V)[0], axis=-1)))
 
 
 def random_tangent_starts(count, seed):
@@ -283,16 +281,56 @@ class TestArcLengths:
         np.testing.assert_array_equal(_arc_lengths(p, q), expected)
 
 
-class TestVertexNewtonStep:
-    def test_reports_the_local_length_it_started_from(self):
-        p, v = random_tangent_starts(40, seed=33)
-        a = np.cos(0.05) * p - np.sin(0.05) * v
-        b = np.cos(0.06) * p + np.sin(0.06) * v
-        x = np.cos(0.01) * p + np.sin(0.01) * np.cross(p, v)
+def noisy_circles(n, seed, count=3, noise=1e-2):
+    """count great circles at n vertices, each vertex moved by noise."""
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(count, 3))
+    X = circle_points(axes / np.linalg.norm(axes, axis=-1, keepdims=True), 0.0, n)
+    X += noise * rng.standard_normal(X.shape)
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+def two_segment_lengths(g, a, x, b):
+    """Metric length of the paths a--x--b (midpoint rule), from g.w alone."""
+    unit = lambda p: p / np.linalg.norm(p, axis=-1, keepdims=True)
+    return g.w(unit(a + x)) * _arc_lengths(a, x) + g.w(unit(x + b)) * _arc_lengths(x, b)
+
+
+class TestEnergyGradient:
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("g", [ROUND, MIXED], ids=["round", "mixed"])
+    def test_matches_central_differences_of_the_energy(self, g, n):
+        # every vertex moved along its tangent frame by +-h, all in one
+        # energy call; each kept term of the kernel is needed to pass
+        h = 1e-6
+        X = noisy_circles(n, seed=37 + n)
+        grad = _energy_gradient(g, X)[0]
+        e1, e2 = circle_frame(X)
+        frame = np.stack([e1, e2], axis=-2)
+        # W[c, v, e, s] is curve c with vertex v moved by s h along frame vector e
+        shifts = np.einsum("uv,cvei->cveui", np.eye(n), frame)
+        sign = np.array([1.0, -1.0])[:, None, None]
+        W = X[:, None, None, None] + h * sign * shifts[:, :, :, None]
+        W /= np.linalg.norm(W, axis=-1, keepdims=True)
+        energy = _polygon_energy(g, W)
+        difference = (energy[..., 0] - energy[..., 1]) / (2.0 * h)
+        exact = np.einsum("cvi,cvei->cve", grad, frame)
+        scale = np.max(np.linalg.norm(grad, axis=-1))
+        assert scale > 0.1
+        assert np.max(np.abs(difference - exact)) <= 1e-8 * scale
+
+    def test_edge_factors_give_the_segment_lengths(self):
+        # w at each unit edge midpoint and the round edge length d: the
+        # two-segment length of vertex k is w d of edges k - 1 and k
+        X = noisy_circles(64, seed=33)
         for g in (ROUND, MIXED):
-            moved, before = _vertex_newton_step(g, a, x, b)
-            np.testing.assert_array_equal(before, _local_lengths(g, a, x, b))
-            assert np.all(_local_lengths(g, a, moved, b) <= before)
+            _, w, d = _energy_gradient(g, X)
+            a, b = np.roll(X, 1, axis=-2), np.roll(X, -1, axis=-2)
+            np.testing.assert_allclose(
+                np.roll(w * d, 1, axis=-1) + w * d, two_segment_lengths(g, a, X, b),
+                rtol=1e-15, atol=0.0,
+            )
+            np.testing.assert_array_equal(d, _arc_lengths(X, b))
 
 
 class TestHalfPass:
@@ -302,11 +340,7 @@ class TestHalfPass:
         # step, and stay where they were
         g = make_variation(MIXED.f, 0.1)
         n = 64
-        rng = np.random.default_rng(35)
-        axes = rng.normal(size=(3, 3))
-        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-        X = circle_points(axes, 0.0, n) + 1e-2 * rng.standard_normal((3, n, 3))
-        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        X = noisy_circles(n, seed=35)
         calls = {"w_and_grad": 0, "w_flat": 0}
         for name in calls:
             def counted(pts, name=name, original=getattr(g, name)):
@@ -318,8 +352,18 @@ class TestHalfPass:
             a = X[:, (idx - 1) % n].reshape(-1, 3)
             b = X[:, (idx + 1) % n].reshape(-1, 3)
             start = X[:, idx].reshape(-1, 3)
-            proposal, before = _vertex_newton_step(g, a, start, b)
-            kept = _local_lengths(g, a, proposal, b) <= before
+            # the damped Newton step on the two-segment energy, whose
+            # gradient is 4 pi / n times grad E, capped at 0.45 max(d1, d2)
+            grad, w, d = _energy_gradient(g, X)
+            w1, w2 = w[:, idx - 1].ravel(), w[:, idx].ravel()
+            d1, d2 = d[:, idx - 1].ravel(), d[:, idx].ravel()
+            step = grad[:, idx].reshape(-1, 3) * (-(TWO_PI / n) / (w1 * w1 + w2 * w2))[:, None]
+            norm = np.linalg.norm(step, axis=-1)
+            cap = 0.45 * np.maximum(d1, d2)
+            proposal = start + np.where(norm > cap, cap / norm, 1.0)[:, None] * step
+            proposal /= np.linalg.norm(proposal, axis=-1, keepdims=True)
+            before = two_segment_lengths(g, a, start, b)
+            kept = two_segment_lengths(g, a, proposal, b) <= before
             assert kept.any() and not kept.all()
             others = np.delete(X, idx, axis=1)
             calls.update(w_and_grad=0, w_flat=0)
@@ -328,6 +372,7 @@ class TestHalfPass:
             moved = X[:, idx].reshape(-1, 3)
             np.testing.assert_array_equal(moved[kept], proposal[kept])
             np.testing.assert_array_equal(moved[~kept], start[~kept])
+            assert np.all(two_segment_lengths(g, a, moved, b) <= before)
             np.testing.assert_array_equal(np.delete(X, idx, axis=1), others)
             np.testing.assert_allclose(
                 disp, np.linalg.norm(moved - start, axis=-1).reshape(3, -1).max(axis=1),
@@ -354,11 +399,11 @@ class TestNewtonPolish:
         V = circle_points(POLE, 0.0, 128) + 1e-2 * rng.standard_normal((5, 128, 3))
         V /= np.linalg.norm(V, axis=-1, keepdims=True)
         for g in (ROUND, MIXED):
-            stacked = _energy_gradient(g, V)
+            stacked = _energy_gradient(g, V)[0]
             for k in range(V.shape[0]):
-                np.testing.assert_array_equal(stacked[k], _energy_gradient(g, V[k]))
+                np.testing.assert_array_equal(stacked[k], _energy_gradient(g, V[k])[0])
             np.testing.assert_array_equal(
-                _energy_gradient(g, V[None, 1:3]), stacked[None, 1:3]
+                _energy_gradient(g, V[None, 1:3])[0], stacked[None, 1:3]
             )
 
     def test_harmonic_call_budget(self, monkeypatch):
@@ -523,12 +568,8 @@ class TestBatchPolish:
     @staticmethod
     def polygons(n, seed):
         """Three circles at n vertices with 1e-2 noise, and their gradients under MIXED."""
-        rng = np.random.default_rng(seed)
-        axes = rng.normal(size=(3, 3))
-        V = circle_points(axes / np.linalg.norm(axes, axis=-1, keepdims=True), 0.0, n)
-        V += 1e-2 * rng.standard_normal(V.shape)
-        V /= np.linalg.norm(V, axis=-1, keepdims=True)
-        return V, _energy_gradient(MIXED, V)
+        V = noisy_circles(n, seed)
+        return V, _energy_gradient(MIXED, V)[0]
 
     @pytest.mark.parametrize("n", [32, 64, 130])
     def test_banded_step_equals_a_dense_solve(self, n):
@@ -546,7 +587,7 @@ class TestBatchPolish:
                 W = V[0].copy()
                 W[v] += 1e-7 * e[v]
                 W /= np.linalg.norm(W, axis=-1, keepdims=True)
-                column = (frame(_energy_gradient(MIXED, W)) - F) / 1e-7
+                column = (frame(_energy_gradient(MIXED, W)[0]) - F) / 1e-7
                 for u in np.arange(v - 1, v + 2) % n:
                     J[2 * u:2 * u + 2, 2 * v + d] = column[2 * u:2 * u + 2]
         dense = np.linalg.solve(J + mu[0] * np.eye(2 * n), -F)
@@ -573,7 +614,7 @@ class TestBatchPolish:
         import systolab.geodesics as geodesics
 
         X = np.stack([perturbed_equator(shrink=False, seed=seed) for seed in (30, 31, 32)])
-        grad = _energy_gradient(ZONAL, X)
+        grad = _energy_gradient(ZONAL, X)[0]
         pattern = _jacobian_pattern(128)
         jmax, solve, _ = _linearize(ZONAL, X, grad, pattern)
         mu = 1e-10 * jmax
