@@ -142,8 +142,9 @@ class ExperimentConfig:
 
     f is a SphericalFunction, a list of (l, m, value) coefficient pairs,
     or None for the round sphere.  n, seed and every t are validated at
-    construction time (t against the admissible range of the preprocessed
-    direction), so a config that exists can always be run.  The preprocessed
+    construction time (a t must be a real number, not a bool or a string,
+    and lie in the admissible range of the preprocessed direction), so a
+    config that exists can always be run.  The preprocessed
     direction is built once, there, and every metric of the run is built on
     that one object, so they share one sup norm.  out/fmt describe where a
     report should go; run_experiment itself never writes.
@@ -161,6 +162,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for t in self.t_values:
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValueError(f"every t must be a number, got {t!r}")
         ts = tuple(float(t) for t in self.t_values)
         if not ts:
             raise ValueError("t_values must contain at least one value")

@@ -14,10 +14,13 @@ at the vertex (one kernel, _energy_gradient, serves the passes and the
 polish), and accepted only when the local length does not increase, which
 makes every pass length-non-increasing by construction (the two local
 segments of the vertices in one parity class tile the curve's edge set
-exactly once).  A curve whose round length falls below 0.1 is flagged
-collapsed: it is converging to a point, which the systole must exclude.  A
-curve freezes as a discrete closed geodesic once a pass moves no vertex by
-FROZEN_RESIDUAL or more, and only a curve that froze counts as one.
+exactly once).  A pass's lengths are the sums of the segments its second
+half pass measured: each half pass evaluates w and grad w at the n edge
+midpoints, and w at the n edge midpoints of its trial, and nothing else.
+A curve whose round length falls below 0.1 is flagged collapsed: it is
+converging to a point, which the systole must exclude.  A curve freezes as
+a discrete closed geodesic once a pass moves no vertex by FROZEN_RESIDUAL
+or more, and only a curve that froze counts as one.
 
 Tightening a family of closed curves (tighten_sweepout) shortens every
 member, and for a family that sweeps out the sphere its maximum bounds the
@@ -29,10 +32,12 @@ gives up, a Levenberg-Marquardt descent on the same Jacobian that never
 raises the energy.  A curve the passes alone would drag through a shallow
 valley for a thousand passes becomes a geodesic in a chunk or two.  How
 many passes a chunk holds depends on the sign of the curvature (see
-_polish_every).  The moving curves are polished together, in lockstep: one
-gradient call for all their Jacobians, one per trial step, and one banded
-LAPACK solve per iteration, of the block-diagonal matrix of their systems.
-Each curve's polish is, bit for bit, the one it gets alone.
+_polish_every).  The Jacobian is finite differenced one vertex at a time,
+from the two edges that touch the moved vertex: 5n edges per curve.  The
+moving curves are polished together, in lockstep: one gradient call for
+all their Jacobians, one per trial step, and one banded LAPACK solve per
+iteration, of the block-diagonal matrix of their systems.  Each curve's
+polish is, bit for bit, the one it gets alone.
 
 The systole estimate shortens its seed circles at 64 vertices (for the
 default 128) and keeps one curve per distinct length, because the seeds
@@ -62,6 +67,7 @@ from .metric import (
     _norms,
     _polygon_edges,
     _polygon_energy,
+    _shifted,
     _sin_cos,
     circle_frame,
     min_curvature,
@@ -233,13 +239,18 @@ def _half_pass(g, X, parity, active):
     vertex never jumps past its neighbors.  The vertex keeps its step only
     when its two segments, measured on a copy of the polygon that holds
     every proposal, are no longer than before; otherwise it stays where it
-    was.  Returns the max vertex displacement per curve.
+    was.  Returns (disp, seg, arcs): the max vertex displacement per curve,
+    and the segment lengths w d and round arcs d of the active curves as
+    they leave, edge k running from vertex k to k + 1.  A kept vertex's two
+    edges are those the trial measured, every other edge is the one the
+    gradient call measured, so both equal a fresh _polygon_edges and w_flat
+    evaluation bit for bit.
     """
     B, n, _ = X.shape
     disp = np.zeros(B)
     rows = np.flatnonzero(active)
     if rows.size == 0:
-        return disp
+        return disp, np.empty((0, n)), np.empty((0, n))
     cls = slice(parity, None, 2)
     prev = np.arange(parity - 1, n - 1, 2) % n
     sub = X[rows]
@@ -260,7 +271,12 @@ def _half_pass(g, X, parity, active):
     chosen = np.where(keep[..., None], trial[:, cls], x0)
     disp[rows] = _norms(chosen - x0).max(axis=1)
     X[rows, cls] = chosen
-    return disp
+    # each edge touches one vertex of the class: edge k is its vertex's
+    # second edge when k is in the class, its first otherwise
+    kept = np.empty(arcs.shape, dtype=bool)
+    kept[:, cls] = keep
+    kept[:, prev] = keep
+    return disp, np.where(kept, seg, w * d), np.where(kept, arcs, d)
 
 
 def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
@@ -270,9 +286,11 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
     curve freezes once its per-pass displacement (its residual) falls below
     FROZEN_RESIDUAL (discrete geodesic) or its round length falls below the
     collapse threshold, and a frozen curve keeps the residual it froze with.
-    A pass measures only the curves active when it starts; a frozen curve
-    does not move, so its length carries over and its length increase is
-    exactly 0.
+    A pass measures only the curves active when it starts, from the
+    segments and arcs its second half pass leaves (the curve's length is
+    their sum in edge order, as _batch_metric_lengths takes it); a frozen
+    curve does not move, so its length carries over and its length
+    increase is exactly 0.
     Each pass asserts the length monotonicity the acceptance rule
     guarantees; a violation beyond MONOTONE_SLACK is counted and raised.
     The passes run until max_passes or until every curve froze, and
@@ -286,11 +304,10 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        d0 = _half_pass(g, X, 0, active)
-        d1 = _half_pass(g, X, 1, active)
+        d0 = _half_pass(g, X, 0, active)[0]
+        d1, seg, arcs = _half_pass(g, X, 1, active)
         passes[rows] += 1
-        mids, arcs = _polygon_edges(X[rows])
-        new_lengths = _edge_lengths(g, mids, arcs)
+        new_lengths = np.sum(seg, axis=-1)
         increase = new_lengths - lengths[rows]
         if np.any(increase > MONOTONE_SLACK):
             _length_increase_violations += int(np.sum(increase > MONOTONE_SLACK))
@@ -313,6 +330,27 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
 # ---------------------------------------------------------------------------
 
 
+def _edge_pulls(g, A, C):
+    """Pulls of the segments A -> C (..., 3) on their two ends, in one harmonic call.
+
+    Returns (tail, head, w, d): the pull on A and on C, w the length factor
+    at each unit midpoint (A + C) / r (r the norm of A + C) and d the round
+    length.  A segment w d pulls both its ends by w d^2 grad w / r at its
+    midpoint, and each end by -w^2 d / sin d times the other end; the terms
+    along the end itself are radial, and the tangent projection there would
+    remove them.  Each segment's pulls are the ones it gets alone.
+    """
+    sums = A + C
+    r = np.maximum(_norms(sums), 1e-30)[..., None]
+    w, gw = g.w_and_grad((sums / r).reshape(-1, 3))
+    w = w.reshape(A.shape[:-1])
+    sins, dots = _sin_cos(A, C)
+    d = np.arctan2(sins, dots)
+    mid = (w * d * d)[..., None] * gw.reshape(A.shape) / r
+    far = (w * w * d / np.maximum(sins, 1e-30))[..., None]
+    return mid - far * C, mid - far * A, w, d
+
+
 def _energy_gradient(g, V):
     """Tangential gradient of the discrete energy at each vertex, and its edges.
 
@@ -320,56 +358,39 @@ def _energy_gradient(g, V):
     in one harmonic call; each polygon's gradient is the one it gets alone.
     Returns (grad, w, d): w is the length factor at each unit edge midpoint
     and d the round length of each edge, edge k running from vertex k to
-    vertex k + 1.  An edge's segment w d pulls both its ends by w d^2 grad w
-    / r at its midpoint (r the norm of the vertex sum), and each end by
-    -w^2 d / sin d times the other end; the terms along the vertex itself
-    are radial, and the final tangent projection would remove them.
+    vertex k + 1.  Vertex k sums the pull of its own edge k on its tail and
+    the pull of edge k - 1 on its head (_edge_pulls), projected onto its
+    tangent plane.
     """
     n = V.shape[-2]
-    nxt = np.roll(V, -1, axis=-2)
-    sums = V + nxt
-    r = np.maximum(_norms(sums), 1e-30)[..., None]
-    w, gw = g.w_and_grad((sums / r).reshape(-1, 3))
-    w = w.reshape(V.shape[:-1])
-    sins, dots = _sin_cos(V, nxt)
-    d = np.arctan2(sins, dots)
-    mid = (w * d * d)[..., None] * gw.reshape(V.shape) / r
-    far = (w * w * d / np.maximum(sins, 1e-30))[..., None]
-    grad = mid - far * nxt + np.roll(mid - far * V, 1, axis=-2)
+    tail, head, w, d = _edge_pulls(g, V, _shifted(V, 1))
+    grad = tail + _shifted(head, -1)
     grad -= _dots(grad, V)[..., None] * V
     return grad / (TWO_PI / n), w, d
 
 
 def _jacobian_pattern(n):
-    """Coloring and band layout of the stationarity Jacobian at n >= 3 vertices.
+    """Step and band layout of the stationarity Jacobian at n >= 3 vertices.
 
     The Jacobian of grad E = 0 in the 2n tangent coordinates is
-    block-tridiagonal with cyclic corners (2x2 vertex blocks), so vertices
-    >= 3 apart are independent and are shifted together: the c classes of
-    a cyclic coloring, c the smallest divisor of n that is >= 3.  Returns
-    (delta, shifts, gather, slots, place).  J is solved in the zig-zag
-    vertex order 0, n-1, 1, n-2, ..., where tangent coordinate x sits at
-    place[x]: every vertex sits at most two places from its neighbors, so J
-    is banded with kl = ku = 5, corners included.  gather picks the six
-    entries of each column from the flattened (2, c, 2n) differences of
-    _linearize, and slots places them in LAPACK band storage: entry (i, j)
-    of the zig-zag J at [j, 10 + i - j] of a (2n, 16) array.
+    block-tridiagonal with cyclic corners (2x2 vertex blocks): moving vertex
+    v moves the gradient at v and its two neighbors only.  Returns (delta,
+    slots, place): delta the finite-difference step of _linearize.  J is
+    solved in the zig-zag vertex order 0, n-1, 1, n-2, ..., where tangent
+    coordinate x sits at place[x]: every vertex sits at most two places
+    from its neighbors, so J is banded with kl = ku = 5, corners included.
+    slots places the 12n entries of _linearize in LAPACK band storage,
+    column 2v + j (vertex v along e_j) holding the rows 2u + d of u = v - 1,
+    v, v + 1 in that order: entry (i, j) of the zig-zag J at [j, 10 + i - j]
+    of a (2n, 16) array.
     """
-    c = next(k for k in range(3, n + 1) if n % k == 0)
-    delta = 1e-7
-    # column 2v + j (vertex v along e1 or e2) holds the rows 2u + d of v and
-    # its two neighbors u, differenced from the shift of v's class along j
     v = np.arange(n)[:, None, None, None]
     j = np.arange(2)[:, None, None]
     u = (v + np.arange(-1, 2)[:, None]) % n
     d = np.arange(2)
-    gather = ((j * c + v % c) * 2 * n + 2 * u + d).ravel()
     place = (2 * np.minimum(2 * v, 2 * n - 1 - 2 * v) + np.arange(2)).ravel()
     col, row = place[2 * v + j], place[2 * u + d]
-    slots = (16 * col + 10 + row - col).ravel()
-    # row cls of shifts moves the vertices of class cls by delta, the rest by 0
-    shifts = np.where(np.arange(n) % c == np.arange(c)[:, None], delta, 0.0)[..., None]
-    return delta, shifts, gather, slots, place
+    return 1e-7, (16 * col + 10 + row - col).ravel(), place
 
 
 def _band_solve(ab, rhs):
@@ -400,9 +421,15 @@ def _linearize(g, V, grad, pattern):
 
     V is a stack (B, n, 3) and grad its energy gradient.  F holds the
     components of grad in the tangent frame (e1, e2) of each vertex.  The
-    Jacobian J is finite differenced: the 2c shifted copies of every
-    polygon, one per color class and direction, go through one gradient
-    call, and the three block bands go straight into LAPACK band storage.
+    Jacobian J is finite differenced, one column per vertex v and direction
+    e_j: v moves by delta e_j (back on the sphere), every other vertex is
+    renormalized, and the gradient at v and its two neighbors is assembled
+    from the edges that touch them, as _energy_gradient sums it.  Those are
+    the n edges of the renormalized polygon and the two edges of each of
+    the 2n moved vertices, 5n per polygon in one _edge_pulls call, and each
+    column equals, bit for bit, the difference of the full gradient of the
+    polygon with that one vertex moved.  The three block bands go straight
+    into LAPACK band storage.
     Returns (jmax, solve, move): jmax (B,) is max|J| over each polygon's
     bands; solve(mu, cap, which) the steps s of (J + mu I) s = -F of the
     polygons which (indices into V, mu one value each), each scaled down so
@@ -410,25 +437,35 @@ def _linearize(g, V, grad, pattern):
     system's step is NaN); and move(step, which) those polygons moved by
     their steps, back on the sphere.
     """
-    delta, shifts, gather, slots, place = pattern
-    c, n = shifts.shape[:2]
-    B = V.shape[0]
+    delta, slots, place = pattern
+    B, n, _ = V.shape
     e1, e2 = circle_frame(V)
-    F = np.empty((B, 2 * n))
-    F[:, 0::2] = _dots(grad, e1)
-    F[:, 1::2] = _dots(grad, e2)
-    # the 2c shifted copies of each polygon, along e1 then e2, in one call
-    Vp = (V[:, None, None] + shifts * np.stack([e1, e2], axis=1)[:, :, None]).reshape(
-        B, 2 * c, n, 3
-    )
-    Vp /= _norms(Vp)[..., None]
-    gp = _energy_gradient(g, Vp)[0]
-    Fp = np.empty((B, 2 * c, 2 * n))
-    Fp[..., 0::2] = _dots(gp, e1[:, None])
-    Fp[..., 1::2] = _dots(gp, e2[:, None])
+    F = np.stack([_dots(grad, e1), _dots(grad, e2)], axis=-1)
+    # U the polygon renormalized, P[:, j, v] its vertex v moved along e_j
+    U = V / _norms(V)[..., None]
+    P = V[:, None] + delta * np.stack([e1, e2], axis=1)
+    P /= _norms(P)[..., None]
+    before, after = _shifted(U, -1)[:, None], _shifted(U, 1)[:, None]
+    # edge sets: the polygon's own, then U[v - 1] -> P[j, v] and P[j, v] -> U[v + 1]
+    tail, head = _edge_pulls(g, np.concatenate([U[:, None], before, before, P], axis=1),
+                             np.concatenate([after, P, after, after], axis=1))[:2]
+    # the gradient at v - 1, v and v + 1 for each moved vertex v, as
+    # _energy_gradient sums it: the tail pull of the vertex's own edge plus
+    # the head pull of the edge before it, projected at the vertex
+    G = np.stack([tail[:, 1:3] + _shifted(head[:, :1], -2),
+                  tail[:, 3:] + head[:, 1:3],
+                  _shifted(tail[:, :1], 1) + head[:, 3:]], axis=2)
+    W = np.stack(np.broadcast_arrays(before, P, after), axis=2)
+    G -= _dots(G, W)[..., None] * W
+    G /= TWO_PI / n
+    # components in the frames of v - 1, v and v + 1, minus F there
+    frames = [np.stack([_shifted(e, k) for k in (-1, 0, 1)], axis=1)[:, None] for e in (e1, e2)]
+    Fp = np.stack([_dots(G, e) for e in frames], axis=-1)
+    Fu = np.stack([_shifted(F, k) for k in (-1, 0, 1)], axis=1)[:, None]
     values = np.zeros((B, 2 * n, 16))
-    values.reshape(B, -1)[:, slots] = ((Fp - F[:, None]) / delta).reshape(B, -1)[:, gather]
-    rhs = -F[:, np.argsort(place)]
+    # columns (v, j), rows (u, d) in the order of slots
+    values.reshape(B, -1)[:, slots] = ((Fp - Fu) / delta).transpose(0, 3, 1, 2, 4).reshape(B, -1)
+    rhs = -F.reshape(B, 2 * n)[:, np.argsort(place)]
 
     def solve(mu, cap, which):
         data = values[which]
@@ -829,7 +866,7 @@ def _coarse_vertices(n):
 
 def _prolong(V):
     """The closed polygons V (B, n, 3) with their normalized chord midpoints inserted."""
-    mids = V + np.roll(V, -1, axis=-2)
+    mids = V + _shifted(V, 1)
     out = np.empty((V.shape[0], 2 * V.shape[1], 3))
     out[:, 0::2] = V
     out[:, 1::2] = mids / _norms(mids)[..., None]

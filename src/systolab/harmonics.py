@@ -427,7 +427,14 @@ class SphericalFunction:
 
     @classmethod
     def from_json(cls, obj):
-        """Inverse of to_json; without "L" the band limit is the largest l given."""
+        """Inverse of to_json; without "L" the band limit is the largest l given.
+
+        Any key other than "L" and "coeffs" raises ValueError, so a
+        misspelled key cannot silently drop the coefficients.
+        """
+        unknown = sorted(set(obj) - {"L", "coeffs"})
+        if unknown:
+            raise ValueError(f"unknown direction keys {unknown}; expected ['L', 'coeffs']")
         L = obj.get("L")
         return cls.from_pairs(
             [(int(l), int(m), float(v)) for l, m, v in obj.get("coeffs", [])],

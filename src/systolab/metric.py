@@ -438,9 +438,19 @@ def _arc_lengths(p, q):
     return np.arctan2(*_sin_cos(p, q))
 
 
+def _shifted(X, k):
+    """X (..., n, 3) with vertex i + k (mod n) in place i.
+
+    The same array as np.roll(X, -k, axis=-2), built from two slices at a
+    third of np.roll's cost on the small arrays of the shortening loop.
+    """
+    k %= X.shape[-2]
+    return np.concatenate([X[..., k:, :], X[..., :k, :]], axis=-2)
+
+
 def _polygon_edges(X):
     """(unit edge midpoints, round arc lengths) of closed polygons (..., n, 3)."""
-    nxt = np.roll(X, -1, axis=-2)
+    nxt = _shifted(X, 1)
     mids = X + nxt
     mids /= np.maximum(_norms(mids), 1e-30)[..., None]
     return mids, _arc_lengths(X, nxt)

@@ -222,9 +222,12 @@ class TestConfigParsing:
         {"n": 33}, {"n": "abc"}, {"n": None}, {"format": "xml"}, "top-level list",
         {"n": 64.5}, {"seed": 2.5}, {"seed": True}, {"seed": -1}, {"sed": 7},
         {"t_values": [math.nan]}, {"f": [[2, 0, math.nan]]},
+        {"t_values": [True]}, {"t_values": ["0.05"]},
+        {"f": {"L": 2, "coef": [[2, 0, 1.0]]}},
     ], ids=["odd-n", "non-integer-n", "null-n", "unknown-format", "list",
             "non-integral-n", "non-integral-seed", "bool-seed", "negative-seed",
-            "misspelled-key", "nan-t", "nan-coefficient"])
+            "misspelled-key", "nan-t", "nan-coefficient", "bool-t", "string-t",
+            "misspelled-direction-key"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, invalid):
         if invalid == "top-level list":
             cfg = tmp_path / "list.json"

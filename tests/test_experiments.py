@@ -107,6 +107,26 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json({"kind": "proposition", key: value})
 
+    @pytest.mark.parametrize("t", [True, False, "0.05", None, [0.05]])
+    def test_every_t_must_be_a_number(self, t):
+        # a bool or a string is refused, not run as 1, 0 or 0.05
+        with pytest.raises(ValueError, match="every t must be a number"):
+            ExperimentConfig(kind="proposition", f=Y20, t_values=(0.05, t))
+        with pytest.raises(ValueError, match="every t must be a number"):
+            ExperimentConfig.from_json({"kind": "proposition", "t_values": [t]})
+
+    def test_integer_t_is_a_number(self):
+        cfg = ExperimentConfig(kind="proposition", f=Y20, t_values=(0, 0.05))
+        assert cfg.t_values == (0.0, 0.05)
+        assert isinstance(cfg.t_values[0], float)
+
+    def test_misspelled_direction_key_is_refused(self):
+        # "coef" for "coeffs" would otherwise run the round sphere
+        with pytest.raises(ValueError, match="unknown direction keys"):
+            ExperimentConfig.from_json(
+                {"kind": "proposition", "f": {"L": 2, "coef": [[2, 0, 1.0]]}}
+            )
+
     @pytest.mark.parametrize("out", [1, 7, True, 2.5, ["r.csv"]])
     def test_out_must_be_a_path_or_none(self, out):
         # an integer out would be opened as a file descriptor

@@ -229,6 +229,55 @@ class TestBatchedShortening:
             np.testing.assert_array_equal(carried, full)
         np.testing.assert_array_equal(lengths, _batch_metric_lengths(ZONAL, X))
 
+    def test_pass_lengths_and_collapse_flags_equal_a_full_evaluation(self):
+        # three noisy circles of MIXED at n = 64, whose half passes keep some
+        # vertices and refuse others (TestHalfPass), a small circle that
+        # collapses after a few passes and a frozen curve
+        X = np.concatenate([noisy_circles(64, seed=35),
+                            circle_points(POLE, [0.99985, 0.5], 64)])
+        active = np.array([True, True, True, True, False])
+        collapsed = np.zeros(5, dtype=bool)
+        residuals = np.where(active, np.inf, 0.0)
+        frozen = X[4].copy()
+        seen = [(active.copy(), collapsed.copy())]
+
+        def on_pass(k, lengths):
+            moving, before = seen[-1]
+            np.testing.assert_array_equal(lengths, _batch_metric_lengths(MIXED, X))
+            round_lengths = _polygon_edges(X)[1].sum(axis=-1)
+            np.testing.assert_array_equal(collapsed & ~before,
+                                          moving & (round_lengths < COLLAPSE_THRESHOLD))
+            seen.append((active.copy(), collapsed.copy()))
+
+        lengths, done = _run_passes(MIXED, X, active, collapsed, residuals, 12, on_pass=on_pass)
+        assert len(seen) == 13
+        assert list(collapsed) == [False, False, False, True, False]
+        assert 0 < done[3] < 12 and done[4] == 0
+        np.testing.assert_array_equal(X[4], frozen)
+        np.testing.assert_array_equal(lengths, _batch_metric_lengths(MIXED, X))
+
+    def test_a_pass_makes_two_harmonic_calls_of_each_kind(self, monkeypatch):
+        # one w_and_grad and one w_flat call per half pass; the pass takes
+        # its lengths from the second half pass
+        g = make_variation(MIXED.f, 0.1)
+        calls = {"w_and_grad": 0, "w_flat": 0}
+        for name in calls:
+            def counted(pts, name=name, original=getattr(g, name)):
+                calls[name] += 1
+                return original(pts)
+            monkeypatch.setattr(g, name, counted)
+        X = noisy_circles(64, seed=35)
+        per_pass = []
+
+        def on_pass(k, lengths):
+            per_pass.append(dict(calls))
+            calls.update(w_and_grad=0, w_flat=0)
+
+        _run_passes(g, X, np.ones(3, dtype=bool), np.zeros(3, dtype=bool),
+                    np.full(3, np.inf), 3, on_pass=on_pass)
+        # the first pass also counts the starting lengths
+        assert per_pass == [{"w_and_grad": 2, "w_flat": 3}] + 2 * [{"w_and_grad": 2, "w_flat": 2}]
+
     def test_early_frozen_curve_keeps_its_residual(self):
         # seed circles of MIXED at n = 32: the first freezes in the first
         # chunk of passes, the second needs one more chunk
@@ -367,8 +416,13 @@ class TestHalfPass:
             assert kept.any() and not kept.all()
             others = np.delete(X, idx, axis=1)
             calls.update(w_and_grad=0, w_flat=0)
-            disp = _half_pass(g, X, parity, np.ones(3, dtype=bool))
+            disp, seg, arcs = _half_pass(g, X, parity, np.ones(3, dtype=bool))
             assert calls == {"w_and_grad": 1, "w_flat": 1}
+            # the segments and arcs of the polygon it leaves, as a fresh
+            # evaluation measures them
+            mids, fresh = _polygon_edges(X)
+            np.testing.assert_array_equal(arcs, fresh)
+            np.testing.assert_array_equal(seg, g.w_flat(mids.reshape(-1, 3)).reshape(3, n) * fresh)
             moved = X[:, idx].reshape(-1, 3)
             np.testing.assert_array_equal(moved[kept], proposal[kept])
             np.testing.assert_array_equal(moved[~kept], start[~kept])
@@ -553,8 +607,8 @@ class TestBatchPolish:
         # 12n entries in distinct slots, each within kl = ku = 5 of the
         # diagonal and in the 2x2 block of a vertex and itself or a cyclic
         # neighbor: exactly the 12n entries of those blocks
-        _, _, gather, slots, place = _jacobian_pattern(n)
-        assert gather.size == slots.size == 12 * n
+        _, slots, place = _jacobian_pattern(n)
+        assert slots.size == 12 * n
         assert np.unique(slots).size == slots.size
         assert np.all((slots % 16 >= 5) & (slots % 16 <= 15))
         j = slots // 16
@@ -572,11 +626,14 @@ class TestBatchPolish:
         return V, _energy_gradient(MIXED, V)[0]
 
     @pytest.mark.parametrize("n", [32, 64, 130])
-    def test_banded_step_equals_a_dense_solve(self, n):
-        # the reference J shifts one vertex at a time and keeps the rows of
-        # the vertex and its two neighbors
+    def test_banded_step_equals_a_dense_solve(self, monkeypatch, n):
+        # the reference J shifts one vertex at a time, renormalizes every
+        # vertex and keeps the rows of the vertex and its two neighbors
+        import systolab.geodesics as geodesics
+
         V, grad = self.polygons(n, n)
-        jmax, solve, _ = _linearize(MIXED, V[:1], grad[:1], _jacobian_pattern(n))
+        pattern = _jacobian_pattern(n)
+        jmax, solve, _ = _linearize(MIXED, V[:1], grad[:1], pattern)
         mu = 1e-3 * jmax
         e1, e2 = circle_frame(V[0])
         frame = lambda G: np.stack([_dots(G, e1), _dots(G, e2)], axis=-1).ravel()
@@ -591,7 +648,26 @@ class TestBatchPolish:
                 for u in np.arange(v - 1, v + 2) % n:
                     J[2 * u:2 * u + 2, 2 * v + d] = column[2 * u:2 * u + 2]
         dense = np.linalg.solve(J + mu[0] * np.eye(2 * n), -F)
+        bands = []
+        original = geodesics._band_solve
+
+        def band_solve(ab, rhs):
+            bands.append(ab.copy())
+            return original(ab, rhs)
+
+        monkeypatch.setattr(geodesics, "_band_solve", band_solve)
         step = solve(mu, np.inf, np.arange(1))[0]
+        # every band entry is the reference's, bit for bit: entry (i, j) of
+        # the zig-zag J + mu I at [j, 10 + i - j], nothing outside the band
+        place = pattern[2]
+        zigzag = np.zeros((2 * n, 2 * n))
+        zigzag[np.ix_(place, place)] = J + mu[0] * np.eye(2 * n)
+        i, j = np.indices(zigzag.shape)
+        inside = np.abs(i - j) <= 5
+        assert not np.any(zigzag[~inside])
+        reference = np.zeros((2 * n, 16))
+        reference[j[inside], 10 + i[inside] - j[inside]] = zigzag[inside]
+        np.testing.assert_array_equal(bands[0][0], reference)
         assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("n", [32, 64, 130])

@@ -448,6 +448,16 @@ class TestSphericalFunction:
         assert g.degree == 6
         np.testing.assert_allclose(g.coeffs, f.coeffs, atol=0.0)
 
+    @pytest.mark.parametrize("obj", [
+        {"L": 2, "coef": [[2, 0, 1.0]]},
+        {"L": 2, "coeffs": [[2, 0, 1.0]], "l": 3},
+        {"degree": 2},
+    ])
+    def test_json_refuses_unknown_keys(self, obj):
+        # a misspelled key must not silently drop the coefficients
+        with pytest.raises(ValueError, match="unknown direction keys"):
+            SphericalFunction.from_json(obj)
+
     def test_json_without_band_limit_infers_it(self):
         # as from_pairs does, the band limit is the largest degree given
         f = SphericalFunction.from_json({"coeffs": [[2, 0, 1.0], [3, -1, 0.5]]})

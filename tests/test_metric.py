@@ -27,6 +27,7 @@ from systolab.metric import (
     ConformalMetric,
     DiscreteClosedCurve,
     _polygon_edges,
+    _shifted,
     area,
     curve_energy,
     curve_length,
@@ -393,6 +394,13 @@ class TestDiscreteClosedCurve:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         with pytest.raises(ValueError):
             DiscreteClosedCurve(pts)
+
+    @pytest.mark.parametrize("k", [-9, -2, -1, 0, 1, 2, 7, 8, 11])
+    def test_shifted_is_a_cyclic_roll(self, k):
+        # the kernels' cyclic shift along the vertex axis: vertex i + k in
+        # place i, the same array as np.roll by -k
+        X = np.random.default_rng(k + 9).standard_normal((2, 3, 8, 3))
+        np.testing.assert_array_equal(_shifted(X, k), np.roll(X, -k, axis=-2))
 
     def test_quarter_turn_edges_allowed(self):
         # four equally spaced equator points sit exactly pi/2 apart
