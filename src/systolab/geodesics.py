@@ -30,14 +30,17 @@ Between chunks of passes every curve still moving is polished: Newton on
 the stationarity system of the discrete energy first, and where Newton
 gives up, a Levenberg-Marquardt descent on the same Jacobian that never
 raises the energy.  A curve the passes alone would drag through a shallow
-valley for a thousand passes becomes a geodesic in a chunk or two.  How
-many passes a chunk holds depends on the sign of the curvature (see
-_polish_every).  The Jacobian is finite differenced one vertex at a time,
-from the two edges that touch the moved vertex: 5n edges per curve.  The
-moving curves are polished together, in lockstep: one gradient call for
-all their Jacobians, one per trial step, and one banded LAPACK solve per
-iteration, of the block-diagonal matrix of their systems.  Each curve's
-polish is, bit for bit, the one it gets alone.
+valley for a thousand passes becomes a geodesic in a chunk or two.  The
+sign of the curvature sets how many passes a chunk holds (see
+_polish_every), and whether Newton keeps a landing that raised the energy:
+where the curvature is positive everywhere it does, because every closed
+geodesic there is unstable and a curve that sank below its nearest one
+reaches it only uphill (see _newton_polish).  The Jacobian is finite
+differenced one vertex at a time, from the two edges that touch the moved
+vertex: 5n edges per curve.  The moving curves are polished together, in
+lockstep: one gradient call for all their Jacobians, one per trial step,
+and one banded LAPACK solve per iteration, of the block-diagonal matrix of
+their systems.  Each curve's polish is, bit for bit, the one it gets alone.
 
 The systole estimate shortens its seed circles at 64 vertices (for the
 default 128) and keeps one curve per distinct length, because the seeds
@@ -498,11 +501,14 @@ def _newton_polish(g, V0):
     system still singular) gives up.  The step is trust-region capped per
     vertex so inflection zones of the energy landscape are crossed in
     bounded downhill slides.
-    The result is accepted only when the discrete energy did not increase —
-    the energy is the Lyapunov function here, because re-parameterizing
-    vertices along the same support wiggles the midpoint-rule length at
-    O(1/n^2) in either sign while uphill jumps to saddle geodesics raise the
-    energy.
+    A curve lands once max|grad E| < POLISH_GRAD_TOL.  Where the curvature
+    is somewhere <= 0 (min_curvature, the sign _polish_every reads), a
+    landing counts only when the discrete energy did not increase beyond a
+    1e-11 relative slack: there the passes can carry a curve down to a
+    shorter geodesic than the one nearest it, and an uphill jump would stop
+    it at a longer one.  Where K > 0 everywhere, every closed geodesic is
+    unstable, so a curve whose energy sank below its nearest geodesic
+    reaches that geodesic only uphill, and every landing counts.
 
     The curves run in lockstep: an iteration linearizes every curve still
     running in one call, and each line-search trial evaluates the curves
@@ -542,7 +548,7 @@ def _newton_polish(g, V0):
         # a non-finite step or a line search that never lowered |grad E|
         running[rows[~moved]] = False
     rows = np.flatnonzero(landed)
-    if rows.size:
+    if rows.size and not min_curvature(g) > 0.0:
         after, before = _polygon_energy(g, np.stack([V[rows], V0[rows]]))
         landed[rows[after > before * (1.0 + 1e-11)]] = False
     V[~landed] = V0[~landed]
@@ -553,8 +559,9 @@ def _energy_descent(g, V0):
     """Slide a stack of near-geodesics (B, n, 3) downhill to stationarity.
 
     Newton's line search accepts any drop of |grad E|, so near a saddle it
-    can climb to a higher critical point, and the energy check then rejects
-    the result.  This polish only goes down: Levenberg-Marquardt on the
+    can climb to a higher critical point, and where the curvature is
+    somewhere <= 0 the energy check then rejects the result (see
+    _newton_polish).  This polish only goes down: Levenberg-Marquardt on the
     Jacobian of _linearize, whose step (J + mu I) s = -F is taken only when
     the discrete energy does not rise.  mu starts at 1e-3 max|J|, grows
     tenfold on a rejected trial (at most 12 per iteration) and shrinks
@@ -655,7 +662,9 @@ def _polish_every(g):
     collapse.  Where K <= 0 somewhere, the passes can carry a curve down to
     a shorter geodesic than the one nearest it after a few passes, so the
     curve slides longer first.  K is exact, and its sign is read from its
-    minimum over the nodes of the check grid (min_curvature).
+    minimum over the nodes of the check grid (min_curvature).  The same
+    sign decides whether a Newton landing that raised the energy counts
+    (_newton_polish).
     """
     return POLISH_EVERY if min_curvature(g) > 0.0 else POLISH_EVERY_NONPOSITIVE
 
@@ -663,8 +672,11 @@ def _polish_every(g):
 def _polish(g, X):
     """Polish a stack X (B, n, 3): Newton, and the descent where Newton gives up.
 
-    The descent starts from the curve's original shape.  Returns (V, landed)
-    as the two polishes do: a curve both give up on comes back as it came.
+    Where the curvature is positive everywhere, Newton keeps its uphill
+    landings, so the descent gets only the curves Newton never brought
+    below POLISH_GRAD_TOL; elsewhere it also gets those landings.  The
+    descent starts from the curve's original shape.  Returns (V, landed) as
+    the two polishes do: a curve both give up on comes back as it came.
     """
     V, landed = _newton_polish(g, X)
     rest = np.flatnonzero(~landed)

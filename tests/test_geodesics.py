@@ -12,6 +12,7 @@ from systolab.metric import (
     DiscreteClosedCurve,
     curve_length,
     make_variation,
+    min_curvature,
 )
 from systolab.circles import (
     circle_points,
@@ -23,6 +24,7 @@ from systolab.geodesics import (
     FROZEN_RESIDUAL,
     POLISH_EVERY,
     POLISH_EVERY_NONPOSITIVE,
+    POLISH_GRAD_TOL,
     SAME_LENGTH,
     SEED_CIRCLES,
     GeodesicResult,
@@ -65,6 +67,7 @@ ZONAL = make_variation(SphericalFunction.harmonic(2, 0), 0.1)
 MIXED = make_variation(SphericalFunction.from_pairs([(2, 1, 1.0), (4, 3, 0.5)]), 0.1)
 ODD = make_variation(SphericalFunction.harmonic(3, 0), 0.05)
 Y30 = make_variation(SphericalFunction.harmonic(3, 0), 0.1)
+Y30_STEEP = make_variation(SphericalFunction.harmonic(3, 0), 0.15)
 POLE = np.array([0.0, 0.0, 1.0])
 
 # the Funk transform of Y20 at the pole axis and at an equatorial axis
@@ -495,6 +498,37 @@ class TestNewtonPolish:
         assert grad_norm(MIXED, out) < 1e-11
         assert _polygon_energy(MIXED, out) <= _polygon_energy(MIXED, start)
 
+    def test_uphill_landing_is_kept_where_the_curvature_is_positive(self):
+        # the parallel at height 0.05 is shorter than the equator, so
+        # Newton's jump to the equator raises the energy; where K > 0
+        # everywhere the landing is kept
+        assert min_curvature(ZONAL) > 0.0
+        start = circle_points(POLE, 0.05, 32)
+        V, landed = _newton_polish(ZONAL, start[None])
+        assert landed[0]
+        assert grad_norm(ZONAL, V[0]) < POLISH_GRAD_TOL
+        assert _polygon_energy(ZONAL, V[0]) > _polygon_energy(ZONAL, start)
+        np.testing.assert_allclose(V[0][:, 2], 0.0, atol=1e-9)
+
+    def test_uphill_landing_is_refused_where_the_curvature_is_not_positive(self, monkeypatch):
+        # the same parallel under Y20 at t = -0.5, where K < 0 somewhere:
+        # the energy test hands the curve back as it came
+        import systolab.geodesics as geodesics
+
+        g = make_variation(SphericalFunction.harmonic(2, 0), -0.5)
+        assert min_curvature(g) <= 0.0
+        start = circle_points(POLE, 0.05, 32)
+        V, landed = _newton_polish(g, start[None])
+        assert not landed[0]
+        np.testing.assert_array_equal(V[0], start)
+        # the test alone refuses it: with the curvature read as positive,
+        # Newton keeps its uphill landing on the equator
+        monkeypatch.setattr(geodesics, "min_curvature", lambda g: 1.0)
+        V, landed = _newton_polish(g, start[None])
+        assert landed[0]
+        assert grad_norm(g, V[0]) < POLISH_GRAD_TOL
+        assert _polygon_energy(g, V[0]) > _polygon_energy(g, start)
+
 
 def perturbed_equator(shrink, seed=34):
     """The equator at n = 128 plus 1e-3 noise, with or without its mean z shift."""
@@ -581,9 +615,11 @@ class TestBatchPolish:
     @pytest.mark.parametrize("case", ["mixed-64", "y30-32"])
     def test_each_curve_is_polished_as_alone(self, case):
         # Y21+0.5*Y43 seeds after 10 passes at 64 vertices all land under
-        # Newton.  Of the Y30 seed circles at n = 32, Newton lands on 17,
-        # only the descent lands on seeds 5 and 18, and both give up on seed
-        # 2, so that batch holds all three cases
+        # Newton.  Of the Y30 seed circles at n = 32 and t = 0.15, where the
+        # curvature is somewhere negative and Newton's landings face the
+        # energy test, Newton lands on 14, only the descent lands on seeds
+        # 2, 4, 5, 17 and 18, and both give up on seed 19, so that batch
+        # holds all three cases
         axes = np.random.default_rng(0).normal(size=(20, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         if case == "mixed-64":
@@ -591,12 +627,13 @@ class TestBatchPolish:
             _run_passes(g, X, np.ones(20, dtype=bool), np.zeros(20, dtype=bool),
                         np.full(20, np.inf), 10)
         else:
-            g, X = Y30, circle_points(axes, 0.0, 32)
-            assert list(np.flatnonzero(~_newton_polish(g, X)[1])) == [2, 5, 18]
+            g, X = Y30_STEEP, circle_points(axes, 0.0, 32)
+            assert min_curvature(g) <= 0.0
+            assert list(np.flatnonzero(~_newton_polish(g, X)[1])) == [2, 4, 5, 17, 18, 19]
         V, landed = _polish(g, X)
         if case == "y30-32":
-            assert list(np.flatnonzero(~landed)) == [2]
-            np.testing.assert_array_equal(V[2], X[2])
+            assert list(np.flatnonzero(~landed)) == [19]
+            np.testing.assert_array_equal(V[19], X[19])
         for k in range(X.shape[0]):
             alone, landed_alone = _polish(g, X[k:k + 1])
             assert np.array_equal(V[k], alone[0])
@@ -1134,6 +1171,27 @@ class TestNestedResolutions:
         assert landed[0]
         assert grad_norm(MIXED, V[0]) < 1e-11
         assert _polygon_energy(MIXED, V[0]) <= _polygon_energy(MIXED, prolonged)
+
+    @pytest.mark.parametrize("pairs", [[(3, 0, 1.0)], [(1, 0, 1.0), (2, 0, 1.0)]],
+                             ids=["y30", "y10+y20"])
+    def test_coarse_seeds_are_polished_once(self, monkeypatch, pairs):
+        # sweep rows at t = 0.1, where the curvature is positive: every seed
+        # still moving after the first 10 passes lands in the first polish
+        # of the 64-vertex batch, so no later chunk of passes is spent on
+        # seeds that only collapse in it
+        import systolab.geodesics as geodesics
+
+        polished = []
+        original = geodesics._polish
+
+        def polish(g, X):
+            polished.append(X.shape[1])
+            return original(g, X)
+
+        monkeypatch.setattr(geodesics, "_polish", polish)
+        g = make_variation(SphericalFunction.from_pairs(pairs), 0.1)
+        estimate_systole(g)
+        assert polished.count(64) == 1
 
     def test_dropped_seeds_are_reported_at_both_levels(self, monkeypatch):
         # with 3 passes a level, every seed but the funk-circle0 equator (a
