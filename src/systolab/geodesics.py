@@ -20,7 +20,9 @@ midpoints, and w at the n edge midpoints of its trial, and nothing else.
 A curve whose round length falls below 0.1 is flagged collapsed: it is
 converging to a point, which the systole must exclude.  A curve freezes as
 a discrete closed geodesic once a pass moves no vertex by FROZEN_RESIDUAL
-or more, and only a curve that froze counts as one.
+or more.  A pass refuses a vertex step that would lengthen the curve, so a
+curve can freeze where it is not stationary: the systole estimate keeps a
+seed only if it froze and its max|grad E| is at most GEODESIC_GRAD_TOL.
 
 Tightening a family of closed curves (tighten_sweepout) shortens every
 member, and for a family that sweeps out the sphere its maximum bounds the
@@ -86,6 +88,13 @@ DEFAULT_VERTICES = 128
 #: Per-pass vertex displacement below which a shortening curve freezes as a
 #: discrete closed geodesic; only a curve that froze is kept as one.
 FROZEN_RESIDUAL = 1e-10
+
+#: max|grad E| above which a seed that froze at the final vertex count is
+#: dropped: a pass refuses every vertex step that would lengthen its two
+#: segments, so a curve can freeze where it is not stationary.  Every
+#: candidate of the 24 sweep, 16 dense and 40 odd probe rows reads at most
+#: 1.6e-11; the frozen non-geodesics of the steep rows read 6.3e-3 to 0.43.
+GEODESIC_GRAD_TOL = 1e-8
 
 #: Fixed shape of the systole estimate: random seed circles, the pass budget
 #: of every shortening (the seed pool at each level, birkhoff_shorten), the
@@ -918,6 +927,26 @@ def _landed(tags, residuals, collapsed, passes, warnings_log):
     return kept
 
 
+def _stationary(g, X, tags, rows, warnings_log):
+    """The rows of X (B, n, 3) whose max|grad E| is at most GEODESIC_GRAD_TOL.
+
+    Each other row is left out with a line in warnings_log: it froze without
+    being a discrete geodesic.
+    """
+    if not rows:
+        return []
+    worst = np.max(_norms(_energy_gradient(g, X[rows])[0]), axis=-1)
+    kept = []
+    for k, value in zip(rows, worst.tolist()):
+        if value <= GEODESIC_GRAD_TOL:
+            kept.append(k)
+        else:
+            warnings_log.append(
+                f"{tags[k]} dropped: froze but not stationary (max|grad E| {value:.2e})"
+            )
+    return kept
+
+
 def _distinct(lengths, rows):
     """One row per distinct geodesic among rows, in index order.
 
@@ -943,21 +972,25 @@ def _seed_geodesics(g, axes, tags, n, polish_every, warnings_log):
     after every polish_every passes.  When that is less than n, one seed per
     distinct geodesic (_distinct) is refined to n vertices (_refine) and
     shortened once more at n, where a refinement that landed freezes after
-    one pass.  Returns (tag, GeodesicResult) pairs in seed order, whose
-    passes count the coarse and the fine passes; _landed logs the seeds
-    still sliding in warnings_log.
+    one pass.  At n a seed that froze is kept only if it is stationary
+    (_stationary).  Returns (tag, GeodesicResult) pairs in seed order, whose
+    passes count the coarse and the fine passes; _landed and _stationary
+    log the seeds they drop in warnings_log.
     """
     X = circle_points(axes, 0.0, _coarse_vertices(n))
     lengths, residuals, collapsed, passes = _shorten_batch(g, X, polish_every)
     kept = _landed(tags, residuals, collapsed, passes, warnings_log)
-    if kept and X.shape[1] < n:
+    if X.shape[1] == n:
+        kept = _stationary(g, X, tags, kept, warnings_log)
+    elif kept:
         kept = _distinct(lengths, kept)
         coarse_passes = passes[kept]
         tags = [tags[k] for k in kept]
         X = _refine(g, X[kept], n)
         lengths, residuals, collapsed, passes = _shorten_batch(g, X, polish_every)
         passes += coarse_passes
-        kept = _distinct(lengths, _landed(tags, residuals, collapsed, passes, warnings_log))
+        kept = _landed(tags, residuals, collapsed, passes, warnings_log)
+        kept = _distinct(lengths, _stationary(g, X, tags, kept, warnings_log))
     return [(tags[k], GeodesicResult(DiscreteClosedCurve(X[k]), float(lengths[k]),
                                      float(residuals[k]), False, int(passes[k])))
             for k in kept]
@@ -971,7 +1004,8 @@ def estimate_systole(g, n=DEFAULT_VERTICES, seed=0):
     where the short geodesics live at first order (none for the round metric
     or an odd direction), and SEED_CIRCLES random ones.  Collapsed curves
     are excluded, and so is a curve that did not freeze (FROZEN_RESIDUAL)
-    within SEED_PASSES passes, with a warning.  n must be even and >= 32, so
+    within SEED_PASSES passes or froze without being stationary
+    (GEODESIC_GRAD_TOL), with a warning.  n must be even and >= 32, so
     that the two parity classes of the passes tile the edges.
 
     Where the seeds slid POLISH_EVERY_NONPOSITIVE passes before each polish

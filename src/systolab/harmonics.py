@@ -32,11 +32,14 @@ degree.  Four consumers run it, and each point set has one evaluator:
   array operations.  It serves the extremum polish (metric._polish_extrema,
   behind sup_norm and the signed Funk axes), whose batches are a few dozen
   points of a dense direction: a degree-8 iteration of 40 points takes a
-  twelfth of the time of sh_sum_grad.  Its accuracy falls with the degree:
-  each order's node values of sum_l c_lm * Q_lm grow near the poles (to
-  about 1,300 at degree 16 on a standard-normal draw), and their rounding
-  reaches every latitude, so
-  its relative error is below 1e-13 up to degree 16 and 1e-11 at 32.
+  twelfth of the time of sh_sum_grad.  Its one call per iteration is all
+  the array work the polish does; the polish keeps its (at most eight)
+  candidates' frames, Hessians and steps in Python floats, since numpy
+  calls on arrays of a few rows cost more than the arithmetic.  Its
+  accuracy falls with the degree: each order's node values of
+  sum_l c_lm * Q_lm grow near the poles (to about 1,300 at degree 16 on a
+  standard-normal draw), and their rounding reaches every latitude, so its
+  relative error is below 1e-13 up to degree 16 and 1e-11 at 32.
 - SphereQuadrature runs it once at its Gauss-Legendre latitudes into a
   latitude table; its synthesize is the product-grid transform behind every
   evaluation on a quadrature grid (areas, the positivity check, sup_norm's

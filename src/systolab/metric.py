@@ -85,78 +85,106 @@ def _polish_extrema(f, x0, signs):
     One projected Newton iteration moves every candidate at once.  It
     evaluates f once, through the latitude interpolant that the call builds
     (harmonics._latitude_interpolant), on the (5k, 3) batch of the points
-    and their chart offsets +-h*e1, +-h*e2 (frames from circle_frame): the
-    point gives the value and the chart gradient, the offsets the 2x2 chart
-    Hessian by central differences of the analytic gradient.  The step is
+    and their chart offsets +-h*e1, +-h*e2: the point gives the value and
+    the chart gradient, the offsets the 2x2 chart Hessian by central
+    differences of the analytic gradient.  Each candidate's frame comes from
+    circle_frame once, at its start, and is carried to every trial point
+    (e1 projected onto the new tangent plane, e2 = u x e1).  The step is
     Newton's on that Hessian with its eigenvalues made negative (maximum) or
     positive (minimum) and floored, so it climbs or descends even where the
-    Hessian is indefinite or degenerate (extrema on a ring).  Steps are
-    capped; a candidate whose value got worse without its gradient shrinking
-    returns to its last point with a quarter of the cap.  A candidate stops
-    at a chart gradient of _POLISH_GTOL times the largest |f| among the
-    candidates, or when it comes within _POLISH_SAME_POINT of a candidate of
-    the same sign that is at least as good; the iterations are capped at
-    POLISH_ITERATIONS.  Returns (points (k, 3), f values (k,)).
+    Hessian is indefinite or degenerate (extrema on a ring); the symmetric
+    2x2 eigenproblem is solved in closed form (_eigen_step).  Steps are
+    capped; a candidate whose value got worse without its gradient
+    shrinking returns to its last point with a quarter of the cap.  A
+    candidate stops at a chart gradient of _POLISH_GTOL times the largest
+    |f| among the candidates, or when it comes within _POLISH_SAME_POINT of
+    a candidate of the same sign that is at least as good; the iterations
+    are capped at POLISH_ITERATIONS.  Returns (points (k, 3), f values (k,)).
+
+    Apart from the evaluation, an iteration is arithmetic on Python floats:
+    with k <= 8 candidates, numpy's per-call overhead on arrays of a few
+    rows costs more than the arithmetic does.
     """
     x = np.array(normalize_points(x0), dtype=float).reshape(-1, 3)
-    s = np.asarray(signs, dtype=float)
-    k = x.shape[0]
-    value, grad, step = np.empty(k), np.empty((k, 2)), np.zeros((k, 2))
     e1, e2 = circle_frame(x)
-    trial, te1, te2 = x, e1, e2
-    cap = np.full(k, _POLISH_STEP_MAX)
-    active = np.ones(k, dtype=bool)
+    x, e1, e2 = x.tolist(), e1.tolist(), e2.tolist()
+    s = np.asarray(signs, dtype=float).tolist()
+    k = len(x)
+    trial, te1, te2 = list(x), list(e1), list(e2)
+    value, grad, step = [0.0] * k, [(0.0, 0.0)] * k, [(0.0, 0.0)] * k
+    cap = [_POLISH_STEP_MAX] * k
+    active = list(range(k))
     h = _HESSIAN_STEP
     r = math.sqrt(1.0 + h * h)
-    same_sign = s[:, None] == s[None]
-    later = np.arange(k)[:, None] > np.arange(k)[None]
     evaluate = _latitude_interpolant(f.coeffs)
     for it in range(POLISH_ITERATIONS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not active:
             break
-        n = idx.size
-        p, a1, a2 = trial[idx], te1[idx], te2[idx]
-        pts = np.concatenate([p, (p + h * a1) / r, (p - h * a1) / r,
-                              (p + h * a2) / r, (p - h * a2) / r])
-        vals, grads = evaluate(pts)
-        grads = grads.reshape(5, n, 3)
-        # chart gradients at the point and at its four offsets; at an offset
-        # the chart map's derivative is the frame divided by r
-        cg = np.stack([_dots(grads, a1), _dots(grads, a2)], axis=-1)
-        cg[1:] /= r
-        g, v = cg[0], vals[:n]
-        hess = np.stack([cg[1] - cg[2], cg[3] - cg[4]], axis=1) / (2.0 * h)
-        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+        n = len(active)
+        rows = [trial[i] for i in active]
+        for frame, offset in ((te1, h), (te1, -h), (te2, h), (te2, -h)):
+            rows += [[(p + offset * a) / r for p, a in zip(trial[i], frame[i])] for i in active]
+        vals, grads = evaluate(np.array(rows))
+        vals, grads = vals.tolist(), grads.tolist()
         if it == 0:
-            fscale = float(np.max(np.abs(v)))
-            keep = np.ones(n, dtype=bool)
-        else:
+            fscale = max(abs(v) for v in vals[:n])
+            floor, gtol = _POLISH_EIGEN_FLOOR * fscale, _POLISH_GTOL * fscale
+        for j, i in enumerate(active):
+            a1, a2 = te1[i], te2[i]
+            g = (_dot3(grads[j], a1), _dot3(grads[j], a2))
+            # chart gradients at +-h*e1 and +-h*e2, where the chart map's
+            # derivative is the frame divided by r
+            cg = [(_dot3(row, a1) / r, _dot3(row, a2) / r) for row in grads[j + n::n]]
+            hxx = (cg[0][0] - cg[1][0]) / (2.0 * h)
+            hyy = (cg[2][1] - cg[3][1]) / (2.0 * h)
+            hxy = 0.5 * ((cg[0][1] - cg[1][1]) / (2.0 * h) + (cg[2][0] - cg[3][0]) / (2.0 * h))
             # a worse value counts only if the gradient did not shrink: near
             # the extremum f values no longer resolve a Newton step
-            keep = (s[idx] * v >= s[idx] * value[idx]) | (
-                np.hypot(*g.T) < np.hypot(*grad[idx].T))
-        acc, rej = idx[keep], idx[~keep]
-        x[acc], e1[acc], e2[acc] = p[keep], a1[keep], a2[keep]
-        value[acc], grad[acc] = v[keep], g[keep]
-        cap[rej] = 0.25 * np.minimum(cap[rej], np.hypot(*step[rej].T))
-        # Newton step on s*f with the Hessian's eigenvalues made negative and
-        # floored, taken in its eigenbasis
-        mu, vec = np.linalg.eigh(s[acc, None, None] * hess[keep])
-        coef = np.einsum("kji,kj->ki", vec, s[acc, None] * g[keep])
-        coef /= np.maximum(np.abs(mu), _POLISH_EIGEN_FLOOR * fscale)
-        step[acc] = np.einsum("kij,kj->ki", vec, coef)
-        active[idx] = np.hypot(*grad[idx].T) > _POLISH_GTOL * fscale
+            si, v = s[i], vals[j]
+            if it and si * v < si * value[i] and math.hypot(*g) >= math.hypot(*grad[i]):
+                cap[i] = 0.25 * min(cap[i], math.hypot(*step[i]))
+                continue
+            x[i], e1[i], e2[i], value[i], grad[i] = trial[i], a1, a2, v, g
+            step[i] = _eigen_step(si * hxx, si * hxy, si * hyy, si * g[0], si * g[1], floor)
         # drop a candidate that sits on an at-least-as-good one of its sign
-        close = np.linalg.norm(x[:, None] - x[None], axis=-1) < _POLISH_SAME_POINT
-        sv = s * value
-        better = (sv[:, None] < sv[None]) | ((sv[:, None] == sv[None]) & later)
-        active &= ~np.any(close & better & same_sign, axis=1)
-        d = step * np.minimum(1.0, cap / np.maximum(np.hypot(*step.T), 1e-300))[:, None]
-        trial = x + d[:, :1] * e1 + d[:, 1:] * e2
-        trial /= _norms(trial)[:, None]
-        te1, te2 = circle_frame(trial)
-    return x, value
+        active = [i for i in active if math.hypot(*grad[i]) > gtol and not any(
+            s[j] == s[i] and math.dist(x[i], x[j]) < _POLISH_SAME_POINT
+            and (s[i] * value[i] < s[j] * value[j]
+                 or (s[i] * value[i] == s[j] * value[j] and i > j))
+            for j in range(k))]
+        for i in active:
+            d1, d2 = step[i]
+            scale = min(1.0, cap[i] / max(math.hypot(d1, d2), 1e-300))
+            d1, d2 = d1 * scale, d2 * scale
+            p = [c + d1 * a + d2 * b for c, a, b in zip(x[i], e1[i], e2[i])]
+            norm = math.sqrt(_dot3(p, p))
+            trial[i] = p = [c / norm for c in p]
+            along = _dot3(e1[i], p)
+            a = [c - along * u for c, u in zip(e1[i], p)]
+            norm = math.sqrt(_dot3(a, a))
+            te1[i] = a = [c / norm for c in a]
+            te2[i] = [p[1] * a[2] - p[2] * a[1], p[2] * a[0] - p[0] * a[2],
+                      p[0] * a[1] - p[1] * a[0]]
+    return np.array(x), np.array(value)
+
+
+def _dot3(p, q):
+    """Dot product of two 3-vectors of Python floats, in _dots's order."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _eigen_step(a, b, c, g1, g2, floor):
+    """sum over the eigenpairs (mu, v) of [[a, b], [b, c]] of (v . g) v / max(|mu|, floor).
+
+    The eigenvalues are mid +- hypot((a - c)/2, b), with eigenvectors at the
+    angle atan2(2b, a - c)/2 and a right angle further.
+    """
+    mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    angle = 0.5 * math.atan2(2.0 * b, a - c)
+    cos, sin = math.cos(angle), math.sin(angle)
+    along = (cos * g1 + sin * g2) / max(abs(mid + rad), floor)
+    across = (cos * g2 - sin * g1) / max(abs(mid - rad), floor)
+    return cos * along - sin * across, sin * along + cos * across
 
 
 def _grid_peaks(a):
@@ -165,16 +193,17 @@ def _grid_peaks(a):
     A node is a peak when its value is >= that of each of its 8 neighbours:
     the two beside it on its ring (wrapping in longitude) and the three
     nearest on each adjacent ring.  A polar ring surrounds its pole, so it
-    has one adjacent ring.
+    has one adjacent ring.  A node is >= its neighbours exactly when it is
+    the maximum of its 3x3 block, taken as a running maximum over slices,
+    first along the (wrapped) ring and then across the (padded) rings.
     """
-    padded = np.pad(a, ((1, 1), (0, 0)), constant_values=-np.inf)
-    peak = np.ones(a.shape, dtype=bool)
-    for dj in (-1, 0, 1):
-        ring = padded[1 + dj: 1 + dj + a.shape[0]]
-        for dk in (-1, 0, 1):
-            if dj or dk:
-                peak &= a >= np.roll(ring, dk, axis=1)
-    return np.flatnonzero(peak)
+    rings, m = a.shape
+    padded = np.full((rings + 2, m + 2), -np.inf)
+    padded[1:-1, 1:-1] = a
+    padded[1:-1, 0], padded[1:-1, -1] = a[:, -1], a[:, 0]
+    along = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    block = np.maximum(np.maximum(along[:-2], along[1:-1]), along[2:])
+    return np.flatnonzero(a >= block)
 
 
 def sup_norm(f):
@@ -184,7 +213,12 @@ def sup_norm(f):
     f, evaluated by its transform.  Its local maxima of |f| (_grid_peaks)
     are kept one per distinct value, since a zonal ring ties bit for bit,
     and the eight largest are polished together by _polish_extrema, each
-    toward the extremum of the sign its grid value has.
+    toward the extremum of the sign its grid value has.  A polish iteration
+    evaluates f and its gradient once, through the latitude interpolant, at
+    the candidates and their four chart offsets; the rest of it is Python
+    float arithmetic on at most eight candidates, which costs less than
+    numpy calls on arrays that small.  A degree-8 call takes about five
+    iterations.
     """
     if not np.any(f.coeffs):
         return 0.0

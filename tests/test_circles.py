@@ -385,6 +385,30 @@ class TestSignedFunkAxes:
         for u in find_signed_funk_axes(f):
             assert np.linalg.norm(image.gradient(u)) <= 1e-9
 
+    # the acceptance directions' axes, recorded with the polish that ran
+    # eigh on numpy arrays (Y30 is odd and has none)
+    ACCEPTANCE_AXES = {
+        "Y20": [(-4.0539781208016725e-14, 0.0, -1.0), (1.0, 0.0, 7.960807523382911e-16)],
+        "Y30": None,
+        "Y21+0.5*Y43": [(-0.5388588868848021, -0.5678666804150732, -0.6222206467963252),
+                        (-0.5388588868848021, -0.5678666804150732, 0.6222206467963252)],
+        "Y10+Y20": [(-4.0539781208016725e-14, 0.0, -1.0), (1.0, 0.0, 7.960807523382911e-16)],
+    }
+
+    @pytest.mark.parametrize("label, pairs", [
+        ("Y20", [(2, 0, 1.0)]),
+        ("Y30", [(3, 0, 1.0)]),
+        ("Y21+0.5*Y43", [(2, 1, 1.0), (4, 3, 0.5)]),
+        ("Y10+Y20", [(1, 0, 1.0), (2, 0, 1.0)]),
+    ])
+    def test_acceptance_axes_are_pinned(self, label, pairs):
+        axes = find_signed_funk_axes(SphericalFunction.from_pairs(pairs))
+        expected = self.ACCEPTANCE_AXES[label]
+        if expected is None:
+            assert axes is None
+        else:
+            np.testing.assert_allclose(np.asarray(axes), expected, rtol=0.0, atol=1e-14)
+
     def test_refinement_beats_grid(self):
         # refined minimum must not be worse than the best scanned node
         f = SphericalFunction.from_pairs([(2, 0, 1.0), (4, 3, 0.6), (6, -1, 0.3)])

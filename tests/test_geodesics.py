@@ -22,6 +22,7 @@ from systolab.circles import (
 from systolab.geodesics import (
     COLLAPSE_THRESHOLD,
     FROZEN_RESIDUAL,
+    GEODESIC_GRAD_TOL,
     POLISH_EVERY,
     POLISH_EVERY_NONPOSITIVE,
     POLISH_GRAD_TOL,
@@ -1080,6 +1081,35 @@ class TestEstimateSystole:
             "seed1 dropped: still sliding after 1500 passes (residual 1.00e-08)",
             "seed3 dropped: still sliding after 1500 passes (residual 1.00e-10)",
         ]
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_a_frozen_curve_off_a_geodesic_is_dropped(self, monkeypatch, n):
+        # a pass refuses every vertex step that would lengthen the curve, so
+        # a curve can freeze where it is not stationary.  Inject one at the
+        # final vertex count: the parallel at z = 0.3 of the zonal metric is
+        # shorter than every seed geodesic, and reported frozen
+        import systolab.geodesics as geodesics
+
+        real = geodesics._shorten_batch
+
+        def with_a_frozen_parallel(g, X, polish_every):
+            lengths, residuals, collapsed, passes = real(g, X, polish_every)
+            if X.shape[1] == n:
+                X[1] = circle_points(np.array([0.0, 0.0, 1.0]), 0.3, n)
+                lengths[1] = _batch_metric_lengths(g, X[1:2])[0]
+                residuals[1], collapsed[1] = 0.0, False
+            return lengths, residuals, collapsed, passes
+
+        monkeypatch.setattr(geodesics, "_shorten_batch", with_a_frozen_parallel)
+        report = estimate_systole(ZONAL, n=n)
+        tag = "funk-circle1"
+        dropped = [line for line in report.warnings if line.startswith(f"{tag} dropped")]
+        assert len(dropped) == 1 and "not stationary" in dropped[0]
+        assert float(dropped[0].rsplit(" ", 1)[1].rstrip(")")) > GEODESIC_GRAD_TOL
+        assert f"geodesic-{tag}" not in {t for t, _ in report.candidates}
+        assert report.systole > 6.08
+        assert np.max(np.linalg.norm(
+            _energy_gradient(ZONAL, report.witness.curve.vertices)[0], axis=-1)) <= GEODESIC_GRAD_TOL
 
     def test_report_shape(self):
         rep = estimate_systole(ROUND)

@@ -214,6 +214,31 @@ class TestSupNormAndAdmissibility:
         assert 0 < len(calls) <= 5
         assert set(calls) == {"evaluate"}
 
+    # sup_norm of the metric-build workload's pool directions before their
+    # scaling: the degree-L draw c of default_rng([20060130, L]) as f, -f,
+    # f(x, y, -z) and -f(x, y, -z).  Recorded with the polish that ran
+    # eigh on numpy arrays; the plain-float polish must agree to rounding.
+    POOL_SUP = {
+        2: (1.4480115863061422, 1.448011586306142),
+        3: (2.3929326764896937, 2.3929326764896937),
+        4: (3.76754358879041, 3.76754358879041),
+        5: (4.748010003884084, 4.748010003884084),
+        6: (5.622308932318597, 5.622308932318595),
+        7: (7.447454674012339, 7.447454674012338),
+        8: (8.097456191940276, 8.09745619194028),
+    }
+
+    @pytest.mark.parametrize("degree", sorted(POOL_SUP))
+    def test_pool_directions_are_pinned(self, degree):
+        c = np.zeros(sh_size(degree))
+        c[1:] = np.random.default_rng([20060130, degree]).normal(size=c.size - 1)
+        flip = np.concatenate([(-1.0) ** (l + np.abs(np.arange(-l, l + 1)))
+                               for l in range(degree + 1)])
+        kept, reflected = self.POOL_SUP[degree]
+        for coeffs, expected in ((c, kept), (-c, kept), (c * flip, reflected),
+                                 (-c * flip, reflected)):
+            assert sup_norm(SphericalFunction(coeffs)) == pytest.approx(expected, rel=1e-14)
+
     def test_max_admissible_t(self):
         assert max_admissible_t(SphericalFunction.zeros(2)) == math.inf
         assert max_admissible_t(SphericalFunction.harmonic(2, 0)) == pytest.approx(
@@ -250,6 +275,38 @@ class TestSupNormAndAdmissibility:
         assert max_admissible_t(f) == first
         assert max_admissible_t(SphericalFunction(f.coeffs.copy())) == first
         assert first == 1.0 / sup_norm(f)
+
+
+def brute_force_peaks(a):
+    """Flat indices of the nodes >= each of their 8 neighbours, one node at a time."""
+    rings, m = a.shape
+    peaks = []
+    for j in range(rings):
+        for k in range(m):
+            neighbours = [a[jj, (k + dk) % m] for jj in (j - 1, j, j + 1) if 0 <= jj < rings
+                          for dk in (-1, 0, 1) if (jj, dk) != (j, 0)]
+            if all(a[j, k] >= v for v in neighbours):
+                peaks.append(j * m + k)
+    return np.array(peaks, dtype=np.intp)
+
+
+class TestGridPeaks:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (7, 13), (25, 49)])
+    def test_matches_the_neighbour_by_neighbour_reference(self, seed, shape):
+        rng = np.random.default_rng([seed, *shape])
+        # few levels: ties between neighbours, plateaus and whole rings
+        a = rng.integers(0, 4, size=shape).astype(float)
+        if seed % 2:
+            a[0] = a[-1] = 3.0  # constant polar rings
+        if seed % 3 == 2:
+            a[:, : shape[1] // 2] = 2.0  # a plateau across the rings
+        np.testing.assert_array_equal(systolab.metric._grid_peaks(a), brute_force_peaks(a))
+
+    def test_matches_on_a_continuous_grid(self):
+        rng = np.random.default_rng(3)
+        a = np.abs(rng.standard_normal((25, 49)))
+        np.testing.assert_array_equal(systolab.metric._grid_peaks(a), brute_force_peaks(a))
 
 
 class TestMakeVariation:
