@@ -16,7 +16,9 @@ makes every pass length-non-increasing by construction (the two local
 segments of the vertices in one parity class tile the curve's edge set
 exactly once).  A pass's lengths are the sums of the segments its second
 half pass measured: each half pass evaluates w and grad w at the n edge
-midpoints, and w at the n edge midpoints of its trial, and nothing else.
+midpoints, and w at the n edge midpoints of its trial (metric._segments),
+and nothing else.  A curve is measured once, when its shortening starts;
+after that its length changes only where and when the curve moves.
 A curve whose round length falls below 0.1 is flagged collapsed: it is
 converging to a point, which the systole must exclude.  A curve freezes as
 a discrete closed geodesic once a pass moves no vertex by FROZEN_RESIDUAL
@@ -68,10 +70,10 @@ from .metric import (
     DiscreteClosedCurve,
     _batch_metric_lengths,
     _dots,
-    _edge_lengths,
     _norms,
     _polygon_edges,
     _polygon_energy,
+    _segments,
     _shifted,
     _sin_cos,
     circle_frame,
@@ -182,15 +184,18 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
     After each step the position is renormalized onto the sphere and the
     velocity re-tangented; a single-step drift beyond 1e-6 raises
     StepTooLarge.  p and v may be single vectors or batches of shape (B, 3).
+    T, h, p and v must be finite.
     """
-    if h > 1e-2 + 1e-15:
-        raise ValueError(f"step h={h} too large; the integrator contract caps h at 1e-2")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(h) and 0.0 < h <= 1e-2 + 1e-15):
+        raise ValueError(f"step h={h} must be positive and finite, and at most 1e-2")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T={T} must be positive and finite")
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     c = normalize_points(np.atleast_2d(p)).copy()
     vel = np.atleast_2d(np.asarray(v, dtype=float)).astype(float).copy()
+    if not np.all(np.isfinite(vel)):
+        raise ValueError("initial velocity must be finite")
     vel -= np.sum(vel * c, axis=-1, keepdims=True) * c
     if np.any(np.sum(vel * vel, axis=-1) < 1e-24):
         raise ValueError("initial velocity must be a nonzero tangent vector")
@@ -238,8 +243,8 @@ def integrate_geodesic(g, p, v, T, h=5e-3):
 # ---------------------------------------------------------------------------
 
 
-def _half_pass(g, X, parity, active):
-    """Update every vertex of one parity class, in place, batch-wide.
+def _half_pass(g, X, parity, rows):
+    """Update every vertex of one parity class of the curves X[rows], in place.
 
     The two segments touching the vertices of one parity class tile the edge
     set exactly once (n even), so enforcing local length non-increase at each
@@ -251,18 +256,14 @@ def _half_pass(g, X, parity, active):
     vertex never jumps past its neighbors.  The vertex keeps its step only
     when its two segments, measured on a copy of the polygon that holds
     every proposal, are no longer than before; otherwise it stays where it
-    was.  Returns (disp, seg, arcs): the max vertex displacement per curve,
-    and the segment lengths w d and round arcs d of the active curves as
-    they leave, edge k running from vertex k to k + 1.  A kept vertex's two
-    edges are those the trial measured, every other edge is the one the
-    gradient call measured, so both equal a fresh _polygon_edges and w_flat
+    was.  Returns (disp, seg, arcs), one row per curve of rows: the max
+    vertex displacement, and the segment lengths w d and round arcs d of
+    the polygon it leaves, edge k running from vertex k to k + 1.  A kept
+    vertex's two edges are those the trial measured, every other edge is
+    the one the gradient call measured, so both equal a fresh _segments
     evaluation bit for bit.
     """
-    B, n, _ = X.shape
-    disp = np.zeros(B)
-    rows = np.flatnonzero(active)
-    if rows.size == 0:
-        return disp, np.empty((0, n)), np.empty((0, n))
+    n = X.shape[1]
     cls = slice(parity, None, 2)
     prev = np.arange(parity - 1, n - 1, 2) % n
     sub = X[rows]
@@ -277,47 +278,43 @@ def _half_pass(g, X, parity, active):
     # the proposals go into a copy: x0 is a view of sub
     trial = sub.copy()
     trial[:, cls] = x / _norms(x)[..., None]
-    mids, arcs = _polygon_edges(trial)
-    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
+    seg, arcs = _segments(g, trial)
     keep = seg[:, prev] + seg[:, cls] <= w1 * d1 + w2 * d2
     chosen = np.where(keep[..., None], trial[:, cls], x0)
-    disp[rows] = _norms(chosen - x0).max(axis=1)
     X[rows, cls] = chosen
     # each edge touches one vertex of the class: edge k is its vertex's
     # second edge when k is in the class, its first otherwise
     kept = np.empty(arcs.shape, dtype=bool)
     kept[:, cls] = keep
     kept[:, prev] = keep
-    return disp, np.where(kept, seg, w * d), np.where(kept, arcs, d)
+    return _norms(chosen - x0).max(axis=1), np.where(kept, seg, w * d), np.where(kept, arcs, d)
 
 
-def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
+def _run_passes(g, X, lengths, active, collapsed, residuals, max_passes):
     """Drive Birkhoff passes on a batch of curves, in place.
 
-    active, collapsed and residuals are per-curve state updated in place: a
-    curve freezes once its per-pass displacement (its residual) falls below
-    FROZEN_RESIDUAL (discrete geodesic) or its round length falls below the
-    collapse threshold, and a frozen curve keeps the residual it froze with.
-    A pass measures only the curves active when it starts, from the
-    segments and arcs its second half pass leaves (the curve's length is
-    their sum in edge order, as _batch_metric_lengths takes it); a frozen
-    curve does not move, so its length carries over and its length
-    increase is exactly 0.
+    lengths (as the caller measured them), active, collapsed and residuals
+    are per-curve state updated in place: a curve freezes once its per-pass
+    displacement (its residual) falls below FROZEN_RESIDUAL (discrete
+    geodesic) or its round length falls below the collapse threshold, and a
+    frozen curve keeps the residual it froze with.  Nothing is measured
+    before the first pass.  A pass measures only the curves active when it
+    starts, from the segments and arcs its second half pass leaves (the
+    curve's length is their sum in edge order, as _batch_metric_lengths
+    takes it); a frozen curve does not move, so its length carries over.
     Each pass asserts the length monotonicity the acceptance rule
     guarantees; a violation beyond MONOTONE_SLACK is counted and raised.
-    The passes run until max_passes or until every curve froze, and
-    on_pass(k, lengths) sees the lengths after pass k.  Returns (lengths,
-    passes), passes counting per curve the passes it moved in.
+    The passes run until max_passes or until every curve froze.  Returns
+    the passes per curve, counting those it moved in.
     """
     global _length_increase_violations
-    lengths = _batch_metric_lengths(g, X)
     passes = np.zeros(X.shape[0], dtype=int)
-    for k in range(1, max_passes + 1):
+    for _ in range(max_passes):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        d0 = _half_pass(g, X, 0, active)[0]
-        d1, seg, arcs = _half_pass(g, X, 1, active)
+        d0 = _half_pass(g, X, 0, rows)[0]
+        d1, seg, arcs = _half_pass(g, X, 1, rows)
         passes[rows] += 1
         new_lengths = np.sum(seg, axis=-1)
         increase = new_lengths - lengths[rows]
@@ -327,14 +324,12 @@ def _run_passes(g, X, active, collapsed, residuals, max_passes, on_pass=None):
                 f"Birkhoff pass increased a curve length by {float(increase.max()):.3e}"
             )
         lengths[rows] = new_lengths
-        residuals[rows] = np.maximum(d0[rows], d1[rows])
+        residuals[rows] = np.maximum(d0, d1)
         newly_collapsed = rows[arcs.sum(axis=1) < COLLAPSE_THRESHOLD]
         collapsed[newly_collapsed] = True
         active[newly_collapsed] = False
         active &= residuals >= FROZEN_RESIDUAL
-        if on_pass is not None:
-            on_pass(k, lengths)
-    return lengths, passes
+    return passes
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +633,9 @@ def _extrapolate_batch(g, X, active, lengths, drift):
     length functional) moves O(1/n^2) per pass; extrapolating along the
     drift of the last chunk jumps many passes at once.  A jump is accepted
     per curve only when it does not lengthen the curve and keeps every edge
-    well short of a half turn, so monotonicity is preserved.
+    well short of a half turn, so monotonicity is preserved.  The lengths
+    of the curves that jump are updated in place.
     """
-    rows = np.flatnonzero(active)
-    if rows.size == 0:
-        return lengths
     taken = np.zeros(X.shape[0], dtype=bool)
     for factor in EXTRAPOLATION_FACTORS:
         trial = np.flatnonzero(active & ~taken)
@@ -650,14 +643,13 @@ def _extrapolate_batch(g, X, active, lengths, drift):
             break
         Y = X[trial] + factor * drift[trial]
         Y /= np.maximum(_norms(Y), 1e-30)[..., None]
-        mids, arcs = _polygon_edges(Y)
-        new_lengths = _edge_lengths(g, mids, arcs)
+        seg, arcs = _segments(g, Y)
+        new_lengths = np.sum(seg, axis=-1)
         ok = (new_lengths <= lengths[trial]) & (arcs.max(axis=1) < 1.4)
         good = trial[ok]
         X[good] = Y[ok]
         lengths[good] = new_lengths[ok]
         taken[good] = True
-    return lengths
 
 
 def _polish_every(g):
@@ -707,10 +699,13 @@ def _shorten_batch(g, X, polish_every):
     by a measuring pass so the reported residual is an honest per-pass
     vertex displacement.  Every curve starts moving: no caller passes a
     point curve (birkhoff_shorten refuses one, and the systole estimate
-    shortens great circles and polished geodesics).  Returns (lengths,
-    residuals, collapsed, passes), passes counting per curve the passes it
-    moved in: a curve moves in every pass until it freezes, so its count is
-    the one it gets alone.
+    shortens great circles and polished geodesics).  The batch is measured
+    once; then the passes, the accepted jumps and one measurement of the
+    curves the polish landed (the others come back as they went in) keep
+    each length equal, bit for bit, to a fresh _batch_metric_lengths.
+    Returns (lengths, residuals, collapsed, passes), passes counting
+    per curve the passes it moved in: a curve moves in every pass until it
+    freezes, so its count is the one it gets alone.
     """
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
@@ -723,14 +718,16 @@ def _shorten_batch(g, X, polish_every):
     while active.any() and passes.max() < SEED_PASSES:
         chunk = min(polish_every, SEED_PASSES - passes.max())
         before = X.copy()
-        lengths, done = _run_passes(g, X, active, collapsed, residuals, chunk)
-        passes += done
+        passes += _run_passes(g, X, lengths, active, collapsed, residuals, chunk)
         if not active.any() or passes.max() >= SEED_PASSES:
             break
-        lengths = _extrapolate_batch(g, X, active, lengths, X - before)
-        X[active] = _polish(g, X[active])[0]
-        lengths, done = _run_passes(g, X, active, collapsed, residuals, 1)
-        passes += done
+        _extrapolate_batch(g, X, active, lengths, X - before)
+        rows = np.flatnonzero(active)
+        V, landed = _polish(g, X[rows])
+        X[rows] = V
+        if landed.any():
+            lengths[rows[landed]] = _batch_metric_lengths(g, V[landed])
+        passes += _run_passes(g, X, lengths, active, collapsed, residuals, 1)
     return lengths, residuals, collapsed, passes
 
 
@@ -804,8 +801,10 @@ def tighten_sweepout(g, curves, passes):
     curves is a sequence of DiscreteClosedCurve sharing one even vertex
     count.  Every member that is not a point curve runs up to `passes`
     Birkhoff passes, stopping once all of them froze; point curves stay
-    put.  Trace row k is (k, max_length, argmax_index) after pass k.  The
-    member attaining the width is then polished into a witness geodesic.
+    put.  The family is measured once, before the first pass, and each
+    pass updates the lengths of the members it moved; trace row k is (k,
+    max_length, argmax_index) after pass k.  The member attaining the
+    width is then polished into a witness geodesic.
     For a family that sweeps out the sphere, the width after any number of
     length-non-increasing passes is a certified upper bound for its minimax
     level.
@@ -816,14 +815,14 @@ def tighten_sweepout(g, curves, passes):
     X = np.stack([c.vertices for c in curves]).astype(float)
     active = np.array([not c.is_point for c in curves])
     collapsed = np.zeros(len(curves), dtype=bool)
-    lengths0 = _batch_metric_lengths(g, X)
-    trace = [(0, float(lengths0.max()), int(np.argmax(lengths0)))]
-
-    def on_pass(k, lengths):
+    residuals = np.where(active, np.inf, 0.0)
+    lengths = _batch_metric_lengths(g, X)
+    trace = [(0, float(lengths.max()), int(np.argmax(lengths)))]
+    for k in range(1, passes + 1):
+        if not active.any():
+            break
+        _run_passes(g, X, lengths, active, collapsed, residuals, 1)
         trace.append((k, float(lengths.max()), int(np.argmax(lengths))))
-
-    lengths, _ = _run_passes(g, X, active, collapsed, np.where(active, np.inf, 0.0),
-                             passes, on_pass=on_pass)
     width = float(lengths.max())
     arg = int(np.argmax(lengths))
     witness = None

@@ -53,6 +53,7 @@ degree.  Four consumers run it, and each point set has one evaluator:
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -93,23 +94,24 @@ def sh_degrees(degree_max):
 def normalize_points(points):
     """Return points renormalized onto S^2.
 
-    Points whose norm drifted from 1 by more than UNIT_NORM_TOL are
-    rejected: such inputs signal a bug upstream rather than accumulated
-    rounding.
+    Points that are not finite, or whose norm drifted from 1 by more than
+    UNIT_NORM_TOL, are rejected: such inputs signal a bug upstream rather
+    than accumulated rounding.
     """
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError(f"points must have trailing dimension 3, got shape {p.shape}")
     r = np.sqrt(np.sum(p * p, axis=-1))
-    if np.any(np.abs(r - 1.0) > UNIT_NORM_TOL):
+    # written so that a NaN norm fails the test too
+    if not np.all(np.abs(r - 1.0) <= UNIT_NORM_TOL):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("points must be finite")
         worst = float(np.max(np.abs(r - 1.0)))
         raise ValueError(f"point drifted {worst:.3e} off the unit sphere (tol {UNIT_NORM_TOL:.0e})")
     return p / r[..., np.newaxis]
 
 
-_RECURRENCE_CACHE = {}
-
-
+@cache
 def _recurrence_tables(degree_max):
     """Cached tables (qmm, a, b, degrees, orders) of the Legendre recurrence.
 
@@ -119,26 +121,24 @@ def _recurrence_tables(degree_max):
     orders[k] are the l and |m| of flat index k.
     """
     L = degree_max
-    if L not in _RECURRENCE_CACHE:
-        qmm = [1.0 / math.sqrt(FOUR_PI)]
-        for m in range(1, L + 1):
-            qmm.append(math.sqrt((2 * m + 1) / (2.0 * m)) * qmm[m - 1])
-        a = [[0.0] * (L + 1) for _ in range(L + 1)]
-        b = [[0.0] * (L + 1) for _ in range(L + 1)]
-        for m in range(L):
-            a[m + 1][m] = math.sqrt(2 * m + 3)
-        for m in range(L + 1):
-            for l in range(m + 2, L + 1):
-                a[l][m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b[l][m] = math.sqrt(
-                    (2.0 * l + 1.0)
-                    * ((l - 1.0) ** 2 - m * m)
-                    / ((2.0 * l - 3.0) * (l * l - m * m))
-                )
-        degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
-        orders = [abs(m) for l in range(L + 1) for m in range(-l, l + 1)]
-        _RECURRENCE_CACHE[L] = (qmm, a, b, degrees, orders)
-    return _RECURRENCE_CACHE[L]
+    qmm = [1.0 / math.sqrt(FOUR_PI)]
+    for m in range(1, L + 1):
+        qmm.append(math.sqrt((2 * m + 1) / (2.0 * m)) * qmm[m - 1])
+    a = [[0.0] * (L + 1) for _ in range(L + 1)]
+    b = [[0.0] * (L + 1) for _ in range(L + 1)]
+    for m in range(L):
+        a[m + 1][m] = math.sqrt(2 * m + 3)
+    for m in range(L + 1):
+        for l in range(m + 2, L + 1):
+            a[l][m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b[l][m] = math.sqrt(
+                (2.0 * l + 1.0)
+                * ((l - 1.0) ** 2 - m * m)
+                / ((2.0 * l - 3.0) * (l * l - m * m))
+            )
+    degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
+    orders = [abs(m) for l in range(L + 1) for m in range(-l, l + 1)]
+    return qmm, a, b, degrees, orders
 
 
 def _scaled_legendre(z, degree_max, tops, derivative):
@@ -445,21 +445,14 @@ class SphericalFunction:
         )
 
 
-_GAUSS_LEGENDRE_CACHE = {}
-
-
+@cache
 def _gauss_legendre(count):
     """Cached read-only Gauss-Legendre (nodes, weights) of count points on [-1, 1].
 
     The rule is a constant of count, so every quadrature of a band shares
     one pair; the arrays are read-only so no caller can alter the others'.
     """
-    if count not in _GAUSS_LEGENDRE_CACHE:
-        rule = leggauss(count)
-        for arr in rule:
-            arr.flags.writeable = False
-        _GAUSS_LEGENDRE_CACHE[count] = rule
-    return _GAUSS_LEGENDRE_CACHE[count]
+    return tuple(_read_only(arr) for arr in leggauss(count))
 
 
 def _read_only(arr):
@@ -467,9 +460,7 @@ def _read_only(arr):
     return arr
 
 
-_SLOT_CACHE = {}
-
-
+@cache
 def _order_slots(degree_max):
     """Position of each flat index k in an (m, l, branch) array, cached per degree.
 
@@ -478,15 +469,11 @@ def _order_slots(degree_max):
     the entries with m > l or (m = 0, branch 1) stay zero.
     """
     L = degree_max
-    if L not in _SLOT_CACHE:
-        _SLOT_CACHE[L] = _read_only(np.array([(abs(m) * (L + 1) + l) * 2 + (m < 0)
-                                              for l in range(L + 1) for m in range(-l, l + 1)]))
-    return _SLOT_CACHE[L]
+    return _read_only(np.array([(abs(m) * (L + 1) + l) * 2 + (m < 0)
+                                for l in range(L + 1) for m in range(-l, l + 1)]))
 
 
-_LATITUDE_CACHE = {}
-
-
+@cache
 def _latitude_tables(degree_max):
     """Cached read-only (nodes, barycentric weights, table) at L + 1 Gauss-Legendre latitudes.
 
@@ -496,16 +483,14 @@ def _latitude_tables(degree_max):
     w_j) with w_j the quadrature weights, up to a common factor.
     """
     L = degree_max
-    if L not in _LATITUDE_CACHE:
-        z, wz = _gauss_legendre(L + 1)
-        table = np.zeros((2, L + 1, L + 1, L + 1))
-        for l, m, q, dq in _scaled_legendre(z, L, [L] * (L + 1), True):
-            table[0, m, :, l] = q
-            table[1, m, :, l] = dq
-        table[:, 1:] *= math.sqrt(2.0)
-        weights = (-1.0) ** np.arange(L + 1) * np.sqrt((1.0 - z * z) * wz)
-        _LATITUDE_CACHE[L] = (z, _read_only(weights), _read_only(table))
-    return _LATITUDE_CACHE[L]
+    z, wz = _gauss_legendre(L + 1)
+    table = np.zeros((2, L + 1, L + 1, L + 1))
+    for l, m, q, dq in _scaled_legendre(z, L, [L] * (L + 1), True):
+        table[0, m, :, l] = q
+        table[1, m, :, l] = dq
+    table[:, 1:] *= math.sqrt(2.0)
+    weights = (-1.0) ** np.arange(L + 1) * np.sqrt((1.0 - z * z) * wz)
+    return z, _read_only(weights), _read_only(table)
 
 
 def _latitude_interpolant(coeffs):
@@ -676,18 +661,14 @@ class SphereQuadrature:
         return f"SphereQuadrature(band={self.band}, nodes={self.size})"
 
 
-_QUADRATURE_CACHE = {}
-
-
+@cache
 def build_quadrature(band):
     """The quadrature exact on all harmonics of degree <= band, one per band.
 
     Cached like the Gauss-Legendre rule: every caller of a band shares one
     SphereQuadrature and so its nodes, weights and transform tables.
     """
-    if band not in _QUADRATURE_CACHE:
-        _QUADRATURE_CACHE[band] = SphereQuadrature(band)
-    return _QUADRATURE_CACHE[band]
+    return SphereQuadrature(band)
 
 
 def integrate(f, quadrature):

@@ -490,14 +490,18 @@ def _polygon_edges(X):
     return mids, _arc_lengths(X, nxt)
 
 
-def _edge_lengths(g, mids, arcs):
-    """Metric lengths (midpoint rule) of polygons from their _polygon_edges."""
-    return np.sum(g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs, axis=-1)
+def _segments(g, X):
+    """(metric lengths w(mid) d, round arcs d) of the edges of closed polygons (..., n, 3).
+
+    One harmonic call; each polygon's segments are the ones it gets alone.
+    """
+    mids, arcs = _polygon_edges(X)
+    return g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs, arcs
 
 
 def _batch_metric_lengths(g, X):
     """Metric lengths (midpoint rule) of closed polygons (..., n, 3)."""
-    return _edge_lengths(g, *_polygon_edges(X))
+    return np.sum(_segments(g, X)[0], axis=-1)
 
 
 def _polygon_energy(g, V):
@@ -505,8 +509,7 @@ def _polygon_energy(g, V):
 
     One harmonic call; each polygon's energy is the one it gets alone.
     """
-    mids, arcs = _polygon_edges(V)
-    seg = g.w_flat(mids.reshape(-1, 3)).reshape(arcs.shape) * arcs
+    seg = _segments(g, V)[0]
     dtau = 2.0 * math.pi / V.shape[-2]
     return np.sum(seg * seg, axis=-1) / (2.0 * dtau)
 

@@ -11,6 +11,7 @@ from systolab.harmonics import SphericalFunction
 from systolab.metric import (
     DiscreteClosedCurve,
     curve_length,
+    gauss_curvature,
     make_variation,
     min_curvature,
 )
@@ -163,6 +164,40 @@ class TestIntegrateGeodesic:
         with pytest.raises(ValueError):
             integrate_geodesic(ROUND, p, v, 0.0)
 
+    @pytest.mark.parametrize("T, h", [
+        (math.nan, 5e-3), (math.inf, 5e-3), (-math.inf, 5e-3),
+        (1.0, math.nan), (1.0, -math.inf), (1.0, 0.0), (1.0, -1e-3),
+    ])
+    def test_time_and_step_must_be_positive_and_finite(self, T, h):
+        p = np.array([1.0, 0.0, 0.0])
+        v = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_geodesic(ZONAL, p, v, T, h=h)
+
+
+class TestNonFinitePoints:
+    """A NaN coordinate is refused wherever a point enters the package."""
+
+    BAD = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.nan, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+    @pytest.mark.parametrize("entry", [
+        lambda pts: DiscreteClosedCurve(pts),
+        lambda pts: MIXED.f(pts),
+        lambda pts: MIXED.w(pts),
+        lambda pts: MIXED.w(pts[2]),
+        lambda pts: gauss_curvature(MIXED, pts),
+        lambda pts: birkhoff_shorten(MIXED, DiscreteClosedCurve(pts)),
+        lambda pts: integrate_geodesic(MIXED, pts[2], pts[1], 1.0),
+    ], ids=["curve", "function", "w", "w-point", "curvature", "shorten", "integrate-start"])
+    def test_nan_point_rejected(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            entry(self.BAD)
+
+    @pytest.mark.parametrize("v", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0]])
+    def test_nonfinite_velocity_rejected(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_geodesic(MIXED, np.array([1.0, 0.0, 0.0]), np.array(v), 1.0)
+
 
 class TestBirkhoffShorten:
     def test_round_equator_is_fixed(self):
@@ -221,12 +256,12 @@ class TestBatchedShortening:
         active = np.array([False, True, True, True])
         collapsed = np.zeros(4, dtype=bool)
         residuals = np.where(active, np.inf, 0.0)
+        lengths = _batch_metric_lengths(ZONAL, X)
+        done = np.zeros(4, dtype=int)
         seen = []
-
-        def on_pass(k, lengths):
+        for _ in range(20):
+            done += _run_passes(ZONAL, X, lengths, active, collapsed, residuals, 1)
             seen.append((lengths.copy(), _batch_metric_lengths(ZONAL, X), active.copy()))
-
-        lengths, done = _run_passes(ZONAL, X, active, collapsed, residuals, 20, on_pass=on_pass)
         assert list(done) == [0, 1, 20, 20] and len(seen) == 20
         assert not seen[-1][2][:2].any() and seen[-1][2][2:].all()
         for carried, full, _ in seen:
@@ -242,18 +277,19 @@ class TestBatchedShortening:
         active = np.array([True, True, True, True, False])
         collapsed = np.zeros(5, dtype=bool)
         residuals = np.where(active, np.inf, 0.0)
+        lengths = _batch_metric_lengths(MIXED, X)
+        done = np.zeros(5, dtype=int)
         frozen = X[4].copy()
         seen = [(active.copy(), collapsed.copy())]
-
-        def on_pass(k, lengths):
+        for _ in range(12):
             moving, before = seen[-1]
+            assert moving.any()
+            done += _run_passes(MIXED, X, lengths, active, collapsed, residuals, 1)
             np.testing.assert_array_equal(lengths, _batch_metric_lengths(MIXED, X))
             round_lengths = _polygon_edges(X)[1].sum(axis=-1)
             np.testing.assert_array_equal(collapsed & ~before,
                                           moving & (round_lengths < COLLAPSE_THRESHOLD))
             seen.append((active.copy(), collapsed.copy()))
-
-        lengths, done = _run_passes(MIXED, X, active, collapsed, residuals, 12, on_pass=on_pass)
         assert len(seen) == 13
         assert list(collapsed) == [False, False, False, True, False]
         assert 0 < done[3] < 12 and done[4] == 0
@@ -271,16 +307,69 @@ class TestBatchedShortening:
                 return original(pts)
             monkeypatch.setattr(g, name, counted)
         X = noisy_circles(64, seed=35)
+        lengths = _batch_metric_lengths(g, X)
+        active = np.ones(3, dtype=bool)
         per_pass = []
-
-        def on_pass(k, lengths):
-            per_pass.append(dict(calls))
+        for _ in range(3):
             calls.update(w_and_grad=0, w_flat=0)
+            _run_passes(g, X, lengths, active, np.zeros(3, dtype=bool), np.full(3, np.inf), 1)
+            per_pass.append(dict(calls))
+        # the caller measured the starting lengths: no pass measures again
+        assert per_pass == 3 * [{"w_and_grad": 2, "w_flat": 2}]
 
-        _run_passes(g, X, np.ones(3, dtype=bool), np.zeros(3, dtype=bool),
-                    np.full(3, np.inf), 3, on_pass=on_pass)
-        # the first pass also counts the starting lengths
-        assert per_pass == [{"w_and_grad": 2, "w_flat": 3}] + 2 * [{"w_and_grad": 2, "w_flat": 2}]
+    def test_a_pass_evaluates_only_the_edges_of_active_curves(self, monkeypatch):
+        # three moving curves and two frozen ones at n = 64: each half pass
+        # evaluates the n edges of each moving curve and of its trial, and a
+        # call on a frozen batch evaluates nothing
+        g = make_variation(MIXED.f, 0.1)
+        n = 64
+        X = np.concatenate([noisy_circles(n, seed=35), circle_points(POLE, [0.0, 0.5], n)])
+        lengths = _batch_metric_lengths(g, X)
+        active = np.array([True, False, True, False, True])
+        points = {"w_and_grad": [], "w_flat": []}
+        for name in points:
+            def counted(pts, name=name, original=getattr(g, name)):
+                points[name].append(len(pts))
+                return original(pts)
+            monkeypatch.setattr(g, name, counted)
+        done = _run_passes(g, X, lengths, active, np.zeros(5, dtype=bool), np.full(5, np.inf), 1)
+        assert list(done) == [1, 0, 1, 0, 1]
+        assert points == {"w_and_grad": [3 * n, 3 * n], "w_flat": [3 * n, 3 * n]}
+        points.update(w_and_grad=[], w_flat=[])
+        frozen = np.zeros(5, dtype=bool)
+        done = _run_passes(g, X, lengths, frozen, np.zeros(5, dtype=bool), np.full(5, np.inf), 3)
+        assert not done.any()
+        assert points == {"w_and_grad": [], "w_flat": []}
+
+    def test_shortened_lengths_equal_a_fresh_evaluation(self, monkeypatch):
+        # seed circles 5 and 3 of MIXED at n = 32 and a small circle: the
+        # first freezes after one polish and carries its length while the
+        # second slides on, and lands only in the second polish, uphill (K >
+        # 0 everywhere); the small circle collapses within the first chunk
+        import systolab.geodesics as geodesics
+
+        axes = np.random.default_rng(0).normal(size=(20, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        X = np.concatenate([circle_points(axes[[5, 3]], 0.0, 32),
+                            circle_points(POLE, [0.99985], 32)])
+        landings = []
+
+        def polish(g, V):
+            polished, landed = _polish(g, V)
+            rise = _batch_metric_lengths(g, polished) - _batch_metric_lengths(g, V)
+            landings.append((list(landed), rise))
+            return polished, landed
+
+        monkeypatch.setattr(geodesics, "_polish", polish)
+        lengths, residuals, collapsed, passes = _shorten_batch(MIXED, X, POLISH_EVERY)
+        assert list(collapsed) == [False, False, True]
+        assert np.all(residuals[:2] < FROZEN_RESIDUAL)
+        assert passes[2] < POLISH_EVERY < passes[0] < passes[1]
+        assert [landed for landed, _ in landings] == [[True, False], [True]]
+        # the landing raised the length, so the next pass measures against
+        # the polished curve, not the one that went in
+        assert landings[-1][1][0] > 0.0
+        np.testing.assert_array_equal(lengths, _batch_metric_lengths(MIXED, X))
 
     def test_early_frozen_curve_keeps_its_residual(self):
         # seed circles of MIXED at n = 32: the first freezes in the first
@@ -420,7 +509,7 @@ class TestHalfPass:
             assert kept.any() and not kept.all()
             others = np.delete(X, idx, axis=1)
             calls.update(w_and_grad=0, w_flat=0)
-            disp, seg, arcs = _half_pass(g, X, parity, np.ones(3, dtype=bool))
+            disp, seg, arcs = _half_pass(g, X, parity, np.arange(3))
             assert calls == {"w_and_grad": 1, "w_flat": 1}
             # the segments and arcs of the polygon it leaves, as a fresh
             # evaluation measures them
@@ -625,8 +714,8 @@ class TestBatchPolish:
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         if case == "mixed-64":
             g, X = MIXED, circle_points(axes, 0.0, 64)
-            _run_passes(g, X, np.ones(20, dtype=bool), np.zeros(20, dtype=bool),
-                        np.full(20, np.inf), 10)
+            _run_passes(g, X, _batch_metric_lengths(g, X), np.ones(20, dtype=bool),
+                        np.zeros(20, dtype=bool), np.full(20, np.inf), 10)
         else:
             g, X = Y30_STEEP, circle_points(axes, 0.0, 32)
             assert min_curvature(g) <= 0.0
@@ -808,6 +897,27 @@ def family_g(axis, circles=49, points=16, n=128):
             + [DiscreteClosedCurve.point(p, n) for p in leg])
 
 
+#: Family maximum of demo 04's loop F after each of its 60 passes.
+DEMO_F_TRACE = [
+    6.3822684896197375, 6.382268449444509, 6.382268396333025, 6.382268343728823,
+    6.382268291627094, 6.38226824002307, 6.382268188912029, 6.382268138289293,
+    6.382268088150228, 6.382268038490244, 6.3822679893047916, 6.382267940589368,
+    6.382267892339508, 6.382267844550791, 6.382267797218836, 6.382267750339306,
+    6.382267703907902, 6.382267657920366, 6.3822676123724795, 6.382267567260065,
+    6.3822675225789816, 6.382267478325131, 6.382267434494451, 6.382267391082916,
+    6.38226734808654, 6.382267305501377, 6.382267263323513, 6.382267221549074,
+    6.382267180174221, 6.382267139195154, 6.382267098608104, 6.382267058409342,
+    6.3822670185951695, 6.382266979161927, 6.382266940105987, 6.382266901423759,
+    6.382266863111681, 6.382266825166231, 6.382266787583915, 6.382266750361274,
+    6.382266713494882, 6.382266676981345, 6.3822666408173, 6.382266604999417,
+    6.382266569524397, 6.382266534388972, 6.382266499589905, 6.382266465123989,
+    6.382266430988048, 6.382266397178936, 6.382266363693537, 6.382266330528764,
+    6.382266297681557, 6.382266265148888, 6.382266232927758, 6.382266201015195,
+    6.382266169408252, 6.382266138104017, 6.382266107099598, 6.382266076392137,
+    6.382266045978797,
+]
+
+
 class TestTightenSweepout:
     def test_round_family_f_width(self):
         res = tighten_sweepout(ROUND, family_f(), passes=10)
@@ -836,6 +946,34 @@ class TestTightenSweepout:
         res = tighten_sweepout(g, family_f(), passes=5)
         assert res.trace[0][1] == pytest.approx(TWO_PI, abs=1e-12)
         assert res.width <= TWO_PI + 1e-12
+
+    def test_demo_families_keep_their_width_and_trace(self):
+        # demo 04's half-turn loop F and pole stack G on (1 + 0.1 Y20)^2 g0,
+        # 60 passes each; the pinned values are those the families read
+        # when every pass measured the whole family again
+        g = ZONAL
+        n = 128
+        turn = [(math.cos(a), math.sin(a), 0.0) for a in math.pi * np.arange(33) / 32]
+        loop = [DiscreteClosedCurve(c) for c in circle_points(turn, 0.0, n)]
+        res = tighten_sweepout(g, loop, passes=60)
+        assert [row[0] for row in res.trace] == list(range(61))
+        widths = [row[1] for row in res.trace]
+        np.testing.assert_allclose(widths, DEMO_F_TRACE, rtol=0.0, atol=1e-12)
+        assert res.width == res.trace[-1][1]
+        assert res.witness.length == pytest.approx(6.382262906259505, rel=0.0, abs=1e-12)
+        stack = circle_points(POLE, -1.0 + 2.0 * np.arange(25) / 24, n)
+        meridian = [(math.sin(a), 0.0, math.cos(a)) for a in math.pi * np.arange(1, 9) / 9]
+        family = ([DiscreteClosedCurve(c) for c in stack]
+                  + [DiscreteClosedCurve.point(p, n) for p in meridian])
+        res = tighten_sweepout(g, family, passes=60)
+        # the equator, member 12, is the maximum and a discrete geodesic
+        assert [row[0] for row in res.trace] == list(range(61))
+        assert all(row[2] == 12 for row in res.trace)
+        assert res.trace[0][1] == pytest.approx(6.085018942299287, rel=0.0, abs=1e-12)
+        for _, width, _ in res.trace[1:]:
+            assert width == pytest.approx(6.0850189422992855, rel=0.0, abs=1e-12)
+        assert res.width == res.trace[-1][1]
+        assert res.witness.length == pytest.approx(res.width, rel=0.0, abs=1e-12)
 
     def test_trace_is_monotone(self):
         res = tighten_sweepout(ZONAL, family_f(N=9, n=32), passes=20)
